@@ -6,7 +6,8 @@ working set compares with the caches of the machine that ran this script.
 The benchmark itself reads nothing outside its checkout, so the cache
 sizes are read here, once, from /sys (or lscpu when /sys has no cache
 entries) and stored next to the benchmark.  Working-set bytes are
-computed from array sizes, not measured.
+computed from array sizes, not measured.  ``environment()`` is also
+stamped into the report of every benchmark run.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-import run
 
 CACHE_DIR = Path("/sys/devices/system/cpu/cpu0/cache")
 
@@ -65,10 +64,33 @@ def working_sets() -> dict:
     }
 
 
+def commit(root: Path) -> str | None:
+    """HEAD of the git repository at ``root``; None when ``root`` has none.
+    Git is pointed at ``root/.git`` so that it searches no directory above."""
+    try:
+        proc = subprocess.run(["git", "--git-dir", str(root / ".git"), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment() -> dict:
+    """What a run's figures depend on besides the code: the interpreter,
+    numpy, the processor count and the commit."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "commit": commit(Path(__file__).resolve().parent.parent),
+        "client": "one process, one thread, one client, closed loop",
+    }
+
+
 def main() -> int:
+    import run  # here, not at the top: run imports this module for environment()
+
     spec = json.loads((run.ROOT / "BENCHMARK.json").read_text())
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=run.ROOT, capture_output=True,
-                            text=True).stdout.strip() or None
     cache = caches()
     sets = working_sets()
     workloads = {}
@@ -89,12 +111,12 @@ def main() -> int:
     record = {
         "workloads": workloads,
         "caches": cache,
-        "nproc": os.cpu_count(),
+        **environment(),
         "machine": platform.machine(),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "generated_at_commit": commit,
     }
+    # The commit is HEAD when this file was written, so the file's own
+    # commit is the one after it.
+    record["generated_at_commit"] = record.pop("commit")
     (Path(__file__).resolve().parent / "provenance.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0

@@ -12,8 +12,9 @@ cycles generated from the seed; the loop runs whole cycles until
 the independent references in ``checks.py``.
 
 With ``--trace 0`` the last line carries the gated end-to-end metrics:
-setup_s, work_per_s (the workload's throughput in its own unit of work)
-and peak_rss_mb.
+setup_s, work_per_s (the workload's throughput in its own unit of work,
+timed by each op's fastest repetition in the run) and peak_rss_mb (of a
+child process that runs one cycle of the ops with no checks).
 With ``--trace 1`` each operation runs twice, untraced and then under the
 spans of ``tracing.py``; the last line carries the per-layer metrics, the
 tracing overhead and the reconciliation of executed work against the cost
@@ -44,15 +45,15 @@ from typing import Callable, Iterator
 import numpy as np
 
 import checks
+import provenance
 from tracing import ORACLE_CALL, Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SCRATCH = Path(__file__).resolve().parent / ".scratch"
 SETUP_REPEATS = 11
-MC_TARGET_TRIALS = 300_000  # expected trials per Monte-Carlo op, ~1 s
-MC_MAX_RUNS = 200  # caps the amplified ops, whose runs need few trials each
-MC_MIN_SUCCESS = 2e-6  # instances the pipeline cannot solve in ~5e5 trials are redrawn
+MC_TARGET_TRIALS = 25_000  # expected trials per Monte-Carlo op, 0.1-0.3 s: 10+ repetitions a run
+MC_MIN_SUCCESS = 5e-6  # instances whose single run expects over 2e5 trials are redrawn
 
 lpq = None  # the package under test, imported from SRC by load_lpq()
 
@@ -85,7 +86,7 @@ class Outcome:
 class Op:
     kind: str
     n: int
-    run: Callable[[], Outcome]
+    run: Callable[[io.TextIOBase | None], Outcome]  # argument: output sink, None to capture
     check: Callable[[Outcome], list[str]]
     exits: tuple = (0,)
     facts: Callable[[Outcome], dict] = lambda out: {}
@@ -93,11 +94,12 @@ class Op:
     dft_calls: int | None = None  # charged transforms, for amplified and qft table ops
 
 
-def cli_call(argv: list[str]) -> Outcome:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+def cli_call(argv: list[str], sink: io.TextIOBase | None = None) -> Outcome:
+    """``lpq.cli.main(argv)`` with stdout captured, or written to ``sink``."""
+    out = io.StringIO() if sink is None else sink
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(sink or io.StringIO()):
         code = lpq.cli.main(argv)
-    return Outcome(code, out.getvalue())
+    return Outcome(code, out.getvalue() if sink is None else "")
 
 
 def instance_args(n, m, p, s) -> list[str]:
@@ -113,18 +115,25 @@ def draw_instance(rng: random.Random, n: int, m_lo: int, m_hi: int):
     return m, p, s
 
 
+def strata(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut into k consecutive ranges, so that instances drawn one
+    per range cover the whole range whatever the seed."""
+    width = (hi - lo + 1) / k
+    return [(lo + round(i * width), lo + round((i + 1) * width) - 1) for i in range(k)]
+
+
 def table_facts(n: int) -> Callable[[Outcome], dict]:
     return lambda out: {"freq": n, "rows": n}
 
 
-def spectrum_op(n, m, p, s, alg, fmt, ref_codes) -> Op:
+def spectrum_op(n, m, p, s, alg, fmt) -> Op:
     argv = ["spectrum", "--alg", alg, "--format", fmt] + instance_args(n, m, p, s)
     amplified = alg == "amplified"
     return Op(
         f"spectrum-{alg}",
         n,
-        lambda: cli_call(argv),
-        lambda out: checks.check_spectrum(out.stdout, fmt, n, ref_codes),
+        lambda sink: cli_call(argv, sink),
+        lambda out: checks.check_spectrum(out.stdout, fmt, n, checks.case_codes(n, m, p)),
         facts=table_facts(n),
         grover_rounds=lpq.simulator.grover_schedule(n, m).k if amplified else None,
         dft_calls=1 if alg != "qhs" else None,
@@ -134,15 +143,15 @@ def spectrum_op(n, m, p, s, alg, fmt, ref_codes) -> Op:
 def compare_op(n, m, p, s, fmt) -> Op:
     argv = ["compare", "--format", fmt] + instance_args(n, m, p, s)
     return Op(
-        "compare", n, lambda: cli_call(argv), lambda out: checks.check_compare(out.stdout, fmt),
-        facts=table_facts(n),
+        "compare", n, lambda sink: cli_call(argv, sink),
+        lambda out: checks.check_compare(out.stdout, fmt), facts=table_facts(n),
     )
 
 
-def table_op(n, m, p, s, alg, ref_codes) -> Op:
+def table_op(n, m, p, s, alg) -> Op:
     """Library path: simulate, tabulate the closed form, take the deviation."""
 
-    def run():
+    def run(sink):
         spec = lpq.build_oracle(n, m, p, s)
         simulated = lpq.simulator.simulated_table(spec, alg)
         closed = lpq.closedform.closed_form_table(spec, alg)
@@ -151,7 +160,8 @@ def table_op(n, m, p, s, alg, ref_codes) -> Op:
 
     def check(out):
         closed, simulated, _ = out.value
-        return checks.check_table(closed.codes, closed.pr, simulated.pr, n, ref_codes)
+        ref = checks.case_codes(n, m, p)
+        return checks.check_table(closed.codes, closed.pr, simulated.pr, n, ref)
 
     amplified = alg == "amplified"
     return Op(
@@ -166,9 +176,9 @@ def sweep_op(n_min, n_max, m, p, s) -> Op:
     argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max), "--out", str(out_dir),
             "--m", str(m), "--p", str(p), "--s", str(s)]
 
-    def run():
+    def run(sink):
         shutil.rmtree(out_dir, ignore_errors=True)
-        out = cli_call(argv)
+        out = cli_call(argv, sink)
         out.value = {f.name: f.read_text() for f in out_dir.glob("*")} if out_dir.is_dir() else {}
         return out
 
@@ -190,7 +200,7 @@ def trials_op(n, m, p, s, alg, runs, seed, p_success) -> Op:
         return {"trials": checks.trials_total(mc["mean"], runs), "runs": runs, "rows": 3}
 
     return Op(
-        f"trials-{alg}", n, lambda: cli_call(argv),
+        f"trials-{alg}", n, lambda sink: cli_call(argv, sink),
         lambda out: checks.check_trials(json.loads(out.stdout), runs, p_success),
         facts=facts,
     )
@@ -208,7 +218,7 @@ def find_offset_op(n, m, p, s, method, seed) -> Op:
                 "counting_cost": obj["counting_cost"], "rows": 1}
 
     return Op(
-        f"find-offset-{method}", n, lambda: cli_call(argv),
+        f"find-offset-{method}", n, lambda sink: cli_call(argv, sink),
         lambda out: checks.check_find_offset(out.code, out.stdout, s),
         exits=(0, 4) if method == "counting" else (0,), facts=facts,
     )
@@ -217,7 +227,7 @@ def find_offset_op(n, m, p, s, method, seed) -> Op:
 def recover_op(n, m, p, s, y) -> Op:
     argv = ["recover", "--verify", "--y", str(y), "--format", "json"] + instance_args(n, m, p, s)
     return Op(
-        "recover-verify", n, lambda: cli_call(argv),
+        "recover-verify", n, lambda sink: cli_call(argv, sink),
         lambda out: checks.check_recover(out.code, out.stdout, p),
         exits=(0, 3, 4), facts=lambda out: {"rows": 1},
     )
@@ -231,15 +241,15 @@ def recover_op(n, m, p, s, y) -> Op:
 
 def cli_workload(seed: int, small: bool) -> Iterator[list[Op]]:
     """lpq spectrum for all three pipelines plus lpq compare, 3 instances,
+    one m from each third of [2, 8] (the Grover round count falls with m),
     csv and json alternating across instances."""
     n = 1 << (8 if small else 16)
     rng = random.Random(seed)
     cycle = []
-    for i in range(3):
-        m, p, s = draw_instance(rng, n, 2, 8)
+    for i, (m_lo, m_hi) in enumerate(strata(2, 8, 3)):
+        m, p, s = draw_instance(rng, n, m_lo, m_hi)
         fmt = "csv" if i % 2 == 0 else "json"
-        ref = checks.case_codes(n, m, p)
-        cycle += [spectrum_op(n, m, p, s, alg, fmt, ref) for alg in ("amplified", "qft", "qhs")]
+        cycle += [spectrum_op(n, m, p, s, alg, fmt) for alg in ("amplified", "qft", "qhs")]
         cycle.append(compare_op(n, m, p, s, fmt))
     while True:
         yield cycle
@@ -256,7 +266,7 @@ def state_workload(seed: int, small: bool) -> Iterator[list[Op]]:
     cycle = []
     for alg, m in (("amplified", 4), ("amplified", 16 if small else 64), ("qft", 4), ("qhs", 4)):
         m, p, s = draw_instance(rng, n, m, m)
-        cycle.append(table_op(n, m, p, s, alg, checks.case_codes(n, m, p)))
+        cycle.append(table_op(n, m, p, s, alg))
     yield [sweep] + cycle
     while True:
         yield cycle
@@ -264,8 +274,8 @@ def state_workload(seed: int, small: bool) -> Iterator[list[Op]]:
 
 def mc_workload(seed: int, small: bool) -> Iterator[list[Op]]:
     """lpq trials for each pipeline on 3 instances at n = 2^14, m in [2, 8];
-    the run count of each op targets MC_TARGET_TRIALS expected trials (at
-    most MC_MAX_RUNS runs), so the fixed per-op cost stays a small share."""
+    the run count of each op targets MC_TARGET_TRIALS expected trials, so
+    the fixed per-op cost stays a small share of every op."""
     n = 1 << (8 if small else 14)
     rng = random.Random(seed)
     instances = []
@@ -278,7 +288,7 @@ def mc_workload(seed: int, small: bool) -> Iterator[list[Op]]:
     cycle = []
     for m, p, s, success in instances:
         for alg, p_success in success.items():
-            runs = max(1, min(MC_MAX_RUNS, round(target * p_success)))
+            runs = max(1, round(target * p_success))
             cycle.append(trials_op(n, m, p, s, alg, runs, rng.randrange(1 << 31), p_success))
     while True:
         yield cycle
@@ -286,16 +296,12 @@ def mc_workload(seed: int, small: bool) -> Iterator[list[Op]]:
 
 def offset_workload(seed: int, small: bool) -> Iterator[list[Op]]:
     """lpq find-offset with both methods and lpq recover --verify (one y near
-    a multiple of n/p, one uniform y) on 8 instances at n = 2^20, one m from
-    each eighth of [64, 512], since the walk's cost grows with m."""
+    a multiple of n/p, one uniform y) on 32 instances at n = 2^20, one m from
+    each 32nd of [64, 512], since the walk's cost grows with m."""
     n = 1 << (10 if small else 20)
     m_lo, m_hi = (4, 16) if small else (64, 512)
     rng = random.Random(seed)
-    width = (m_hi - m_lo + 1) / 8
-    instances = [
-        draw_instance(rng, n, m_lo + round(i * width), m_lo + round((i + 1) * width) - 1)
-        for i in range(8)
-    ]
+    instances = [draw_instance(rng, n, lo, hi) for lo, hi in strata(m_lo, m_hi, 4 if small else 32)]
     cycle = []
     for m, p, s in instances:
         near = (2 * n * rng.randint(1, p - 1) + p) // (2 * p)
@@ -328,6 +334,7 @@ class Record:
     kind: str
     n: int
     wall: float
+    slot: int  # id() of the op; the same op recurs in every cycle
     failure: str | None = None  # exception type, "exit N" or "wrong-output"
     problems: list = field(default_factory=list)
     facts: dict = field(default_factory=dict)
@@ -346,7 +353,7 @@ def execute(op: Op, tracer: Tracer | None = None) -> Record:
     outcome, failure = None, None
     t0 = time.perf_counter()
     try:
-        outcome = op.run()
+        outcome = op.run(None)
     except Exception as exc:  # a crash is a failed op, recorded by type
         failure = type(exc).__name__
     except SystemExit as exc:
@@ -354,7 +361,7 @@ def execute(op: Op, tracer: Tracer | None = None) -> Record:
     wall = time.perf_counter() - t0
     if tracer:
         tracer.close(span)
-    record = Record(op.kind, op.n, wall, failure, span=span, traced=tracer is not None,
+    record = Record(op.kind, op.n, wall, id(op), failure, span=span, traced=tracer is not None,
                     grover_rounds=op.grover_rounds, dft_calls=op.dft_calls)
     if outcome is None:
         return record
@@ -399,8 +406,8 @@ def warm_up(workload: str, seed: int) -> None:
         execute(op)
 
 
-def measure_setup(repeats: int = SETUP_REPEATS) -> float:
-    """Median wall time of ``import lpq.cli`` in fresh interpreters."""
+def measure_setup(repeats: int) -> list[float]:
+    """Wall times of ``import lpq.cli``, each in a fresh interpreter."""
     code = (
         "import sys, time\n"
         "t = time.perf_counter()\n"
@@ -418,7 +425,37 @@ def measure_setup(repeats: int = SETUP_REPEATS) -> float:
         if Path(path).resolve().parent != SRC / "lpq":
             raise RuntimeError(f"fresh interpreter imported lpq from {path}")
         times.append(float(seconds))
-    return statistics.median(times)
+    return times
+
+
+def measure_peak_rss(workload: str, seed: int) -> float:
+    """Peak RSS in MiB of a fresh interpreter that runs the first cycle of
+    the workload's ops with output sent to /dev/null and no checks, so the
+    figure is lpq's own and not the checker's."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import run\n"
+        f"print(run.cycle_peak_rss({workload!r}, {seed!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          timeout=150, check=True)
+    return float(proc.stdout.split()[-1])
+
+
+def cycle_peak_rss(workload: str, seed: int) -> float:
+    """Body of ``measure_peak_rss``, run in the child process."""
+    load_lpq()
+    try:
+        with open(os.devnull, "w") as sink:
+            for op in next(WORKLOADS[workload](seed, small=False)):
+                try:
+                    op.run(sink)
+                except (Exception, SystemExit):  # failures are counted by the timed run
+                    pass
+    finally:
+        shutil.rmtree(SCRATCH, ignore_errors=True)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # --- metrics ---------------------------------------------------------------------
@@ -488,27 +525,57 @@ def quantile(values: list[float], q: float) -> float:
     return float(np.quantile(np.asarray(values), q))
 
 
-def end_to_end(workload: str, records: list[Record], setup_s: float) -> dict:
+# The unit of work_per_s on each workload.  freq: frequencies tabulated
+# (n per table, the sizes' sum per sweep).  trials: Monte-Carlo trials, since
+# the trials per op are random.  oracle_queries: queries a find-offset op
+# reports; an op's time grows with them, while the op count would weigh a
+# 3-query recover op the same as a 3000-query walk.
+WORK_UNIT = {"cli-2e16": "freq", "state-2e20": "freq", "mc-2e14": "trials",
+             "offset-2e20": "oracle_queries"}
+
+
+def throughput(records: list[Record], unit: str) -> float:
+    """Work per second over the completed ops that do work in ``unit``.
+
+    Each op is timed by its fastest repetition in the run: an op recurs
+    unchanged in every cycle and does the same work each time, so its
+    fastest repetition is its time with the least interference from other
+    load on the machine, which slows ops by tens of percent for seconds at
+    a time.  Each kind of op (``trials-qhs``, ``spectrum-amplified``, ...)
+    then weighs the same: the result is the rate at which equal work of
+    every kind would be done.  Pooling the work instead would let random
+    draws (a geometric trial count, a counting search that ends in exit 4)
+    decide how much each kind's rate counts.
+    """
+    best: dict[int, tuple[str, float, float]] = {}
+    for r in records:
+        work = r.facts.get(unit, 0)
+        if r.completed and work and (r.slot not in best or r.wall < best[r.slot][2]):
+            best[r.slot] = (r.kind, work, r.wall)
+    kinds: dict[str, list[float]] = {}
+    for kind, work, wall in best.values():
+        total = kinds.setdefault(kind, [0.0, 0.0])
+        total[0] += work
+        total[1] += wall
+    return _ratio(len(kinds), sum(wall / work for work, wall in kinds.values()))
+
+
+def end_to_end(workload: str, records: list[Record], setup_s: float, peak_rss_mb: float) -> dict:
     """All seven end-to-end metrics (None where a workload does not define
-    one), plus work_per_s: the workload's throughput in its own unit of work,
-    which is freq_per_s, trials_per_s, or completed offset ops per second."""
+    one), plus work_per_s: the workload's throughput in WORK_UNIT, which is
+    freq_per_s or trials_per_s where those are defined."""
     done = [r for r in records if r.completed]
-    wall = sum(r.wall for r in done)
     times = [r.wall for r in done]
-    freq = sum(r.facts.get("freq", 0) for r in done)
-    trials = sum(r.facts.get("trials", 0) for r in done)
-    work = {"mc-2e14": trials, "offset-2e20": len(done)}.get(workload, freq)
-    metrics = {
+    return {
         "setup_s": setup_s,
-        "freq_per_s": _ratio(freq, wall) if workload in ("cli-2e16", "state-2e20") else None,
-        "trials_per_s": _ratio(trials, wall) if workload == "mc-2e14" else None,
+        "freq_per_s": throughput(records, "freq") if WORK_UNIT[workload] == "freq" else None,
+        "trials_per_s": throughput(records, "trials") if workload == "mc-2e14" else None,
         "op_s_p50": quantile(times, 0.5) if times and workload != "mc-2e14" else None,
         "op_s_p90": quantile(times, 0.9) if len(times) >= 100 and workload == "offset-2e20" else None,
         "failed_frac": _ratio(len(records) - len(done), len(records)),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "work_per_s": _ratio(work, wall),
+        "peak_rss_mb": peak_rss_mb,
+        "work_per_s": throughput(records, WORK_UNIT[workload]),
     }
-    return metrics
 
 
 UNITS = {"setup_s": "s", "freq_per_s": "1/s", "trials_per_s": "1/s", "op_s_p50": "s",
@@ -638,31 +705,18 @@ def failures_by_kind(records: list[Record]) -> dict:
     return out
 
 
-def provenance() -> dict:
-    head = ROOT / ".git" / "HEAD"
-    commit = None
-    if head.is_file():
-        ref = head.read_text().strip()
-        commit = ref
-        if ref.startswith("ref: ") and (ROOT / ".git" / ref[5:]).is_file():
-            commit = (ROOT / ".git" / ref[5:]).read_text().strip()
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "commit": commit,
-        "client": "one process, one thread, one client, closed loop",
-    }
-
-
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
-    setup_s = measure_setup()
+    # Set-up is timed half before and half after the loop, so that a slow
+    # spell of the machine at either end moves the median less.
+    setup_times = measure_setup(SETUP_REPEATS // 2 + 1)
+    peak_rss_mb = measure_peak_rss(workload, seed)
     warm_up(workload, seed)
     cycles = WORKLOADS[workload](seed, small=False)
     try:
         records, tracer = run_loop(cycles, seconds, trace)
     finally:
         shutil.rmtree(SCRATCH, ignore_errors=True)
+    setup_times += measure_setup(SETUP_REPEATS // 2)
     wrong = [f"{r.kind}: {p}" for r in records for p in r.problems]
     report = {
         "workload": workload,
@@ -673,9 +727,10 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> tuple
         "completed": sum(r.completed for r in records),
         "failures": failures_by_kind(records),
         "wrong_outputs": wrong[:20],
-        "provenance": provenance(),
+        "provenance": provenance.environment(),
     }
-    metrics = end_to_end(workload, [r for r in records if not r.traced], setup_s)
+    metrics = end_to_end(workload, [r for r in records if not r.traced],
+                         statistics.median(setup_times), peak_rss_mb)
     report["end_to_end"] = {k: {"value": v, "unit": UNITS[k]} for k, v in metrics.items()}
     report["op_sample_count"] = sum(r.completed for r in records if not r.traced)
     if trace:

@@ -77,7 +77,7 @@ def run(verbose: bool = False) -> bool:
         _expect(f"MC mean x10 ({alg})", checks.check_trials(obj, 20, success), True, failures)
 
     tracer = Tracer()
-    op = bench.spectrum_op(n, m, p, s, "amplified", "csv", ref)
+    op = bench.spectrum_op(n, m, p, s, "amplified", "csv")
     tracer.install()
     try:
         record = bench.execute(op, tracer)

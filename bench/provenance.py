@@ -105,7 +105,9 @@ def main() -> int:
             "instances": " ".join(gen.__doc__.split()),
             "seed": "--seed N seeds random.Random(N); the same seed gives the same ops",
             "client": "one process, one thread, one client in a closed loop: each op starts "
-                      "when the previous one ends; whole cycles run until --seconds pass",
+                      "when the previous one ends (or the reference kernel that calibrates it); "
+                      "the first cycle runs whole, then ops in cycle order until --seconds pass",
+            "calibrated": name not in run.WALL_CLOCK,
             "working_set_bytes_computed": {**sets[name], "total": total, "fits": fits},
         }
     record = {

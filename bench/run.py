@@ -7,14 +7,22 @@ Run from the root of a source checkout: the package is imported from
 ./src and nowhere else.  One process, one thread, one client in a closed
 loop: each operation is a call to ``lpq.cli.main(argv)`` or a library
 function and starts when the previous one has ended.  Operations come in
-cycles generated from the seed; the loop runs whole cycles until
-``--seconds`` have passed.  Every operation's output is checked against
-the independent references in ``checks.py``.
+cycles generated from the seed; the loop runs the first cycle whole, then
+the ops of the next cycles in order until ``--seconds`` have passed.  Every operation's output is checked against
+the independent references in ``checks.py``.  ``attempted`` and
+``failed`` count distinct operations: an operation repeated in every
+cycle is attempted once, and fails if any of its repetitions fails, so
+the counts depend on the seed and not on how many cycles fit in the run.
 
 With ``--trace 0`` the last line carries the gated end-to-end metrics:
 setup_s, work_per_s (the workload's throughput in its own unit of work,
-timed by each op's fastest repetition in the run) and peak_rss_mb (of a
-child process that runs one cycle of the ops with no checks).
+timed by each op's median repetition in the run) and peak_rss_mb (of a
+child process that runs one cycle of the ops with no checks).  The two
+timings are in calibrated seconds (``calibrate.py``), except work_per_s on
+the WALL_CLOCK workloads: each is divided by the time of an lpq-free
+reference kernel run next to it, so that the slowdowns the shared host
+imposes on everything cancel; the report line gives them in wall seconds
+too.
 With ``--trace 1`` each operation runs twice, untraced and then under the
 spans of ``tracing.py``; the last line carries the per-layer metrics, the
 tracing overhead and the reconciliation of executed work against the cost
@@ -44,6 +52,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+import calibrate
 import checks
 import provenance
 from tracing import ORACLE_CALL, Tracer
@@ -51,7 +60,8 @@ from tracing import ORACLE_CALL, Tracer
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SCRATCH = Path(__file__).resolve().parent / ".scratch"
-SETUP_REPEATS = 11
+SETUP_AT_ENDS = 3  # set-up samples before and after the loop
+SETUP_EVERY = 2.0  # seconds between two set-up samples inside the loop
 MC_TARGET_TRIALS = 25_000  # expected trials per Monte-Carlo op, 0.1-0.3 s: 10+ repetitions a run
 MC_MIN_SUCCESS = 5e-6  # instances whose single run expects over 2e5 trials are redrawn
 
@@ -333,6 +343,7 @@ class Record:
 
     kind: str
     n: int
+    start: float  # perf_counter when the op began
     wall: float
     slot: int  # id() of the op; the same op recurs in every cycle
     failure: str | None = None  # exception type, "exit N" or "wrong-output"
@@ -342,6 +353,7 @@ class Record:
     traced: bool = False
     grover_rounds: int | None = None
     dft_calls: int | None = None
+    calibrated: float = 0.0  # wall in calibrated seconds, set by run_loop
 
     @property
     def completed(self) -> bool:
@@ -361,7 +373,7 @@ def execute(op: Op, tracer: Tracer | None = None) -> Record:
     wall = time.perf_counter() - t0
     if tracer:
         tracer.close(span)
-    record = Record(op.kind, op.n, wall, id(op), failure, span=span, traced=tracer is not None,
+    record = Record(op.kind, op.n, t0, wall, id(op), failure, span=span, traced=tracer is not None,
                     grover_rounds=op.grover_rounds, dft_calls=op.dft_calls)
     if outcome is None:
         return record
@@ -379,23 +391,38 @@ def execute(op: Op, tracer: Tracer | None = None) -> Record:
     return record
 
 
-def run_loop(cycles: Iterator[list[Op]], seconds: float, trace: bool) -> tuple[list[Record], Tracer | None]:
-    """Closed loop over whole cycles until ``seconds`` have passed.  With
-    ``trace`` each op runs untraced and then traced."""
+def run_loop(cycles: Iterator[list[Op]], seconds: float, trace: bool, calibrated: bool = True,
+             setup: SetupTimer | None = None) -> tuple[list[Record], Tracer | None]:
+    """Closed loop: the whole first cycle, then the ops of the next cycles
+    in order until ``seconds`` have passed.  With ``trace`` each op runs
+    untraced and then traced.  With ``calibrated`` the reference kernel
+    runs between ops and every record gets its calibrated time (else its
+    wall time); the set-up samples of ``setup``, when given, are taken
+    between ops too."""
     tracer = Tracer() if trace else None
+    calibrator = calibrate.Calibrator() if calibrated else None
     records = []
     deadline = time.perf_counter() + seconds
-    for cycle in cycles:
+    for cycle_no, cycle in enumerate(cycles):
         for op in cycle:
-            records.append(execute(op))
-            if tracer:
-                tracer.install()
+            if cycle_no and time.perf_counter() >= deadline:
+                break
+            for traced in (False, True) if tracer else (False,):
+                if traced:
+                    tracer.install()
                 try:
-                    records.append(execute(op, tracer))
+                    records.append(execute(op, tracer if traced else None))
                 finally:
-                    tracer.uninstall()
+                    if traced:
+                        tracer.uninstall()
+                if calibrator:
+                    calibrator.after_op(records[-1].wall)
+            if setup:
+                setup.between_ops()
         if time.perf_counter() >= deadline:
             break
+    for r in records:
+        r.calibrated = calibrator.calibrated(r.wall, r.start) if calibrator else r.wall
     return records, tracer
 
 
@@ -406,40 +433,76 @@ def warm_up(workload: str, seed: int) -> None:
         execute(op)
 
 
-def measure_setup(repeats: int) -> list[float]:
-    """Wall times of ``import lpq.cli``, each in a fresh interpreter."""
-    code = (
-        "import sys, time\n"
+def child_env() -> dict:
+    """Environment of the fresh interpreters: lpq from SRC, and a bytecode
+    cache under SCRATCH, whatever PYTHONDONTWRITEBYTECODE says.  Without
+    that, whether sources are compiled on each import (which costs time
+    and memory) would depend on the caller's environment and on whether
+    the tree already has ``__pycache__`` directories."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=str(SCRATCH / "pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+class SetupTimer:
+    """Wall times of ``import lpq.cli``, each in a fresh interpreter, with
+    the median of three reference kernel times taken in the same
+    interpreter after the import (which has loaded numpy by then).
+
+    Samples are taken before the loop, every SETUP_EVERY seconds between
+    its ops and after it, so that a run's median covers the whole run and
+    not a slow or fast spell of the machine at one end.  An untimed import
+    fills the bytecode cache of ``child_env`` first, so that every timed
+    import finds it warm, as an installed package's is."""
+
+    CODE = (
+        "import statistics, sys, time\n"
         "t = time.perf_counter()\n"
         "import lpq.cli\n"
-        "sys.stdout.write(repr(time.perf_counter() - t) + ' ' + lpq.__file__)\n"
+        "t = time.perf_counter() - t\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import calibrate\n"
+        "ref = statistics.median(calibrate.time_kernel() for _ in range(3))\n"
+        "sys.stdout.write(repr(t) + ' ' + repr(ref) + ' ' + lpq.__file__)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    times = []
-    for _ in range(repeats):
+
+    def __init__(self):
+        self.env = child_env()
+        self.samples: list[tuple[float, float]] = []  # (wall, calibrated) seconds
+        self._import()
+        self.last = time.perf_counter()
+
+    def _import(self) -> tuple[float, float]:
         proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
-            timeout=120, check=True,
+            [sys.executable, "-c", self.CODE], cwd=ROOT, env=self.env, capture_output=True,
+            text=True, timeout=120, check=True,
         )
-        seconds, path = proc.stdout.split(" ", 1)
+        seconds, ref, path = proc.stdout.split(" ", 2)
         if Path(path).resolve().parent != SRC / "lpq":
             raise RuntimeError(f"fresh interpreter imported lpq from {path}")
-        times.append(float(seconds))
-    return times
+        return float(seconds), float(seconds) / float(ref) * calibrate.REF_SECONDS
+
+    def sample(self, repeats: int = 1) -> None:
+        for _ in range(repeats):
+            self.samples.append(self._import())
+        self.last = time.perf_counter()
+
+    def between_ops(self) -> None:
+        if time.perf_counter() - self.last >= SETUP_EVERY:
+            self.sample()
 
 
 def measure_peak_rss(workload: str, seed: int) -> float:
     """Peak RSS in MiB of a fresh interpreter that runs the first cycle of
     the workload's ops with output sent to /dev/null and no checks, so the
-    figure is lpq's own and not the checker's."""
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
-        "import run\n"
-        f"print(run.cycle_peak_rss({workload!r}, {seed!r}))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
-                          timeout=150, check=True)
+    figure is lpq's own and not the checker's.  An interpreter that only
+    imports this module runs first: it fills the bytecode cache, since
+    compiling the benchmark's modules in the measured interpreter would
+    leave its heap laid out differently and add up to 7 MiB to the peak."""
+    importer = f"import sys\nsys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\nimport run\n"
+    for code in (importer, importer + f"print(run.cycle_peak_rss({workload!r}, {seed!r}))\n"):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=child_env(),
+                              capture_output=True, text=True, timeout=150, check=True)
     return float(proc.stdout.split()[-1])
 
 
@@ -454,7 +517,7 @@ def cycle_peak_rss(workload: str, seed: int) -> float:
                 except (Exception, SystemExit):  # failures are counted by the timed run
                     pass
     finally:
-        shutil.rmtree(SCRATCH, ignore_errors=True)
+        shutil.rmtree(SCRATCH / "sweep", ignore_errors=True)
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
@@ -533,53 +596,74 @@ def quantile(values: list[float], q: float) -> float:
 WORK_UNIT = {"cli-2e16": "freq", "state-2e20": "freq", "mc-2e14": "trials",
              "offset-2e20": "oracle_queries"}
 
+# Workloads whose work_per_s is in wall seconds.  state-2e20's completed
+# op is a 6-13 s Grover loop over a 16 MiB state that spends a sixth of
+# its time in the kernel on page faults (about 2e5 per op).  It averages
+# the machine's fast swings over its own length, and its speed does not
+# follow the reference kernel's (correlation -0.03 over twelve
+# repetitions), so calibrating it only adds the kernel's noise.
+WALL_CLOCK = {"state-2e20"}
 
-def throughput(records: list[Record], unit: str) -> float:
-    """Work per second over the completed ops that do work in ``unit``.
 
-    Each op is timed by its fastest repetition in the run: an op recurs
-    unchanged in every cycle and does the same work each time, so its
-    fastest repetition is its time with the least interference from other
-    load on the machine, which slows ops by tens of percent for seconds at
-    a time.  Each kind of op (``trials-qhs``, ``spectrum-amplified``, ...)
-    then weighs the same: the result is the rate at which equal work of
-    every kind would be done.  Pooling the work instead would let random
-    draws (a geometric trial count, a counting search that ends in exit 4)
-    decide how much each kind's rate counts.
+def throughput(records: list[Record], unit: str, calibrated: bool = True) -> float:
+    """Work per (calibrated, else wall-clock) second over the completed ops
+    that do work in ``unit``.
+
+    Each op is timed by the median of its repetitions in the run: an op
+    recurs unchanged in every cycle and does the same work each time, and
+    the median is the figure that other load on the machine, which slows
+    single repetitions by tens of percent, moves least (the fastest
+    repetition moves more: how fast the quietest moment of a run was is
+    itself a matter of chance).  Each kind of op (``trials-qhs``,
+    ``spectrum-amplified``, ...) then weighs the same: the result is the
+    rate at which equal work of every kind would be done.  Pooling the work
+    instead would let random draws (a geometric trial count, a counting
+    search that ends in exit 4) decide how much each kind's rate counts.
     """
-    best: dict[int, tuple[str, float, float]] = {}
+    walls: dict[int, tuple[str, float, list[float]]] = {}
     for r in records:
         work = r.facts.get(unit, 0)
-        if r.completed and work and (r.slot not in best or r.wall < best[r.slot][2]):
-            best[r.slot] = (r.kind, work, r.wall)
+        if r.completed and work:
+            walls.setdefault(r.slot, (r.kind, work, []))[2].append(
+                r.calibrated if calibrated else r.wall)
     kinds: dict[str, list[float]] = {}
-    for kind, work, wall in best.values():
+    for kind, work, times in walls.values():
+        wall = statistics.median(times)
         total = kinds.setdefault(kind, [0.0, 0.0])
         total[0] += work
         total[1] += wall
     return _ratio(len(kinds), sum(wall / work for work, wall in kinds.values()))
 
 
-def end_to_end(workload: str, records: list[Record], setup_s: float, peak_rss_mb: float) -> dict:
+def end_to_end(workload: str, records: list[Record], setup: list[tuple[float, float]],
+               peak_rss_mb: float) -> dict:
     """All seven end-to-end metrics (None where a workload does not define
     one), plus work_per_s: the workload's throughput in WORK_UNIT, which is
-    freq_per_s or trials_per_s where those are defined."""
+    freq_per_s or trials_per_s where those are defined.  setup_s and the
+    throughputs are in calibrated seconds, except on WALL_CLOCK workloads;
+    op_s_p50 and op_s_p90 are in wall seconds, and the *_wall entries give
+    the gated figures in wall seconds too."""
     done = [r for r in records if r.completed]
     times = [r.wall for r in done]
+    attempted, failed = failed_ops(records)
+    calibrated = workload not in WALL_CLOCK
     return {
-        "setup_s": setup_s,
-        "freq_per_s": throughput(records, "freq") if WORK_UNIT[workload] == "freq" else None,
-        "trials_per_s": throughput(records, "trials") if workload == "mc-2e14" else None,
+        "setup_s": statistics.median(scaled for _, scaled in setup),
+        "freq_per_s": throughput(records, "freq", calibrated) if WORK_UNIT[workload] == "freq" else None,
+        "trials_per_s": throughput(records, "trials", calibrated) if workload == "mc-2e14" else None,
         "op_s_p50": quantile(times, 0.5) if times and workload != "mc-2e14" else None,
         "op_s_p90": quantile(times, 0.9) if len(times) >= 100 and workload == "offset-2e20" else None,
-        "failed_frac": _ratio(len(records) - len(done), len(records)),
+        "failed_frac": _ratio(failed, attempted),
         "peak_rss_mb": peak_rss_mb,
-        "work_per_s": throughput(records, WORK_UNIT[workload]),
+        "work_per_s": throughput(records, WORK_UNIT[workload], calibrated),
+        "setup_s_wall": statistics.median(wall for wall, _ in setup),
+        "work_per_s_wall": throughput(records, WORK_UNIT[workload], calibrated=False),
     }
 
 
 UNITS = {"setup_s": "s", "freq_per_s": "1/s", "trials_per_s": "1/s", "op_s_p50": "s",
-         "op_s_p90": "s", "failed_frac": "ratio", "peak_rss_mb": "MiB", "work_per_s": "1/s"}
+         "op_s_p90": "s", "failed_frac": "ratio", "peak_rss_mb": "MiB", "work_per_s": "1/s",
+         "setup_s_wall": "s", "work_per_s_wall": "1/s"}
 
 
 def reconcile(tracer: Tracer, traced: list[Record]) -> tuple[dict, list[str]]:
@@ -683,8 +767,9 @@ def per_layer(tracer: Tracer, records: list[Record]) -> tuple[dict, list[str]]:
         "offset.counting_cost": sum(r.facts.get("counting_cost", 0.0) for r in traced),
         "offset.verification_failed_ratio": _ratio(
             sum(r.facts.get("verification_failed", 0) for r in counting), len(counting)),
-        "trace.overhead_frac": _ratio(sum(r.wall for r in traced) - sum(r.wall for r in untraced),
-                                      sum(r.wall for r in untraced)),
+        "trace.overhead_frac": _ratio(
+            sum(r.calibrated for r in traced) - sum(r.calibrated for r in untraced),
+            sum(r.calibrated for r in untraced)),
     }
     stats, problems = reconcile(tracer, traced)
     for key, (checked, mismatches) in stats.items():
@@ -696,41 +781,50 @@ def per_layer(tracer: Tracer, records: list[Record]) -> tuple[dict, list[str]]:
 # --- reporting -------------------------------------------------------------------
 
 
+def failed_ops(records: list[Record]) -> tuple[int, int]:
+    """(attempted, failed) distinct ops: an op that recurs in every cycle
+    counts once, as failed if any repetition of it failed."""
+    slots = {r.slot for r in records}
+    return len(slots), len({r.slot for r in records if r.failure})
+
+
 def failures_by_kind(records: list[Record]) -> dict:
+    """Distinct failed ops by failure (exception type or exit code) and kind."""
     out: dict[str, dict[str, int]] = {}
-    for r in records:
-        if r.failure:
-            by_op = out.setdefault(r.failure, {})
-            by_op[r.kind] = by_op.get(r.kind, 0) + 1
+    for failure, kind, _ in sorted({(r.failure, r.kind, r.slot) for r in records if r.failure}):
+        by_op = out.setdefault(failure, {})
+        by_op[kind] = by_op.get(kind, 0) + 1
     return out
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
-    # Set-up is timed half before and half after the loop, so that a slow
-    # spell of the machine at either end moves the median less.
-    setup_times = measure_setup(SETUP_REPEATS // 2 + 1)
-    peak_rss_mb = measure_peak_rss(workload, seed)
-    warm_up(workload, seed)
-    cycles = WORKLOADS[workload](seed, small=False)
     try:
-        records, tracer = run_loop(cycles, seconds, trace)
+        setup = SetupTimer()
+        setup.sample(SETUP_AT_ENDS)
+        peak_rss_mb = measure_peak_rss(workload, seed)
+        warm_up(workload, seed)
+        records, tracer = run_loop(WORKLOADS[workload](seed, small=False), seconds, trace,
+                                   workload not in WALL_CLOCK, setup)
+        setup.sample(SETUP_AT_ENDS)
     finally:
         shutil.rmtree(SCRATCH, ignore_errors=True)
-    setup_times += measure_setup(SETUP_REPEATS // 2)
     wrong = [f"{r.kind}: {p}" for r in records for p in r.problems]
+    attempted, failed = failed_ops(records)
     report = {
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
         "trace": int(trace),
-        "attempted": len(records),
-        "completed": sum(r.completed for r in records),
+        "attempted": attempted,
+        "failed": failed,
+        "executions": len(records),
+        "failed_executions": sum(not r.completed for r in records),
         "failures": failures_by_kind(records),
         "wrong_outputs": wrong[:20],
         "provenance": provenance.environment(),
     }
-    metrics = end_to_end(workload, [r for r in records if not r.traced],
-                         statistics.median(setup_times), peak_rss_mb)
+    metrics = end_to_end(workload, [r for r in records if not r.traced], setup.samples, peak_rss_mb)
+    report["setup_sample_count"] = len(setup.samples)
     report["end_to_end"] = {k: {"value": v, "unit": UNITS[k]} for k, v in metrics.items()}
     report["op_sample_count"] = sum(r.completed for r in records if not r.traced)
     if trace:
@@ -760,10 +854,8 @@ def main(argv=None) -> int:
         return smoke(args.seed)
     report, final = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
     print(json.dumps(report, sort_keys=True))
-    attempted = report["attempted"]
-    failed = attempted - report["completed"]
-    print(json.dumps({"correct": report["correct"], "attempted": attempted, "failed": failed,
-                      "metrics": final}))
+    print(json.dumps({"correct": report["correct"], "attempted": report["attempted"],
+                      "failed": report["failed"], "metrics": final}))
     return 0
 
 

@@ -26,6 +26,7 @@ from .closedform import (
     ratio_bounds,
 )
 from .errors import (
+    BoundViolated,
     CaseMismatch,
     DegenerateInstance,
     InvalidProbability,

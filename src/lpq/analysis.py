@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import RatioBounds, ratio_bounds
-from .errors import InvalidProbability
+from .errors import BoundViolated, InvalidProbability, NonTermination
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
 from .recovery import accepted_denominator, recover_period, success_probability
@@ -59,10 +59,12 @@ def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
     stats = geometric_stats(success_probability(algorithm, spec))
     n, m = spec.n, spec.m
     # The certified p never exceeds 1 - Pr(0), so these hold a fortiori.
-    if algorithm is Algorithm.QFT:
-        assert stats.expected_trials >= n / (4 * m)
-    elif algorithm is Algorithm.QHS:
-        assert stats.expected_trials >= n / (2 * m)
+    bound = {Algorithm.QFT: n / (4 * m), Algorithm.QHS: n / (2 * m)}.get(algorithm)
+    if bound is not None and stats.expected_trials < bound:
+        raise BoundViolated(
+            f"{algorithm.value} expects {stats.expected_trials} trials, "
+            f"below the proven lower bound {bound}"
+        )
     return stats
 
 
@@ -164,7 +166,7 @@ def monte_carlo_trials(
         while True:
             trials += 1
             if trials > max_trials:
-                raise RuntimeError(f"no success within {max_trials} trials")
+                raise NonTermination(f"no success within {max_trials} trials")
             y = int(np.searchsorted(cdf, rng.random(), side="right"))
             candidate = accepted_denominator(y, n)
             if candidate is None:

@@ -170,16 +170,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if args.verify:
-        spec = _spec_from(args)
-        result = analysis.verified_recovery(OracleHandle(spec), args.y, args.q_max)
-        n = spec.n
-    else:
-        _require(args, "n")
-        n = args.n
-        if not 0 <= args.y < n:
-            raise ValidationError(f"y={args.y} outside 0..{n - 1}")
+    spec = _spec_from(args) if args.verify else None
+    _require(args, "n")
+    n = args.n
+    if not 0 <= args.y < n:
+        raise ValidationError(f"y={args.y} outside 0..{n - 1}")
+    if spec is None:
         result = recovery.recover_period(args.y, n, args.q_max)
+    else:
+        result = analysis.verified_recovery(OracleHandle(spec), args.y, args.q_max)
     obj = result.to_json_obj()
     obj["n"] = n
     if args.format == "json":

@@ -38,7 +38,6 @@ from .errors import CaseMismatch, ValidationError
 from .oracle import OracleSpec
 from .spectrum import (
     CODE_GENERIC,
-    CODE_NULL,
     CODE_RESONANT,
     CODE_ZERO,
     Algorithm,
@@ -178,7 +177,6 @@ def closed_form_table(
         pr[codes == CODE_RESONANT] = scale * m**2 / n**2
         gen = codes == CODE_GENERIC
         pr[gen] = scale / n**2 * ratios[gen]
-    pr[codes == CODE_NULL] = 0.0
     return make_table(n, pr, codes, "closed-form")
 
 

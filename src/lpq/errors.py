@@ -49,5 +49,9 @@ class VerificationFailed(LpqError):
     """Oracle probes rejected the candidate (offset, period) pair."""
 
 
+class BoundViolated(LpqError):
+    """A computed figure breaks one of the paper's proven bounds."""
+
+
 class NonTermination(LpqError):
     """A seeded search exceeded its iteration guard."""

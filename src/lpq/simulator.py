@@ -10,8 +10,12 @@ numpy's FFT computes that sum exactly for any n; ``dft(method="direct")``
 keeps the O(n^2) direct-summation reference path available, and the test
 suite holds the fast path to it within 1e-9.
 
-States are plain complex ndarrays. All operations return fresh arrays and
-never mutate their inputs, so they are safe to call concurrently.
+Registers before the transform are real float64 ndarrays: the uniform
+state, the oracle's sign flips and the reflection about the mean all keep
+amplitudes real, so only ``dft`` produces complex arrays. ``grover_iterate``
+updates its argument in place and returns it, so the k-round loop touches
+one buffer; every other operation returns a fresh array and leaves its
+inputs alone.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def uniform_state(n: int) -> np.ndarray:
     if n < 1:
         raise DegenerateInstance(f"need n >= 1, got {n}")
     _check_desk_scale(n)
-    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    return np.full(n, 1.0 / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,16 @@ def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSche
 
 
 def grover_iterate(state: np.ndarray, spec: OracleSpec) -> np.ndarray:
-    """One amplification round: flip the sign of every marked amplitude,
-    then reflect all amplitudes about their mean."""
-    state = np.asarray(state, dtype=complex)
-    flipped = np.where(marked_mask(spec), -state, state)
-    return 2.0 * flipped.mean() - flipped
+    """One amplification round, in place: flip the sign of every marked
+    amplitude, then reflect all amplitudes about their mean.
+
+    ``state`` is a float or complex ndarray; it is overwritten and returned.
+    """
+    marked = state[spec.s : spec.s + (spec.m - 1) * spec.p + 1 : spec.p]
+    # Not np.negative(marked, out=marked): under numpy 2.4.6 it skips some
+    # elements of a strided float64 view that it writes over in place.
+    marked *= -1.0
+    return np.subtract(2.0 * state.mean(), state, out=state)
 
 
 def dft(state: np.ndarray, inverse: bool = False, method: str = "fft") -> np.ndarray:
@@ -121,9 +130,8 @@ def dft(state: np.ndarray, inverse: bool = False, method: str = "fft") -> np.nda
 
 def _amplified_register(spec: OracleSpec, iterations: int | None = None) -> np.ndarray:
     state = uniform_state(spec.n)
-    schedule = grover_schedule(spec.n, spec.m, iterations)
-    for _ in range(schedule.k):
-        state = grover_iterate(state, spec)
+    for _ in range(grover_schedule(spec.n, spec.m, iterations).k):
+        grover_iterate(state, spec)
     return state
 
 
@@ -135,8 +143,7 @@ def amplified_qft_state(spec: OracleSpec, iterations: int | None = None) -> np.n
 def _kicked_register(spec: OracleSpec) -> np.ndarray:
     # Single oracle application via phase kickback: amplitude (1-2)/sqrt(n)
     # on marked labels, 1/sqrt(n) elsewhere (the ancilla is dropped).
-    state = np.where(marked_mask(spec), -1.0, 1.0) / math.sqrt(spec.n)
-    return state.astype(complex)
+    return np.where(marked_mask(spec), -1.0, 1.0) / math.sqrt(spec.n)
 
 
 def qft_state(spec: OracleSpec) -> np.ndarray:

@@ -8,7 +8,11 @@ arithmetic alone (never by floating point):
     generic    p*y != 0 and m*p*y != 0 (mod n)
     null       p*y != 0 but m*p*y == 0 (mod n)
 
-Null frequencies carry exactly zero probability under all three pipelines.
+Null frequencies carry exactly zero probability under all three pipelines,
+so tables store an exact 0.0 there, taken from the integer classification.
+Every other entry keeps its computed value, however small: a generic
+frequency's true probability can sit far below any fixed threshold once n
+is large, and zeroing it would break normalization.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ class SpectrumCase(str, Enum):
 # Small-int codes used in bulk arrays; CASES maps code -> case.
 CASES = (SpectrumCase.ZERO, SpectrumCase.RESONANT, SpectrumCase.GENERIC, SpectrumCase.NULL)
 CODE_ZERO, CODE_RESONANT, CODE_GENERIC, CODE_NULL = range(4)
-
-# Simulated probabilities this close to zero are reported as exact zeros,
-# so the null case reads as 0 rather than as rounding dust.
-ZERO_CLAMP = 1e-12
 
 NORMALIZATION_TOL = 1e-9
 
@@ -119,11 +119,17 @@ class ProbabilityTable:
 
 
 def make_table(n: int, pr: np.ndarray, codes: np.ndarray, source: str) -> ProbabilityTable:
-    """Clamp rounding dust, enforce normalization, and build the table."""
+    """Zero the null frequencies, enforce normalization, and build the table.
+
+    Every probability here is a square or a sum of squares, so any negative
+    entry is a defect, not rounding.
+    """
     pr = np.asarray(pr, dtype=float).copy()
-    if pr.min() < -ZERO_CLAMP:
+    if pr.min() < 0:
         raise ValidationError(f"negative probability {pr.min()} in table")
-    pr[np.abs(pr) < ZERO_CLAMP] = 0.0
+    # The rounding dust a simulation leaves on null frequencies becomes the
+    # exact zero the classification proves; nothing else is touched.
+    pr[codes == CODE_NULL] = 0.0
     total = pr.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(f"table sums to {total}, not 1")

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import lpq.analysis
 from lpq import (
+    BoundViolated,
     InvalidProbability,
+    NonTermination,
     build_oracle,
     expected_trials,
     general_unitary_ratio,
@@ -55,6 +58,13 @@ class TestExpectedTrials:
         assert qft.variance >= (n / (n - m)) ** 2 * ((n - 2 * m) / (4 * m)) ** 2 - 1e-9
         qhs = expected_trials(Algorithm.QHS, spec)
         assert qhs.variance >= (n / (n - m)) ** 2 * ((n - m) ** 2 + m**2) / (4 * m**2) - 1e-9
+
+    @pytest.mark.parametrize("alg", [Algorithm.QFT, Algorithm.QHS])
+    def test_violated_bound_raises(self, alg, monkeypatch):
+        # a certified p of 1 would mean one expected trial, below n/(4m)
+        monkeypatch.setattr(lpq.analysis, "success_probability", lambda *_: 1.0)
+        with pytest.raises(BoundViolated, match=alg.value):
+            expected_trials(alg, STRICT_SPECS[1])
 
 
 class TestPipelineSuccess:
@@ -114,6 +124,11 @@ class TestMonteCarlo:
         assert p > 0.99
         stats = monte_carlo_trials(Algorithm.AMPLIFIED, spec, runs=300, seed=5)
         assert stats.mean == pytest.approx(1 / p, abs=4 * math.sqrt((1 - p) / p**2 / 300) + 1e-9)
+
+    def test_trial_guard_raises_non_termination(self):
+        spec = build_oracle(256, 4, 5, 3)
+        with pytest.raises(NonTermination, match="2 trials"):
+            monte_carlo_trials(Algorithm.QFT, spec, runs=50, seed=7, max_trials=2)
 
     def test_qft_mean_tracks_pipeline_probability(self):
         spec = build_oracle(256, 4, 5, 3)

@@ -67,6 +67,16 @@ class TestCompare:
         zero_row = next(r for r in obj["rows"] if r[0] == "0")
         assert zero_row[2] == "excluded"
 
+    def test_ratios_at_2e16(self, tmp_path):
+        # generic qft probabilities here fall below 1e-12 and are divisors
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", "--n", "65536", "--m", "4", "--p", "16", "--s", "3",
+             "--format", "json", "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["summary"]["all_rows_within_bounds"] is True
+
 
 class TestRecover:
     def test_accepted(self, capsys):
@@ -83,6 +93,12 @@ class TestRecover:
 
     def test_verified_accept(self, capsys):
         assert main(["recover", *SPEC_FLAGS, "--y", "4", "--verify"]) == 0
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_y_out_of_range(self, verify, capsys):
+        argv = ["recover", "--n", "64", "--m", "4", "--p", "4", "--s", "3", "--y", "200"]
+        assert main(argv + verify) == 2
+        assert "y=200 outside 0..63" in capsys.readouterr().err
 
 
 class TestFindOffset:
@@ -156,6 +172,14 @@ class TestSweep:
         for line in band.strip().splitlines():
             value = float(line.split("=")[-1])
             assert 0.25 <= value <= 4.0
+
+    def test_past_2e16(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--m", "4", "--p", "16", "--n-min", "65536", "--n-max", "131072",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestConfig:

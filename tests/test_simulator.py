@@ -23,7 +23,7 @@ from lpq import (
     uniform_state,
 )
 from lpq.closedform import closed_form_table
-from lpq.spectrum import Algorithm
+from lpq.spectrum import CODE_NULL, Algorithm
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -66,6 +66,9 @@ class TestUniformState:
         state = uniform_state(16)
         assert np.allclose(state, 0.25)
         assert abs(np.linalg.norm(state) - 1) < 1e-12
+
+    def test_real_float64(self):
+        assert uniform_state(16).dtype == np.float64
 
 
 class TestGroverSchedule:
@@ -129,6 +132,28 @@ class TestGroverIterate:
             state = grover_iterate(state, SPEC163)
         expected = np.where(marked_mask(SPEC163), sched.a_k, sched.b_k)
         assert np.abs(state - expected).max() < 1e-10
+
+    # (182, 19, 8, 0) is a strided view on which numpy's in-place
+    # np.negative skips two of the nineteen marked labels.
+    @pytest.mark.parametrize("spec", [SPEC163, build_oracle(182, 19, 8, 0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_updates_argument_in_place(self, spec, dtype):
+        state = uniform_state(spec.n).astype(dtype)
+        flipped = np.where(marked_mask(spec), -state, state)
+        expected = 2 * flipped.mean() - flipped
+        out = grover_iterate(state, spec)
+        assert out is state
+        assert out.dtype == dtype
+        assert np.abs(state - expected).max() < 1e-15
+
+    def test_k_rounds_two_level_at_2e16(self):
+        # the production register, read out through the identity transform
+        spec = build_oracle(1 << 16, 4, 16, 3)
+        sched = grover_schedule(spec.n, spec.m)
+        register = general_unitary_state(spec, lambda v: v, amplified=True)
+        assert register.dtype == np.float64
+        expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
+        assert np.abs(register - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [8, 16, 60, 128, 255])
     def test_norm_preserved(self, n):
@@ -258,3 +283,19 @@ def test_soft_limit_warning(monkeypatch):
         uniform_state(64)
     monkeypatch.setenv("LPQ_SOFT_N_LIMIT", "128")
     uniform_state(64)  # no warning below the ceiling
+
+
+@pytest.mark.parametrize("alg", [Algorithm.QFT, Algorithm.QHS])
+def test_tables_normalized_past_2e16(alg, monkeypatch):
+    # Generic probabilities here fall far below 1e-12: zeroing by an absolute
+    # threshold would erase ~1e-7 of mass and fail normalization.
+    monkeypatch.setenv("LPQ_SOFT_N_LIMIT", str(1 << 17))
+    spec = build_oracle(1 << 17, 4, 16, 3)
+    closed = closed_form_table(spec, alg)
+    sim = simulated_table(spec, alg)
+    assert abs(closed.total() - 1) < 1e-12
+    assert abs(sim.total() - 1) < 1e-12
+    assert np.abs(sim.pr - closed.pr).max() < spec.n * np.finfo(float).eps
+    null = sim.codes == CODE_NULL
+    assert (sim.pr[null] == 0).all() and (closed.pr[null] == 0).all()
+    assert (sim.pr[~null] > 0).all() and sim.pr[~null].min() < 1e-12

@@ -6,6 +6,13 @@ long flags); explicit flags override the file.  Runs are fully determined
 by their options, including the seed, so output files are byte-identical
 across repeats.
 
+Per-frequency tables (spectrum, compare) are emitted in bulk: each float
+column is formatted once per distinct value and each row is one
+%-template over the resulting strings, so a 2^16-row table never goes
+through per-row numpy indexing or the json encoder. The output is
+byte-identical to formatting every value with format(x, ".17g") and
+dumping the whole object with json.dumps(indent=1, sort_keys=True).
+
 Exit codes: 0 success, 2 validation failure, 3 no recovery candidate,
 4 verification failed.
 """
@@ -13,6 +20,7 @@ Exit codes: 0 success, 2 validation failure, 3 no recovery candidate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +31,7 @@ import numpy as np
 from . import analysis, closedform, offset, recovery, simulator
 from .errors import ValidationError, VerificationFailed
 from .oracle import OracleHandle, build_oracle
-from .spectrum import CASES, Algorithm
+from .spectrum import CASES, CODE_GENERIC, CODE_RESONANT, Algorithm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,6 +43,40 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Bulk row emission.  Each float column is formatted through _column and
+# each row is one ``template % row`` over those strings: "%.17g" prints a
+# Python float exactly as format(x, ".17g"), and "%r" prints a finite one
+# exactly as json.dumps does.  A JSON template lays out one element of a
+# top-level "rows" list the way json.dumps(indent=1, sort_keys=True) does
+# (depth 2, keys sorted), so _write_json can splice the rendered rows into a
+# dump of the other fields.
+_CASE_NAMES = np.array([case.value for case in CASES])
+_FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
+_SPECTRUM_ROW = {
+    "csv": "%d,%s,%s,%s,%s",
+    "json": '  {\n   "abs_deviation": %s,\n   "case": "%s",\n   "pr_closedform": %s,\n'
+    '   "pr_simulated": %s,\n   "y": %d\n  }',
+}
+# compare rows are lists of strings in JSON
+_COMPARE_ROW = {
+    "csv": "%d,%s,%s,%s,%s",
+    "json": '  [\n   "%d",\n   "%s",\n   "%s",\n   "%s",\n   "%s"\n  ]',
+}
+_ROWS_KEY = '\n "rows": []'  # the top-level key: only it sits one space in
+
+
+def _column(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % x`` for every float64 x in values, as an object array.
+
+    Each distinct bit pattern is formatted once: a table's probabilities
+    depend on p*y mod n, and its deviations are mostly 0 or a few ulps, so
+    a column usually holds far fewer distinct values than rows.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([fmt % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
+
+
 def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -42,16 +84,21 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _write_json(out: str | None, obj) -> None:
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
-    _write_text(out, text)
+def _write_json(out: str | None, obj, rows: list[str] | None = None) -> None:
+    """Write json.dumps(obj, indent=1, sort_keys=True) and a newline.
+
+    ``rows``, rendered by a JSON row template, become obj's "rows" list;
+    the bytes equal those of dumping the whole object.
+    """
+    text = json.dumps(obj if rows is None else {**obj, "rows": []}, indent=1, sort_keys=True)
+    if rows:
+        head, tail = text.split(_ROWS_KEY)
+        text = "".join((head, '\n "rows": [\n', ",\n".join(rows), "\n ]", tail))
+    _write_text(out, text + "\n")
 
 
-def _csv_lines(header: list[str], rows: list[list[str]], trailer: list[str] = ()) -> str:
-    lines = ["# schema=1", ",".join(header)]
-    lines += [",".join(row) for row in rows]
-    lines += list(trailer)
-    return "\n".join(lines) + "\n"
+def _csv_lines(header: list[str], rows: list[str], trailer: list[str] = ()) -> str:
+    return "\n".join(["# schema=1", ",".join(header), *rows, *trailer, ""])
 
 
 def _require(args, *keys) -> None:
@@ -71,37 +118,23 @@ def cmd_spectrum(args) -> int:
     closed = closedform.closed_form_table(spec, alg, iterations=args.iterations_override)
     simulated = simulator.simulated_table(spec, alg, iterations=args.iterations_override)
     dev = np.abs(closed.pr - simulated.pr)
+    y, case = range(spec.n), _CASE_NAMES[closed.codes].tolist()
+    fmt = _FLOAT_FORMAT[args.format]
+    pr_closed, pr_simulated, deviation = (
+        _column(v, fmt).tolist() for v in (closed.pr, simulated.pr, dev)
+    )
+    template = _SPECTRUM_ROW[args.format]
     if args.format == "json":
-        _write_json(
-            args.out,
-            {
-                "schema": 1,
-                "instance": {"n": spec.n, "m": spec.m, "p": spec.p, "s": spec.s},
-                "algorithm": alg.value,
-                "max_abs_deviation": float(dev.max()),
-                "rows": [
-                    {
-                        "y": y,
-                        "case": CASES[closed.codes[y]].value,
-                        "pr_closedform": float(closed.pr[y]),
-                        "pr_simulated": float(simulated.pr[y]),
-                        "abs_deviation": float(dev[y]),
-                    }
-                    for y in range(spec.n)
-                ],
-            },
-        )
+        rows = [template % row for row in zip(deviation, case, pr_closed, pr_simulated, y)]
+        head = {
+            "schema": 1,
+            "instance": {"n": spec.n, "m": spec.m, "p": spec.p, "s": spec.s},
+            "algorithm": alg.value,
+            "max_abs_deviation": float(dev.max()),
+        }
+        _write_json(args.out, head, rows)
     else:
-        rows = [
-            [
-                str(y),
-                CASES[closed.codes[y]].value,
-                _fmt(closed.pr[y]),
-                _fmt(simulated.pr[y]),
-                _fmt(dev[y]),
-            ]
-            for y in range(spec.n)
-        ]
+        rows = [template % row for row in zip(y, case, pr_closed, pr_simulated, deviation)]
         _write_text(
             args.out,
             _csv_lines(
@@ -121,25 +154,26 @@ def cmd_compare(args) -> int:
     }
     succ = recovery.success_set(spec)
     sums = {alg: float(tables[alg].pr[succ].sum()) for alg in Algorithm}
-    rows = []
-    verdicts = []
-    for y in range(spec.n):
-        case = CASES[tables[Algorithm.QFT].codes[y]].value
-        if case in ("zero", "null"):
-            rows.append([str(y), case, "excluded", "excluded", "excluded"])
-            continue
-        amp = float(tables[Algorithm.AMPLIFIED].pr[y])
-        ratios = {}
-        ok = True
-        for alg in (Algorithm.QFT, Algorithm.QHS):
-            ratio = amp / float(tables[alg].pr[y])
-            ratios[alg] = ratio
-            ok &= bounds[alg].lower - 1e-9 <= ratio <= bounds[alg].upper + 1e-9
-        verdicts.append(ok)
-        rows.append(
-            [str(y), case, _fmt(ratios[Algorithm.QFT]), _fmt(ratios[Algorithm.QHS]),
-             "pass" if ok else "FAIL"]
-        )
+    # Zero and null frequencies are excluded; every other one gets the two
+    # ratios and a verdict.
+    codes = tables[Algorithm.QFT].codes
+    kept = (codes == CODE_RESONANT) | (codes == CODE_GENERIC)
+    amp = tables[Algorithm.AMPLIFIED].pr[kept]
+    cells = np.full((3, spec.n), "excluded", dtype=object)  # vs qft, vs qhs, verdict
+    ok = np.ones(amp.size, dtype=bool)
+    for i, (alg, b) in enumerate(bounds.items()):
+        den = tables[alg].pr[kept]
+        if not den.all():
+            raise ZeroDivisionError(f"{alg.value} probability 0 at a resonant or generic frequency")
+        ratio = amp / den
+        ok &= (b.lower - 1e-9 <= ratio) & (ratio <= b.upper + 1e-9)
+        cells[i, kept] = _column(ratio, "%.17g")
+    cells[2, kept] = np.where(ok, "pass", "FAIL")
+    template = _COMPARE_ROW[args.format]
+    rows = [
+        template % row
+        for row in zip(range(spec.n), _CASE_NAMES[codes].tolist(), *cells.tolist())
+    ]
     summary = {
         "bounds": {
             alg.value: {
@@ -156,10 +190,10 @@ def cmd_compare(args) -> int:
             alg.value: (sums[Algorithm.AMPLIFIED] / sums[alg] if sums[alg] else None)
             for alg in (Algorithm.QFT, Algorithm.QHS)
         },
-        "all_rows_within_bounds": bool(all(verdicts)) if verdicts else True,
+        "all_rows_within_bounds": bool(ok.all()),
     }
     if args.format == "json":
-        _write_json(args.out, {"schema": 1, "summary": summary, "rows": rows})
+        _write_json(args.out, {"schema": 1, "summary": summary}, rows)
     else:
         trailer = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
         _write_text(
@@ -184,7 +218,7 @@ def cmd_recover(args) -> int:
     if args.format == "json":
         _write_json(args.out, obj)
     else:
-        rows = [[str(c.d), str(c.q)] for c in result.candidates]
+        rows = [f"{c.d},{c.q}" for c in result.candidates]
         trailer = [
             f"# accepted={result.accepted}",
             f"# status={result.status.value}",
@@ -217,16 +251,21 @@ def cmd_find_offset(args) -> int:
     if args.format == "json":
         _write_json(args.out, obj)
     else:
-        rows = [[k, json.dumps(v)] for k, v in sorted(obj.items())]
+        rows = [f"{k},{json.dumps(v)}" for k, v in sorted(obj.items())]
         _write_text(args.out, _csv_lines(["field", "value"], rows))
     return EXIT_OK
 
 
 def _workfactor_rows(spec) -> list[dict]:
     reports = analysis.workfactor_comparison(spec)
+    # p = 1 has an empty certified success set: no frequency certifies the
+    # period, so there is no certified trial count to report.
+    certifiable = recovery.success_set(spec).size > 0
     rows = []
     for rep in reports:
-        certified = analysis.expected_trials(rep.algorithm, spec)
+        certified = (
+            analysis.expected_trials(rep.algorithm, spec).expected_trials if certifiable else None
+        )
         if rep.algorithm is Algorithm.QFT:
             verdict = rep.expected_runs >= spec.n / (4 * spec.m)
         elif rep.algorithm is Algorithm.QHS:
@@ -240,11 +279,21 @@ def _workfactor_rows(spec) -> list[dict]:
                 "expected_runs": rep.expected_runs,
                 "total_cost": rep.total_cost,
                 "ratio_vs_amplified": rep.ratio_vs_amplified,
-                "certified_expected_trials": certified.expected_trials,
+                "certified_expected_trials": certified,
                 "bound_verdict": "pass" if verdict else "FAIL",
             }
         )
     return rows
+
+
+def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return _fmt(value) if isinstance(value, float) else str(value)
+
+    header = list(rows[0])
+    return _csv_lines(header, [",".join(cell(r[k]) for k in header) for r in rows], trailer)
 
 
 def cmd_trials(args) -> int:
@@ -257,12 +306,10 @@ def cmd_trials(args) -> int:
     if args.format == "json":
         _write_json(args.out, payload)
     else:
-        header = list(rows[0].keys())
-        body = [[_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in header] for r in rows]
         trailer = []
         if "monte_carlo" in payload:
             trailer = [f"# monte_carlo={json.dumps(payload['monte_carlo'], sort_keys=True)}"]
-        _write_text(args.out, _csv_lines(header, body, trailer))
+        _write_text(args.out, _workfactor_csv(rows, trailer))
     return EXIT_OK
 
 
@@ -279,12 +326,7 @@ def cmd_sweep(args) -> int:
         if args.format == "json":
             _write_json(str(path), {"schema": 1, "n": n, "workfactor": rows})
         else:
-            header = list(rows[0].keys())
-            body = [
-                [_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in header]
-                for r in rows
-            ]
-            _write_text(str(path), _csv_lines(header, body))
+            _write_text(str(path), _workfactor_csv(rows))
         qft_row = next(r for r in rows if r["algorithm"] == "qft")
         band.append((n, qft_row["ratio_vs_amplified"] / math.sqrt(n / args.m)))
         n *= 2
@@ -308,7 +350,10 @@ _COMMON = {
 _DEFAULTS = {"s": 0, "seed": 0, "format": "csv", "strict": True, "alg": "amplified"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused; parsing
+    leaves it unchanged, since every parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lpq",
         description="Exact simulation and analysis of period finding on marked arithmetic progressions",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonTermination, VerificationFailed
+from .errors import NonTermination, ValidationError, VerificationFailed
 from .oracle import OracleHandle
 from .simulator import grover_schedule
 
@@ -70,9 +70,15 @@ def amplified_measure_member(handle: OracleHandle, seed) -> int:
 
     Samples the exact two-level distribution (a_k^2 on each member, b_k^2
     off); lands on a member with probability sin^2((2k+1) theta) >= 1 - m/n.
-    The caller still checks membership through the oracle.
+    The caller still checks membership through the oracle.  Handles built
+    with ``OracleHandle.from_members`` carry no spec and cannot be measured.
     """
     spec = handle.spec
+    if spec is None:
+        raise ValidationError(
+            "oracle handle built from a member list carries no spec to amplify; "
+            "pass x_start, a known member, to search from it"
+        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     schedule = grover_schedule(spec.n, spec.m)
     if rng.random() < spec.m * schedule.a_k**2:

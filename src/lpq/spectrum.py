@@ -17,10 +17,9 @@ is large, and zeroing it would break normalization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,43 +87,20 @@ class ProbabilityTable:
     def case(self, y: int) -> SpectrumCase:
         return CASES[self.codes[y]]
 
-    def entries(self) -> Iterator[tuple[int, float, SpectrumCase]]:
-        for y in range(self.n):
-            yield y, float(self.pr[y]), CASES[self.codes[y]]
-
     def total(self) -> float:
         return float(self.pr.sum())
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# schema=1\n")
-            fh.write("y,pr,case,source\n")
-            for y, pr, case in self.entries():
-                fh.write(f"{y},{pr:.17g},{case.value},{self.source}\n")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "source": self.source,
-            "entries": [
-                {"y": y, "pr": pr, "case": case.value} for y, pr, case in self.entries()
-            ],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def make_table(n: int, pr: np.ndarray, codes: np.ndarray, source: str) -> ProbabilityTable:
     """Zero the null frequencies, enforce normalization, and build the table.
 
     Every probability here is a square or a sum of squares, so any negative
-    entry is a defect, not rounding.
+    or non-finite entry is a defect, not rounding.
     """
     pr = np.asarray(pr, dtype=float).copy()
+    finite = np.isfinite(pr)
+    if not finite.all():
+        raise ValidationError(f"non-finite probability {pr[~finite][0]} in table")
     if pr.min() < 0:
         raise ValidationError(f"negative probability {pr.min()} in table")
     # The rounding dust a simulation leaves on null frequencies becomes the

@@ -1,10 +1,17 @@
 import json
-import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lpq import build_oracle, cli
 from lpq.cli import main
+from lpq.closedform import closed_form_table, pr_ratio_bounds
+from lpq.recovery import success_set
+from lpq.simulator import simulated_table
+from lpq.spectrum import Algorithm
 
 
 def run(tmp_path, *argv):
@@ -32,9 +39,6 @@ class TestSpectrum:
     def test_probabilities_round_trip(self, tmp_path):
         out = tmp_path / "table.csv"
         main(["spectrum", *SPEC_FLAGS, "--alg", "amplified", "--out", str(out)])
-        from lpq import build_oracle
-        from lpq.closedform import closed_form_table
-
         table = closed_form_table(build_oracle(16, 3, 4, 1), "amplified")
         for line in out.read_text().splitlines():
             if line.startswith("#") or line.startswith("y,"):
@@ -158,6 +162,27 @@ class TestTrials:
         mc = json.loads(out.read_text())["monte_carlo"]
         assert mc["runs"] == 50 and mc["mean"] >= 1.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_period_one_has_no_certified_trials(self, fmt, tmp_path):
+        # p = 1 leaves the certified success set empty; the work-factor
+        # table still exists, with no certified trial count.
+        out = tmp_path / f"trials.{fmt}"
+        code = main(
+            ["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3",
+             "--format", fmt, "--out", str(out)]
+        )
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads(out.read_text())["workfactor"]
+            assert [r["algorithm"] for r in rows] == ["amplified", "qft", "qhs"]
+            assert all(r["certified_expected_trials"] is None for r in rows)
+            assert all(r["bound_verdict"] == "pass" for r in rows)
+        else:
+            lines = out.read_text().splitlines()
+            column = lines[1].split(",").index("certified_expected_trials")
+            assert len(lines) == 5
+            assert all(line.split(",")[column] == "" for line in lines[2:])
+
 
 class TestSweep:
     def test_one_file_per_n(self, tmp_path, capsys):
@@ -199,3 +224,143 @@ class TestConfig:
     def test_missing_required_option(self, capsys):
         assert main(["spectrum", "--n", "16", "--m", "3"]) == 2
         assert "--p" in capsys.readouterr().err
+
+
+# Serializer goldens: the CLI's bulk output against the same tables
+# serialized row by row, with format(x, ".17g") for CSV cells and one
+# json.dumps of the whole object for JSON.
+GOLDEN_INSTANCES = {64: (4, 4, 3), 1000: (5, 31, 7), 4099: (3, 64, 2)}
+
+
+def reference_spectrum(spec, alg, fmt):
+    closed = closed_form_table(spec, alg)
+    simulated = simulated_table(spec, alg)
+    dev = np.abs(closed.pr - simulated.pr)
+    if fmt == "json":
+        obj = {
+            "schema": 1,
+            "instance": {"n": spec.n, "m": spec.m, "p": spec.p, "s": spec.s},
+            "algorithm": alg,
+            "max_abs_deviation": float(dev.max()),
+            "rows": [
+                {
+                    "y": y,
+                    "case": closed.case(y).value,
+                    "pr_closedform": float(closed.pr[y]),
+                    "pr_simulated": float(simulated.pr[y]),
+                    "abs_deviation": float(dev[y]),
+                }
+                for y in range(spec.n)
+            ],
+        }
+        return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    lines = ["# schema=1", "y,case,pr_closedform,pr_simulated,abs_deviation"]
+    for y in range(spec.n):
+        cells = [closed.pr[y], simulated.pr[y], dev[y]]
+        lines.append(",".join([str(y), closed.case(y).value, *(format(float(x), ".17g") for x in cells)]))
+    lines.append(f"# max_abs_deviation={format(float(dev.max()), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_compare(spec, fmt):
+    tables = {alg: closed_form_table(spec, alg) for alg in Algorithm}
+    bounds = {alg: pr_ratio_bounds(spec, alg) for alg in (Algorithm.QFT, Algorithm.QHS)}
+    succ = success_set(spec)
+    sums = {alg: float(tables[alg].pr[succ].sum()) for alg in Algorithm}
+    rows, verdicts = [], []
+    for y in range(spec.n):
+        case = tables[Algorithm.QFT].case(y).value
+        if case in ("zero", "null"):
+            rows.append([str(y), case, "excluded", "excluded", "excluded"])
+            continue
+        amp = float(tables[Algorithm.AMPLIFIED].pr[y])
+        cells, ok = [], True
+        for alg, b in bounds.items():
+            ratio = amp / float(tables[alg].pr[y])
+            cells.append(format(ratio, ".17g"))
+            ok &= b.lower - 1e-9 <= ratio <= b.upper + 1e-9
+        verdicts.append(ok)
+        rows.append([str(y), case, *cells, "pass" if ok else "FAIL"])
+    summary = {
+        "bounds": {
+            alg.value: {"lower": b.lower, "upper": b.upper, "approx": b.approx, "gap": b.gap}
+            for alg, b in bounds.items()
+        },
+        "success_set": [int(y) for y in succ],
+        "success_probability": {alg.value: sums[alg] for alg in Algorithm},
+        "summed_ratio": {
+            alg.value: (sums[Algorithm.AMPLIFIED] / sums[alg] if sums[alg] else None)
+            for alg in (Algorithm.QFT, Algorithm.QHS)
+        },
+        "all_rows_within_bounds": all(verdicts),
+    }
+    if fmt == "json":
+        return json.dumps({"schema": 1, "summary": summary, "rows": rows}, indent=1, sort_keys=True) + "\n"
+    lines = ["# schema=1", "y,case,ratio_vs_qft,ratio_vs_qhs,verdict"]
+    lines += [",".join(row) for row in rows]
+    lines += [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_INSTANCES))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestBulkSerializer:
+    def cli_output(self, tmp_path, fmt, *argv):
+        out = tmp_path / f"out.{fmt}"
+        assert main([*map(str, argv), "--format", fmt, "--out", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
+    def test_spectrum_bytes(self, n, fmt, alg, tmp_path):
+        m, p, s = GOLDEN_INSTANCES[n]
+        got = self.cli_output(tmp_path, fmt, "spectrum", "--alg", alg,
+                              "--n", n, "--m", m, "--p", p, "--s", s)
+        assert got == reference_spectrum(build_oracle(n, m, p, s), alg, fmt)
+
+    def test_compare_bytes(self, n, fmt, tmp_path):
+        m, p, s = GOLDEN_INSTANCES[n]
+        got = self.cli_output(tmp_path, fmt, "compare", "--n", n, "--m", m, "--p", p, "--s", s)
+        assert got == reference_compare(build_oracle(n, m, p, s), fmt)
+
+
+class TestParser:
+    def test_not_built_at_import(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        probe = "import lpq.cli as c; print(c._build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": 64, "m": 4, "p": 4, "s": 3, "alg": "qhs", "format": "json"}))
+        flags = ["--n", "64", "--m", "4", "--p", "4", "--s", "3"]
+        calls = [
+            ["--config", str(config), "spectrum"],
+            ["spectrum", *flags],  # must not inherit qhs/json from the config
+            ["compare", *flags, "--format", "json"],
+            ["spectrum", "--alg", "bogus", *flags],  # argparse error, exit 2
+            ["recover", "--n", "64", "--y", "16"],
+            ["find-offset", *flags, "--seed", "3", "--method", "counting"],
+            ["trials", *flags, "--runs", "3", "--seed", "1"],
+            ["spectrum", *flags, "--alg", "qft", "--format", "json"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = []
+        for argv in calls:  # each with a parser of its own
+            cli._build_parser.cache_clear()
+            first.append(call(argv))
+        assert first[3][0] == 2 and "invalid choice" in first[3][2]
+        assert '"algorithm": "qhs"' in first[0][1]
+        assert first[1][1].startswith("# schema=1") and ",generic," in first[1][1]
+        for order in (range(len(calls)), reversed(range(len(calls)))):
+            for i in order:
+                assert call(calls[i]) == first[i]

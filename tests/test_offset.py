@@ -6,6 +6,7 @@ import pytest
 from lpq import (
     NonTermination,
     OracleHandle,
+    ValidationError,
     VerificationFailed,
     amplified_measure_member,
     build_oracle,
@@ -193,6 +194,21 @@ class TestDecreasingSearch:
         # a zero period candidate pins the walk in place; the guard fires
         with pytest.raises(NonTermination):
             find_offset_decreasing(handle163(), 0, 3, seed=0, x_start=9)
+
+
+class TestSpeclessHandle:
+    """Handles built from a member list have no spec to amplify."""
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    def test_measuring_raises_typed_error(self, search):
+        handle = OracleHandle.from_members(256, [3, 19, 35, 51])
+        with pytest.raises(ValidationError, match="no spec"):
+            search(handle, 16, 4, 0)
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    def test_known_member_still_searches(self, search):
+        handle = OracleHandle.from_members(256, [3, 19, 35, 51])
+        assert search(handle, 16, 4, 0, x_start=51).offset == 3
 
 
 def test_mean_rounds_scale_with_log_m():

@@ -8,6 +8,7 @@ from lpq import (
     DegenerateInstance,
     NotUnitary,
     OracleSpec,
+    ValidationError,
     amplified_qft_state,
     build_oracle,
     dft,
@@ -23,7 +24,7 @@ from lpq import (
     uniform_state,
 )
 from lpq.closedform import closed_form_table
-from lpq.spectrum import CODE_NULL, Algorithm
+from lpq.spectrum import CODE_NULL, Algorithm, case_codes, make_table
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -229,6 +230,18 @@ class TestPipelines:
         assert np.abs(state).sum() > 0
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n,m,p,s", [(16, 3, 4, 1), (1000, 5, 31, 7), (4099, 3, 64, 2)])
+    def test_qhs_columns_from_one_transform(self, n, m, p, s):
+        # Column 0 comes from fft(mask) through fft(1 - mask) = n*delta - fft(mask);
+        # hold it to the direct transform of the unmarked indicator.
+        spec = build_oracle(n, m, p, s)
+        mask = marked_mask(spec)
+        state = qhs_state(spec)
+        assert (state[:, 1] == np.fft.fft(mask.astype(float)) / n).all()
+        assert np.abs(state[:, 0] - np.fft.fft((~mask).astype(float)) / n).max() < 1e-15
+        assert (state[1:, 0] == -state[1:, 1]).all()
+        assert abs(state[0, 0] - (n - m) / n) < 1e-15
+
     @pytest.mark.parametrize(
         "n,m,p,s", [(36, 5, 6, 2), (100, 9, 10, 5), (255, 12, 15, 30), (128, 64, 1, 0)]
     )
@@ -275,6 +288,15 @@ class TestSample:
         counts = np.bincount(draws, minlength=16) / len(draws)
         sigma = np.sqrt(table.pr * (1 - table.pr) / len(draws))
         assert (np.abs(counts - table.pr) <= 3 * sigma + 1e-12).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_table_rejects_non_finite(bad):
+    # NaN slips past both the sign and the normalization comparisons.
+    pr = np.full(64, 1 / 64)
+    pr[5] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        make_table(64, pr, case_codes(64, 4, 4), "simulated")
 
 
 def test_soft_limit_warning(monkeypatch):

@@ -58,7 +58,7 @@ from .recovery import (
     Convergent,
     RecoveryResult,
     RecoveryStatus,
-    accepted_denominator,
+    accepted_denominators,
     continued_fraction,
     convergents,
     d_to_y,

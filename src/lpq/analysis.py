@@ -20,6 +20,18 @@ exposed, because they answer different questions:
 
 Costs are counted in oracle/transform applications: k + 1 per amplified
 run, 1 per plain run.
+
+Monte-Carlo draws in bulk.  ``accepted_denominators`` gives the candidate
+period of every frequency at once; each distinct candidate is verified
+once with the oracle probes, which marks the frequencies where a trial
+succeeds.  Uniforms then come from one ``default_rng(seed)`` stream in
+batches.  Each is judged a success or a failure exactly as
+``searchsorted(cdf, u, side="right")`` on the closed-form CDF followed by
+that mark would judge it, but by a search over the CDF edges of the
+marked frequencies only.  The stream is cut after each success into
+per-run trial counts.  Since ``Generator.random(k)`` yields the same
+doubles as k single draws, the counts equal those of a loop drawing one
+frequency per trial.
 """
 
 from __future__ import annotations
@@ -29,13 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import RatioBounds, ratio_bounds
+from .closedform import RatioBounds, case_probabilities, closed_form_table, ratio_bounds
 from .errors import BoundViolated, InvalidProbability, NonTermination
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
-from .recovery import accepted_denominator, recover_period, success_probability
+from .recovery import accepted_denominators, recover_period, success_probability
 from .simulator import grover_schedule
-from .spectrum import Algorithm
+from .spectrum import Algorithm, ProbabilityTable
+
+# Largest number of uniforms Monte-Carlo draws at once (64 KiB of doubles).
+_MC_BATCH_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -53,10 +68,15 @@ def geometric_stats(p: float) -> GeometricStats:
     return GeometricStats(p, 1.0 / p, (1.0 - p) / p**2)
 
 
-def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
-    """Geometric statistics at the certified success probability."""
+def expected_trials(
+    algorithm: Algorithm, spec: OracleSpec, table: ProbabilityTable | None = None
+) -> GeometricStats:
+    """Geometric statistics at the certified success probability.
+
+    ``table`` is the pipeline's closed-form table, built when not given.
+    """
     algorithm = Algorithm(algorithm)
-    stats = geometric_stats(success_probability(algorithm, spec))
+    stats = geometric_stats(success_probability(algorithm, spec, table))
     n, m = spec.n, spec.m
     # The certified p never exceeds 1 - Pr(0), so these hold a fortiori.
     bound = {Algorithm.QFT: n / (4 * m), Algorithm.QHS: n / (2 * m)}.get(algorithm)
@@ -71,19 +91,11 @@ def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
 def pipeline_success_probability(algorithm: Algorithm, spec: OracleSpec) -> float:
     """Exact per-run success probability of the full decision procedure.
 
-    Enumerates every frequency, keeps those whose recovered candidate is
-    the true period (verification accepts exactly those), and sums their
-    closed-form probabilities.
+    Sums the closed-form probability of every frequency whose recovered
+    candidate is the true period (verification accepts exactly those).
     """
-    from .closedform import closed_form_table
-
     table = closed_form_table(spec, Algorithm(algorithm))
-    mask = np.fromiter(
-        (accepted_denominator(y, spec.n) == spec.p for y in range(spec.n)),
-        dtype=bool,
-        count=spec.n,
-    )
-    return float(table.pr[mask].sum())
+    return float(table.pr[accepted_denominators(spec.n) == spec.p].sum())
 
 
 @dataclass(frozen=True)
@@ -100,17 +112,15 @@ class WorkfactorReport:
 def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     """Cost table for the three pipelines on one instance.
 
-    Expected runs use the y = 0 idealization (see module docstring); the
-    amplified pipeline is charged k + 1 applications for its single run,
-    the others one application per run.
+    Expected runs use the y = 0 idealization (see module docstring), with
+    Pr(0) from the closed form; the amplified pipeline is charged k + 1
+    applications for its single run, the others one application per run.
     """
-    from .closedform import closed_form_table
-
     schedule = grover_schedule(spec.n, spec.m)
     amplified_cost = schedule.k + 1
     reports = []
     for algorithm in Algorithm:
-        pr0 = float(closed_form_table(spec, algorithm).pr[0])
+        pr0 = case_probabilities(spec, algorithm, schedule)[0]
         runs = 1.0 / (1.0 - pr0)
         if algorithm is Algorithm.AMPLIFIED:
             reports.append(WorkfactorReport(algorithm, amplified_cost, runs, amplified_cost, 1.0))
@@ -146,34 +156,68 @@ def monte_carlo_trials(
     runs: int,
     seed,
     max_trials: int = 10_000_000,
+    table: ProbabilityTable | None = None,
 ) -> EmpiricalTrials:
     """Run the sample -> recover -> verify loop to first success, ``runs`` times.
 
     The true offset is known to the harness only through the verification
-    probes.  Deterministic for a fixed seed.
+    probes.  Deterministic for a fixed seed.  ``table`` is the pipeline's
+    closed-form table, built here when not given.  A run needing more than
+    ``max_trials`` trials, or an instance where no verified frequency has
+    any probability, raises NonTermination.
     """
-    from .closedform import closed_form_table
-
-    table = closed_form_table(spec, Algorithm(algorithm))
+    if table is None:
+        table = closed_form_table(spec, Algorithm(algorithm))
+    # Each distinct candidate period is verified once, by the oracle probes;
+    # a trial succeeds exactly when its frequency's candidate passed.
+    handle = OracleHandle(spec)
+    candidates = accepted_denominators(spec.n)
+    present = np.bincount(candidates)
+    present[0] = 0  # no candidate
+    passed = np.zeros(present.size, dtype=bool)
+    for q in np.flatnonzero(present).tolist():
+        passed[q] = test_period_known_s(handle, spec.s, q, spec.m)
+    good = passed[candidates]
+    p_good = float(table.pr[good].sum())
+    if p_good == 0.0:
+        raise NonTermination(
+            "no candidate period passes verification at a frequency of nonzero "
+            "probability, so no run can succeed"
+        )
     cdf = np.cumsum(table.pr)
     cdf[-1] = max(cdf[-1], 1.0)
+    # A uniform u lands on y = searchsorted(cdf, u, side="right"), the
+    # number of CDF entries <= u.  Call f a flip where good[f] differs from
+    # good[f - 1] (good[-1] = False); good[y] is the parity of the flips
+    # f <= y.  As the CDF is monotone, f <= y iff the left CDF edge of f,
+    # cdf[f - 1] (0 at f = 0), is <= u.  So a trial succeeds iff an odd
+    # number of flip edges are <= u, and the search runs over those few
+    # edges instead of all n CDF entries.
+    flips = np.flatnonzero(np.diff(good, prepend=False, append=False))
+    edges = np.where(flips > 0, cdf[flips - 1], 0.0)
+    del cdf
     rng = np.random.default_rng(seed)
-    handle = OracleHandle(spec)
     counts = np.empty(runs, dtype=np.int64)
-    n, s, m = spec.n, spec.s, spec.m
-    for i in range(runs):
-        trials = 0
-        while True:
-            trials += 1
-            if trials > max_trials:
-                raise NonTermination(f"no success within {max_trials} trials")
-            y = int(np.searchsorted(cdf, rng.random(), side="right"))
-            candidate = accepted_denominator(y, n)
-            if candidate is None:
-                continue
-            if test_period_known_s(handle, s, candidate, m):
-                break
-        counts[i] = trials
+    done = pending = 0  # finished runs; trials of the current run so far
+    while done < runs:
+        # a quarter more draws than the remaining runs need on average
+        batch = math.ceil(min(_MC_BATCH_CAP, 1.25 * (runs - done) / p_good))
+        hit = np.searchsorted(edges, rng.random(batch), side="right")
+        np.bitwise_and(hit, 1, out=hit)
+        # 1-based positions of the successes this batch needs
+        ends = np.flatnonzero(hit)[: runs - done] + 1
+        if ends.size:
+            gaps = np.diff(ends, prepend=-pending)
+            counts[done : done + ends.size] = gaps
+            done += ends.size
+            pending = batch - int(ends[-1])
+            longest = int(gaps.max())
+        else:
+            pending += batch
+            longest = 0
+        # a run with max_trials failures behind it would need one trial more
+        if longest > max_trials or (done < runs and pending >= max_trials):
+            raise NonTermination(f"no success within {max_trials} trials")
     mean = float(counts.mean())
     variance = float(counts.var(ddof=1)) if runs > 1 else 0.0
     half = 1.96 * math.sqrt(variance / runs) if runs > 1 else 0.0

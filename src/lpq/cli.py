@@ -13,8 +13,17 @@ through per-row numpy indexing or the json encoder. The output is
 byte-identical to formatting every value with format(x, ".17g") and
 dumping the whole object with json.dumps(indent=1, sort_keys=True).
 
-Exit codes: 0 success, 2 validation failure, 3 no recovery candidate,
-4 verification failed.
+Exit codes:
+
+    0  success
+    1  any other lpq error (a computed figure broke a proven bound)
+    2  validation failure: a bad instance, option or argument
+    3  no recovery candidate
+    4  verification failed: the oracle probes rejected the candidate, or a
+       seeded search gave up (for Monte-Carlo, when no candidate period
+       survives verification, so no run can succeed)
+
+Errors print one ``error: ...`` line on stderr, not a traceback.
 """
 
 from __future__ import annotations
@@ -29,11 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, closedform, offset, recovery, simulator
-from .errors import ValidationError, VerificationFailed
+from .errors import LpqError, NonTermination, ValidationError, VerificationFailed
 from .oracle import OracleHandle, build_oracle
-from .spectrum import CASES, CODE_GENERIC, CODE_RESONANT, Algorithm
+from .spectrum import CASES, CODE_GENERIC, CODE_RESONANT, Algorithm, ProbabilityTable
 
 EXIT_OK = 0
+EXIT_LPQ_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CANDIDATE = 3
 EXIT_VERIFICATION = 4
@@ -243,9 +253,9 @@ def cmd_find_offset(args) -> int:
     try:
         result = search(handle, period, spec.m, args.seed)
     except VerificationFailed as exc:
-        _write_json(args.out, {"schema": 1, "error": str(exc), "period_candidate": period})
-        return EXIT_VERIFICATION
-    obj = result.to_json_obj()
+        obj, code = {"error": str(exc)}, EXIT_VERIFICATION
+    else:
+        obj, code = result.to_json_obj(), EXIT_OK
     obj["schema"] = 1
     obj["period_candidate"] = period
     if args.format == "json":
@@ -253,19 +263,32 @@ def cmd_find_offset(args) -> int:
     else:
         rows = [f"{k},{json.dumps(v)}" for k, v in sorted(obj.items())]
         _write_text(args.out, _csv_lines(["field", "value"], rows))
-    return EXIT_OK
+    return code
 
 
-def _workfactor_rows(spec) -> list[dict]:
+def _workfactor_rows(
+    spec, keep: Algorithm | None = None
+) -> tuple[list[dict], ProbabilityTable | None]:
+    """The work-factor rows, and the closed-form table of pipeline ``keep``.
+
+    Each pipeline's table is built once and dropped after its row unless
+    kept: three tables alive at once raise the peak memory of a large sweep.
+    """
     reports = analysis.workfactor_comparison(spec)
     # p = 1 has an empty certified success set: no frequency certifies the
     # period, so there is no certified trial count to report.
     certifiable = recovery.success_set(spec).size > 0
-    rows = []
+    rows, kept = [], None
     for rep in reports:
+        table = closedform.closed_form_table(spec, rep.algorithm)
         certified = (
-            analysis.expected_trials(rep.algorithm, spec).expected_trials if certifiable else None
+            analysis.expected_trials(rep.algorithm, spec, table).expected_trials
+            if certifiable
+            else None
         )
+        if rep.algorithm is keep:
+            kept = table
+        del table
         if rep.algorithm is Algorithm.QFT:
             verdict = rep.expected_runs >= spec.n / (4 * spec.m)
         elif rep.algorithm is Algorithm.QHS:
@@ -283,7 +306,7 @@ def _workfactor_rows(spec) -> list[dict]:
                 "bound_verdict": "pass" if verdict else "FAIL",
             }
         )
-    return rows
+    return rows, kept
 
 
 def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
@@ -298,10 +321,11 @@ def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
 
 def cmd_trials(args) -> int:
     spec = _spec_from(args)
-    rows = _workfactor_rows(spec)
+    alg = Algorithm(args.alg)
+    rows, table = _workfactor_rows(spec, keep=alg if args.runs else None)
     payload = {"schema": 1, "workfactor": rows}
     if args.runs:
-        stats = analysis.monte_carlo_trials(Algorithm(args.alg), spec, args.runs, args.seed)
+        stats = analysis.monte_carlo_trials(alg, spec, args.runs, args.seed, table=table)
         payload["monte_carlo"] = {"algorithm": args.alg, **stats.to_json_obj()}
     if args.format == "json":
         _write_json(args.out, payload)
@@ -321,7 +345,7 @@ def cmd_sweep(args) -> int:
     band = []
     while n <= args.n_max:
         spec = build_oracle(n, args.m, args.p, args.s, strict=args.strict)
-        rows = _workfactor_rows(spec)
+        rows, _ = _workfactor_rows(spec)
         path = out_dir / f"workfactor_n{n}.{args.format}"
         if args.format == "json":
             _write_json(str(path), {"schema": 1, "n": n, "workfactor": rows})
@@ -427,9 +451,13 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(args)
         return args.func(args)
-    except ValidationError as exc:
+    except LpqError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        if isinstance(exc, ValidationError):
+            return EXIT_VALIDATION
+        if isinstance(exc, NonTermination):
+            return EXIT_VERIFICATION
+        return EXIT_LPQ_ERROR
 
 
 if __name__ == "__main__":

@@ -58,6 +58,7 @@ __all__ = [
     "amplified_pr",
     "qft_pr",
     "qhs_pr",
+    "case_probabilities",
     "closed_form_table",
     "RatioBounds",
     "ratio_bounds",
@@ -131,19 +132,61 @@ def qhs_pr(y: int, spec: OracleSpec) -> float:
     return 2 / n**2 * dirichlet_ratio(y, spec)
 
 
-def _kernel_ratios(n: int, m: int, p: int, codes: np.ndarray) -> np.ndarray:
-    """Vectorized R(y): zeros except at generic frequencies."""
-    y = np.arange(n, dtype=np.int64)
-    a = (p * y) % n
-    b = (m * p * y) % n
-    a = np.minimum(a, n - a)
-    b = np.minimum(b, n - b)
-    ratios = np.zeros(n, dtype=float)
-    gen = codes == CODE_GENERIC
-    num = np.sin(np.pi * b[gen] / n)
-    den = np.sin(np.pi * a[gen] / n)
-    ratios[gen] = (num / den) ** 2
-    return ratios
+_Y_BLOCK = 1 << 16
+
+
+def _put_generic(pr: np.ndarray, codes: np.ndarray, m: int, p: int, factor: float) -> None:
+    """Write factor * R(y) into pr at every generic frequency y.
+
+    Both sines are read from one table of sin(pi*r/n) over the folded
+    residues r in 0..n/2, so each is evaluated once however often p*y and
+    m*p*y repeat it; the values equal evaluating the sine per frequency.
+    Blocks of _Y_BLOCK frequencies keep the temporaries small.
+    """
+    n = pr.size
+    sines = np.pi * np.arange(n // 2 + 1)
+    sines /= n
+    np.sin(sines, out=sines)
+
+    def folded(y: np.ndarray, c: int) -> np.ndarray:
+        # |{c*y}_n|, the residue folded into 0..n/2 as in the scalar path
+        r = y * c
+        r %= n
+        return np.minimum(r, n - r, out=r)
+
+    for start in range(0, n, _Y_BLOCK):
+        y = np.flatnonzero(codes[start : start + _Y_BLOCK] == CODE_GENERIC)
+        y += start
+        ratios = sines[folded(y, m * p)]
+        ratios /= sines[folded(y, p)]
+        np.square(ratios, out=ratios)
+        ratios *= factor
+        pr[y] = ratios
+
+
+def case_probabilities(
+    spec: OracleSpec,
+    algorithm: Algorithm,
+    schedule: "GroverSchedule | None" = None,
+    iterations: int | None = None,
+) -> tuple[float, float, float]:
+    """Pr(0), the probability of each resonant y, and the factor that
+    multiplies R(y) at each generic y, for one pipeline."""
+    algorithm = Algorithm(algorithm)
+    n, m = spec.n, spec.m
+    if algorithm is Algorithm.AMPLIFIED:
+        if schedule is None:
+            from .simulator import grover_schedule
+
+            schedule = grover_schedule(n, m, iterations)
+        line = math.tan(schedule.theta) ** 2 * math.sin(2 * schedule.k * schedule.theta) ** 2
+        return math.cos(2 * schedule.k * schedule.theta) ** 2, line, line / m**2
+    scale = 4.0 if algorithm is Algorithm.QFT else 2.0
+    if algorithm is Algorithm.QFT:
+        zero = (1 - 2 * m / n) ** 2
+    else:
+        zero = 1 - 2 * m * (n - m) / n**2
+    return zero, scale * m**2 / n**2, scale / n**2
 
 
 def closed_form_table(
@@ -153,30 +196,13 @@ def closed_form_table(
     iterations: int | None = None,
 ) -> ProbabilityTable:
     """Whole-spectrum closed-form table for one pipeline."""
-    algorithm = Algorithm(algorithm)
-    n, m = spec.n, spec.m
-    codes = case_codes(n, m, spec.p)
-    ratios = _kernel_ratios(n, m, spec.p, codes)
+    n = spec.n
+    zero, resonant, generic = case_probabilities(spec, algorithm, schedule, iterations)
+    codes = case_codes(n, spec.m, spec.p)
     pr = np.zeros(n, dtype=float)
-    if algorithm is Algorithm.AMPLIFIED:
-        if schedule is None:
-            from .simulator import grover_schedule
-
-            schedule = grover_schedule(n, m, iterations)
-        line = math.tan(schedule.theta) ** 2 * math.sin(2 * schedule.k * schedule.theta) ** 2
-        pr[codes == CODE_ZERO] = math.cos(2 * schedule.k * schedule.theta) ** 2
-        pr[codes == CODE_RESONANT] = line
-        gen = codes == CODE_GENERIC
-        pr[gen] = line / m**2 * ratios[gen]
-    else:
-        scale = 4.0 if algorithm is Algorithm.QFT else 2.0
-        if algorithm is Algorithm.QFT:
-            pr[codes == CODE_ZERO] = (1 - 2 * m / n) ** 2
-        else:
-            pr[codes == CODE_ZERO] = 1 - 2 * m * (n - m) / n**2
-        pr[codes == CODE_RESONANT] = scale * m**2 / n**2
-        gen = codes == CODE_GENERIC
-        pr[gen] = scale / n**2 * ratios[gen]
+    pr[codes == CODE_ZERO] = zero
+    pr[codes == CODE_RESONANT] = resonant
+    _put_generic(pr, codes, spec.m, spec.p, generic)
     return make_table(n, pr, codes, "closed-form")
 
 

@@ -28,9 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .closedform import closed_form_table
 from .errors import ValidationError, ZeroDenominator
 from .oracle import OracleSpec
-from .spectrum import Algorithm
+from .spectrum import Algorithm, ProbabilityTable
 
 
 @dataclass(frozen=True)
@@ -108,32 +109,52 @@ class RecoveryResult:
         }
 
 
-def accepted_denominator(y: int, n: int, q_max: int | None = None) -> int | None:
-    """Allocation-free core of :func:`recover_period`: just the accepted q.
+_Y_BLOCK = 4096
 
-    Fuses the Euclidean loop with the convergent recurrence; the selection
-    rule is identical, and the test suite holds the two paths together.
+
+def accepted_denominators(n: int, q_max: int | None = None) -> np.ndarray:
+    """The period candidate :func:`recover_period` accepts, for every y at once.
+
+    Entry y is ``recover_period(y, n, q_max).accepted``, with 0 where that
+    is None.  Euclid runs on y/n unreduced, which gives the partial
+    quotients of the reduced fraction, fused with the recurrence for the
+    convergent denominators q_k.  The numerators are never needed: by
+    induction on that recurrence, |y*q_k - d_k*n| is the k-th Euclidean
+    remainder r_k, so the 1/(2q^2) test reads q_k*r_k <= n/2.  Every y
+    still on its ladder advances one convergent per numpy step, in blocks
+    of _Y_BLOCK frequencies so the temporaries stay small.
+
+    Only y <= n/2 are walked; entry n - y equals entry y.  Any reduced
+    d/q with q >= 2 and |x - d/q| <= 1/(2q^2) is a convergent of x
+    (Legendre's theorem, whose proof admits equality once q >= 2), so the
+    candidate is the largest such q <= q_max, and d/q -> (q-d)/q carries
+    those fractions for x = y/n onto those for 1 - x.
     """
     if q_max is None:
         q_max = math.isqrt(n)
-    g = math.gcd(y, n) or 1
-    num, den = y // g, n // g
-    d_prev, d_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    best_q = 0
-    while den:
-        a, rem = divmod(num, den)
-        d, q = a * d_prev + d_prev2, a * q_prev + q_prev2
-        if q > q_max:
-            break
-        if 2 * q * abs(y * q - d * n) <= n:
-            best_q = q
-        d_prev2, d_prev = d_prev, d
-        q_prev2, q_prev = q_prev, q
-        num, den = den, rem
-    if y == 0 or best_q <= 1:
-        return None
-    return best_q
+    half = n // 2
+    best = np.zeros(n, dtype=np.int64)
+    # y = 0 has no candidate.  For y >= 1 the first convergent is 0/1,
+    # whose q = 1 is never a candidate, so each ladder starts at Euclid's
+    # second step, (n, y), with (q_{-1}, q_0) = (0, 1).
+    for start in range(1, half + 1, _Y_BLOCK):
+        at = np.arange(start, min(start + _Y_BLOCK, half + 1), dtype=np.int64)
+        num, den = np.full(at.size, n, dtype=np.int64), at
+        q_prev2, q_prev = np.zeros_like(at), np.ones_like(at)
+        while at.size:
+            a, rem = np.divmod(num, den)
+            q = a * q_prev + q_prev2
+            # A ladder stops past q_max; the test is not read there, so its
+            # products cannot overflow where they count.
+            live = q <= q_max
+            ok = np.flatnonzero(live & (q * rem <= half))
+            best[at[ok]] = q[ok]
+            go = np.flatnonzero(live & (rem != 0))  # indices: faster than a mask here
+            at, num, den = at[go], den[go], rem[go]
+            q_prev2, q_prev = q_prev[go], q[go]
+    best[best == 1] = 0  # a bare q = 1 carries no period information
+    best[n - half :] = best[half:0:-1]
+    return best
 
 
 def recover_period(y: int, n: int, q_max: int | None = None) -> RecoveryResult:
@@ -183,20 +204,24 @@ def success_set(spec: OracleSpec) -> np.ndarray:
     (none for p = 1), and they are the same for every algorithm.
     """
     n, p = spec.n, spec.p
-    y = np.arange(n, dtype=np.int64)
-    r = (p * y) % n
-    r = np.where(2 * r > n, r - n, r)
-    window = (2 * r > -p) & (2 * r <= p)
-    d = (p * y - r) // n
-    ok = window & (y != 0) & (np.gcd(d, p) == 1)
-    return y[ok]
+    r = np.arange(n, dtype=np.int64)
+    r *= p
+    r %= n
+    r[2 * r > n] -= n
+    y = np.flatnonzero((2 * r > -p) & (2 * r <= p))  # the window, at most p wide
+    d = (p * y - r[y]) // n
+    return y[(y != 0) & (np.gcd(d, p) == 1)]
 
 
-def success_probability(algorithm: Algorithm, spec: OracleSpec) -> float:
-    """Closed-form probability mass of the certified success set."""
-    from .closedform import closed_form_table
+def success_probability(
+    algorithm: Algorithm, spec: OracleSpec, table: ProbabilityTable | None = None
+) -> float:
+    """Closed-form probability mass of the certified success set.
 
-    table = closed_form_table(spec, Algorithm(algorithm))
+    ``table`` is the pipeline's closed-form table, built when not given.
+    """
+    if table is None:
+        table = closed_form_table(spec, Algorithm(algorithm))
     return float(table.pr[success_set(spec)].sum())
 
 

@@ -62,9 +62,11 @@ def classify(y: int, spec: "OracleSpec") -> SpectrumCase:
 
 def case_codes(n: int, m: int, p: int) -> np.ndarray:
     """Vectorized classification: int8 codes for every y in 0..n-1."""
-    y = np.arange(n, dtype=np.int64)
-    py = (p * y) % n
-    mpy = (m * p * y) % n
+    py = np.arange(n, dtype=np.int64)
+    py *= p
+    py %= n
+    mpy = py * m  # m*p*y = m*(p*y mod n) (mod n)
+    mpy %= n
     codes = np.full(n, CODE_GENERIC, dtype=np.int8)
     codes[(py != 0) & (mpy == 0)] = CODE_NULL
     codes[py == 0] = CODE_RESONANT

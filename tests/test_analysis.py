@@ -8,6 +8,7 @@ from lpq import (
     BoundViolated,
     InvalidProbability,
     NonTermination,
+    OracleHandle,
     build_oracle,
     expected_trials,
     general_unitary_ratio,
@@ -16,9 +17,12 @@ from lpq import (
     grover_schedule,
     monte_carlo_trials,
     pipeline_success_probability,
+    recover_period,
     success_probability,
     workfactor_comparison,
 )
+from lpq.closedform import closed_form_table
+from lpq.offset import test_period_known_s as probes_accept
 from lpq.spectrum import Algorithm
 
 STRICT_SPECS = [
@@ -73,10 +77,17 @@ class TestPipelineSuccess:
             for alg in Algorithm:
                 certified = success_probability(alg, spec)
                 pipeline = pipeline_success_probability(alg, spec)
-                from lpq.closedform import closed_form_table
-
                 pr0 = float(closed_form_table(spec, alg).pr[0])
                 assert certified - 1e-12 <= pipeline <= 1 - pr0 + 1e-12
+
+    @pytest.mark.parametrize("spec", STRICT_SPECS)
+    def test_matches_per_frequency_recovery(self, spec):
+        for alg in Algorithm:
+            pr = closed_form_table(spec, alg).pr
+            expected = sum(
+                pr[y] for y in range(spec.n) if recover_period(y, spec.n).accepted == spec.p
+            )
+            assert pipeline_success_probability(alg, spec) == pytest.approx(expected, abs=1e-12)
 
 
 class TestWorkfactor:
@@ -93,6 +104,14 @@ class TestWorkfactor:
             assert rep.per_run_cost == 1.0
             assert rep.total_cost == rep.expected_runs
             assert rep.ratio_vs_amplified == pytest.approx(rep.expected_runs / (sched.k + 1))
+
+    @pytest.mark.parametrize("spec", STRICT_SPECS)
+    def test_expected_runs_from_table_zero(self, spec):
+        # Pr(0) comes from the closed form without a table; it must be the
+        # very value the table holds at y = 0
+        for rep in workfactor_comparison(spec):
+            pr0 = float(closed_form_table(spec, rep.algorithm).pr[0])
+            assert rep.expected_runs == 1.0 / (1.0 - pr0)
 
     def test_ratio_monotone_in_n(self):
         ratios = []
@@ -138,6 +157,62 @@ class TestMonteCarlo:
         assert abs(stats.mean - 1 / p) <= 3 * sigma
         lo, hi = stats.ci95
         assert lo <= stats.mean <= hi
+
+
+def reference_trial_counts(algorithm, spec, runs, seed, max_trials=10**6):
+    """One rng.random() per trial, then searchsorted, recover_period and the
+    probe test: the per-trial loop the batched Monte-Carlo must reproduce."""
+    cdf = np.cumsum(closed_form_table(spec, algorithm).pr)
+    cdf[-1] = max(cdf[-1], 1.0)
+    rng = np.random.default_rng(seed)
+    handle = OracleHandle(spec)
+    counts = []
+    for _ in range(runs):
+        trials = 0
+        while True:
+            trials += 1
+            assert trials <= max_trials
+            y = int(np.searchsorted(cdf, rng.random(), side="right"))
+            candidate = recover_period(y, spec.n).accepted
+            if candidate is not None and probes_accept(handle, spec.s, candidate, spec.m):
+                break
+        counts.append(trials)
+    return counts
+
+
+class TestMonteCarloReference:
+    # (343, 49, 7, 0) succeeds almost every trial, (256, 4, 5, 3) needs tens
+    # of trials per run, and (4099, 5, 37, 11) has a prime n
+    @pytest.mark.parametrize(
+        "spec,runs,seed",
+        [
+            (build_oracle(256, 4, 5, 3), 60, 11),
+            (build_oracle(343, 49, 7, 0), 200, 5),
+            (build_oracle(4099, 5, 37, 11), 12, 201),
+        ],
+    )
+    @pytest.mark.parametrize("alg", list(Algorithm))
+    def test_trial_counts_equal_per_trial_loop(self, spec, runs, seed, alg):
+        stats = monte_carlo_trials(alg, spec, runs=runs, seed=seed)
+        assert stats.trial_counts.tolist() == reference_trial_counts(alg, spec, runs, seed)
+
+    def test_guard_is_per_run(self):
+        # the guard bounds each run, not the total: the longest run of three
+        # decides whether the call finishes
+        spec = build_oracle(256, 4, 5, 3)
+        counts = reference_trial_counts(Algorithm.QFT, spec, 3, 7)
+        longest = max(counts)
+        assert counts.index(longest) > 0 and sum(counts) > longest
+        stats = monte_carlo_trials(Algorithm.QFT, spec, 3, 7, max_trials=longest)
+        assert stats.trial_counts.tolist() == counts
+        with pytest.raises(NonTermination, match=f"{longest - 1} trials"):
+            monte_carlo_trials(Algorithm.QFT, spec, 3, 7, max_trials=longest - 1)
+
+    def test_no_verified_mass_raises_before_drawing(self):
+        # at p = 1 no candidate q >= 2 passes the probes
+        spec = build_oracle(256, 4, 1, 3)
+        with pytest.raises(NonTermination, match="no run can succeed"):
+            monte_carlo_trials(Algorithm.QFT, spec, runs=1, seed=0)
 
 
 class TestGeneralUnitaryRatio:

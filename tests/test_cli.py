@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import lpq.closedform
 from lpq import build_oracle, cli
 from lpq.cli import main
 from lpq.closedform import closed_form_table, pr_ratio_bounds
@@ -124,6 +126,27 @@ class TestFindOffset:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verification_failure_in_format(self, fmt, capsys):
+        # the counting search draws an adversarial count at this seed
+        code = main(
+            ["find-offset", "--n", "64", "--m", "4", "--p", "4", "--s", "3",
+             "--method", "counting", "--seed", "4", "--format", fmt]
+        )
+        assert code == 4
+        out = capsys.readouterr().out
+        error = "pair (s=-1, p=4) rejected by probes (count=4)"
+        if fmt == "json":
+            assert json.loads(out) == {"error": error, "period_candidate": 4, "schema": 1}
+        else:
+            assert out.splitlines() == [
+                "# schema=1",
+                "field,value",
+                f"error,{json.dumps(error)}",
+                "period_candidate,4",
+                "schema,1",
+            ]
+
     def test_single_member_immediate(self, tmp_path):
         out = tmp_path / "offset.json"
         code = main(
@@ -182,6 +205,56 @@ class TestTrials:
             column = lines[1].split(",").index("certified_expected_trials")
             assert len(lines) == 5
             assert all(line.split(",")[column] == "" for line in lines[2:])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_period_one_runs_fail_fast(self, fmt, capsys):
+        # no candidate period survives verification at p = 1, so no run can
+        # succeed; Monte-Carlo says so before drawing anything
+        start = time.perf_counter()
+        code = main(
+            ["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3",
+             "--runs", "1", "--format", fmt]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _count_closed_form_tables(monkeypatch) -> list:
+    """Wrap every lpq binding of closed_form_table with a call counter."""
+    original, calls = lpq.closedform.closed_form_table, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lpq" or name.startswith("lpq."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestClosedFormTablesPerInstance:
+    def test_trials_builds_one_per_algorithm(self, monkeypatch, capsys):
+        calls = _count_closed_form_tables(monkeypatch)
+        code = main(
+            ["trials", "--n", "4096", "--m", "4", "--p", "16", "--s", "3", "--runs", "3"]
+        )
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_sweep_builds_three_per_doubling(self, monkeypatch, tmp_path, capsys):
+        calls = _count_closed_form_tables(monkeypatch)
+        code = main(
+            ["sweep", "--m", "4", "--p", "4", "--s", "1", "--n-min", "256",
+             "--n-max", "1024", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(calls) == 3 * 3
 
 
 class TestSweep:

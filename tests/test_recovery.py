@@ -10,7 +10,7 @@ from lpq import (
     OracleHandle,
     RecoveryStatus,
     ZeroDenominator,
-    accepted_denominator,
+    accepted_denominators,
     build_oracle,
     continued_fraction,
     convergents,
@@ -108,9 +108,12 @@ class TestRecoverPeriod:
                 assert abs(Fraction(y, n) - Fraction(d, q)) <= Fraction(1, 2 * q * q)
 
     def test_fast_path_agrees(self):
-        for n in range(1, 160):
-            for y in range(n):
-                assert accepted_denominator(y, n) == recover_period(y, n).accepted
+        # the vectorized table against the scalar ladder, one y at a time
+        cases = [(n, None) for n in [*range(1, 160), 4096, 4099, 65536]] + [(4099, 100)]
+        for n, q_max in cases:
+            table = accepted_denominators(n, q_max)
+            expected = [recover_period(y, n, q_max).accepted or 0 for y in range(n)]
+            assert table.tolist() == expected, (n, q_max)
 
 
 class TestResidues:

@@ -71,6 +71,7 @@ from .recovery import (
     y_to_d,
 )
 from .simulator import (
+    GroverRegister,
     GroverSchedule,
     amplified_qft_state,
     dft,

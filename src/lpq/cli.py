@@ -280,7 +280,9 @@ def _workfactor_rows(
     certifiable = recovery.success_set(spec).size > 0
     rows, kept = [], None
     for rep in reports:
-        table = closedform.closed_form_table(spec, rep.algorithm)
+        table = None
+        if certifiable or rep.algorithm is keep:
+            table = closedform.closed_form_table(spec, rep.algorithm)
         certified = (
             analysis.expected_trials(rep.algorithm, spec, table).expected_trials
             if certifiable

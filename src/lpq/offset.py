@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonTermination, ValidationError, VerificationFailed
-from .oracle import OracleHandle
+from .oracle import OracleHandle, OracleSpec
 from .simulator import grover_schedule
 
 _MEASURE_RETRIES = 16
@@ -83,14 +83,24 @@ def amplified_measure_member(handle: OracleHandle, seed) -> int:
     schedule = grover_schedule(spec.n, spec.m)
     if rng.random() < spec.m * schedule.a_k**2:
         return spec.s + int(rng.integers(spec.m)) * spec.p
-    outside = int(rng.integers(spec.n - spec.m))
-    # map the draw onto the (n - m) unmarked labels
-    for x in range(spec.n):
-        if not spec.contains(x):
-            if outside == 0:
-                return x
-            outside -= 1
-    raise AssertionError("unreachable: fewer unmarked labels than counted")
+    return _unmarked_label(spec, int(rng.integers(spec.n - spec.m)))
+
+
+def _unmarked_label(spec: OracleSpec, i: int) -> int:
+    """The i-th unmarked label in ascending order, 0 <= i < n - m.
+
+    The s labels below the first member come first, then m - 1 gaps of
+    p - 1 labels between consecutive members, then the labels past the
+    last member.
+    """
+    if i < spec.s:
+        return i
+    i -= spec.s
+    gaps = (spec.m - 1) * (spec.p - 1)
+    if i < gaps:  # never true at p = 1, where the gaps are empty
+        gap, offset = divmod(i, spec.p - 1)
+        return spec.s + gap * spec.p + 1 + offset
+    return spec.s + (spec.m - 1) * spec.p + 1 + (i - gaps)
 
 
 def g_function(x: int, x1: int, p: int) -> int:

@@ -202,8 +202,16 @@ def success_set(spec: OracleSpec) -> np.ndarray:
     These are the nonzero y in the window -p/2 < {p*y}_n <= p/2 whose
     multiplier d(y) is coprime to p; there are phi(p) of them for p >= 2
     (none for p = 1), and they are the same for every algorithm.
+
+    For p <= n the window is the image of d = 0..p-1 under y(d) (module
+    docstring), so the set is y(d) for the d in 1..p-1 coprime to p, in
+    O(p).  Past n that map is no longer one-to-one, and the window is
+    scanned over the n labels instead, which is then the cheaper side.
     """
     n, p = spec.n, spec.p
+    if p <= n:
+        d = np.arange(1, p, dtype=np.int64)
+        return d_to_y(d[np.gcd(d, p) == 1], n, p)
     r = np.arange(n, dtype=np.int64)
     r *= p
     r %= n

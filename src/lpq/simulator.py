@@ -12,10 +12,19 @@ suite holds the fast path to it within 1e-9.
 
 Registers before the transform are real float64 ndarrays: the uniform
 state, the oracle's sign flips and the reflection about the mean all keep
-amplitudes real, so only ``dft`` produces complex arrays. ``grover_iterate``
-updates its argument in place and returns it, so the k-round loop touches
-one buffer; every other operation returns a fresh array and leaves its
-inputs alone.
+amplitudes real, so only ``dft`` produces complex arrays.
+
+The amplification rounds run on a :class:`GroverRegister`, which holds the
+amplitudes as ``sign * base + shift`` with a running ``total = base.sum()``.
+The diffusion 2|u><u| - I is -I plus a rank-one term, so a reflection
+about the mean only flips ``sign`` and moves ``shift``, and the oracle
+rewrites just the m marked entries of ``base``: a round costs O(m), and
+the amplified register costs O(n + k*m) to build (the uniform state, k
+rounds, one read-out pass) before its one transform.  This is exact
+algebra on the same operators, not the two-level closed form, so the
+simulation stays an independent derivation.  ``grover_iterate`` updates
+its register in place and returns it; every other operation returns a
+fresh array and leaves its inputs alone.
 """
 
 from __future__ import annotations
@@ -96,24 +105,74 @@ def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSche
     return GroverSchedule(n, m, theta, k, a_k, b_k)
 
 
-def grover_iterate(state: np.ndarray, spec: OracleSpec) -> np.ndarray:
-    """One amplification round, in place: flip the sign of every marked
-    amplitude, then reflect all amplitudes about their mean.
+class GroverRegister:
+    """Amplitudes held as ``sign * base + shift``, with ``total == base.sum()``.
 
-    ``state`` is a float or complex ndarray; it is overwritten and returned.
+    ``base`` is the array passed in, not a copy: it holds the amplitudes
+    again only after :meth:`amplitudes` folds the form back into it.  Real
+    and complex arrays both work.
     """
-    marked = state[spec.s : spec.s + (spec.m - 1) * spec.p + 1 : spec.p]
+
+    __slots__ = ("base", "sign", "shift", "total")
+
+    def __init__(self, amplitudes: np.ndarray):
+        self.base = amplitudes
+        self.sign = 1.0
+        self.shift = 0.0
+        self.total = amplitudes.sum()
+
+    def amplitudes(self) -> np.ndarray:
+        """Fold the form into ``base`` in one in-place pass and return it."""
+        base = self.base
+        if self.sign < 0:
+            np.subtract(self.shift, base, out=base)
+        else:
+            base += self.shift
+        self.total = self.sign * self.total + base.size * self.shift
+        self.sign, self.shift = 1.0, 0.0
+        return base
+
+
+def grover_iterate(register: GroverRegister, spec: OracleSpec) -> GroverRegister:
+    """One amplification round in O(m), in place: flip the sign of every
+    marked amplitude, then reflect all amplitudes about their mean.
+
+    ``register`` is updated and returned.
+    """
+    marked = register.base[spec.s : spec.s + (spec.m - 1) * spec.p + 1 : spec.p]
+    before = marked.sum()
+    # -(sign*b + shift) == sign*b' + shift for b' = -b - 2*sign*shift.
     # Not np.negative(marked, out=marked): under numpy 2.4.6 it skips some
     # elements of a strided float64 view that it writes over in place.
     marked *= -1.0
-    return np.subtract(2.0 * state.mean(), state, out=state)
+    marked -= 2.0 * register.sign * register.shift
+    register.total += marked.sum() - before
+    # 2*mean - (sign*b + shift) == (-sign)*b + (2*mean - shift)
+    mean = register.sign * register.total / register.base.size + register.shift
+    register.sign = -register.sign
+    register.shift = 2.0 * mean - register.shift
+    return register
 
 
 def dft(state: np.ndarray, inverse: bool = False, method: str = "fft") -> np.ndarray:
     """Order-n transform with kernel exp(-2*pi*i*z*y/n) (conjugated when
-    ``inverse``); norm preserving."""
-    state = np.asarray(state, dtype=complex)
+    ``inverse``); norm preserving.
+
+    The forward fast path takes real input through ``np.fft.rfft``, which
+    gives y = 0..n//2, and mirrors the rest: out(n - y) = conj(out(y)).
+    The full length-n spectrum is returned either way.
+    """
+    state = np.asarray(state)
     n = state.shape[-1]
+    if method == "fft" and not inverse and not np.iscomplexobj(state):
+        half = np.fft.rfft(state)
+        half /= math.sqrt(n)
+        out = np.empty(state.shape[:-1] + (n,), dtype=complex)
+        h = half.shape[-1]
+        out[..., :h] = half
+        np.conjugate(half[..., n - h : 0 : -1], out=out[..., h:])
+        return out
+    state = state.astype(complex, copy=False)
     if method == "fft":
         out = np.fft.ifft(state) * n if inverse else np.fft.fft(state)
         return out / math.sqrt(n)
@@ -129,10 +188,10 @@ def dft(state: np.ndarray, inverse: bool = False, method: str = "fft") -> np.nda
 
 
 def _amplified_register(spec: OracleSpec, iterations: int | None = None) -> np.ndarray:
-    state = uniform_state(spec.n)
+    register = GroverRegister(uniform_state(spec.n))
     for _ in range(grover_schedule(spec.n, spec.m, iterations).k):
-        grover_iterate(state, spec)
-    return state
+        grover_iterate(register, spec)
+    return register.amplitudes()
 
 
 def amplified_qft_state(spec: OracleSpec, iterations: int | None = None) -> np.ndarray:
@@ -160,14 +219,19 @@ def qhs_state(spec: OracleSpec) -> np.ndarray:
     """
     _check_desk_scale(spec.n)
     n = spec.n
-    f = np.fft.fft(marked_mask(spec).astype(float))
-    out = np.empty((n, 2), dtype=complex)
-    np.divide(f, n, out=out[:, 1])
+    # Columns are stored as the rows of a (2, n) array, so the FFT runs in
+    # place on a contiguous row and allocates no n-sized temporaries.
+    out = np.empty((2, n), dtype=complex)
+    f = out[1]
+    f[:] = marked_mask(spec)
+    np.fft.fft(f, out=f)
     # The unmarked indicator is 1 - mask, and the all-ones vector transforms
     # to n at y = 0 and to 0 elsewhere, so one FFT gives both columns.
-    f[0] -= n
-    np.divide(f, -n, out=out[:, 0])
-    return out
+    np.divide(f, -n, out=out[0])
+    np.subtract(f[:1], n, out=out[0, :1])
+    np.divide(out[0, :1], -n, out=out[0, :1])
+    np.divide(f, n, out=f)
+    return out.T
 
 
 def qhs_distribution(spec: OracleSpec) -> ProbabilityTable:

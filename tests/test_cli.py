@@ -247,6 +247,15 @@ class TestClosedFormTablesPerInstance:
         assert code == 0
         assert len(calls) == 3
 
+    def test_trials_p1_builds_only_the_monte_carlo_table(self, monkeypatch, capsys):
+        # p = 1 certifies nothing, so only --runs needs a table
+        calls = _count_closed_form_tables(monkeypatch)
+        assert main(["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3"]) == 0
+        assert calls == []
+        argv = ["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3", "--runs", "1"]
+        assert main(argv) == 4
+        assert len(calls) == 1
+
     def test_sweep_builds_three_per_doubling(self, monkeypatch, tmp_path, capsys):
         calls = _count_closed_form_tables(monkeypatch)
         code = main(

@@ -18,6 +18,8 @@ from lpq import (
 )
 from lpq import test_pair as pair_probe
 from lpq import test_period_known_s as period_probe
+from lpq.offset import _unmarked_label
+from lpq.oracle import OracleSpec
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -94,6 +96,36 @@ class TestAmplifiedMeasurement:
         hits = sum(amplified_measure_member(h, seed) in members for seed in range(draws))
         sigma = math.sqrt(good * (1 - good) / draws)
         assert abs(hits / draws - good) <= 3 * sigma
+
+
+    def test_unmarked_label_matches_enumeration(self):
+        # every instance with n <= 16: s = 0, p = 1 and sets ending at n-1
+        for n in range(1, 17):
+            for p in range(1, n + 1):
+                for m in range(1, (n - 1) // p + 2):
+                    for s in range(n - (m - 1) * p):
+                        spec = OracleSpec(n, m, p, s)
+                        unmarked = [x for x in range(n) if not spec.contains(x)]
+                        got = [_unmarked_label(spec, i) for i in range(n - m)]
+                        assert got == unmarked, spec
+
+    def test_draws_match_label_scan(self):
+        # same stream and labels as drawing the index, then scanning 0..n-1
+        # m/n = 1/2 lands off the marked set half the time
+        spec = build_oracle(16, 8, 2, 1)
+        h = OracleHandle(spec)
+        good = spec.m * grover_schedule(spec.n, spec.m).a_k ** 2
+        unmarked = [x for x in range(spec.n) if not spec.contains(x)]
+        off = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            if rng.random() < good:
+                expected = spec.s + int(rng.integers(spec.m)) * spec.p
+            else:
+                expected = unmarked[int(rng.integers(spec.n - spec.m))]
+                off += 1
+            assert amplified_measure_member(h, seed) == expected
+        assert off > 100
 
 
 class TestGFunction:

@@ -25,6 +25,7 @@ from lpq import (
     y_to_d,
 )
 from lpq.closedform import closed_form_table, pr_ratio_bounds
+from lpq.oracle import OracleSpec
 from lpq.spectrum import Algorithm
 
 
@@ -187,6 +188,20 @@ class TestSuccessSet:
         b = success_set(build_oracle(60, 4, 6, 13))
         assert 0 not in a
         assert (a == b).all()
+
+    def test_matches_window_scan(self):
+        # Both paths, y(d) over the coprime d for p <= n and the window scan
+        # past n, against a scan of every y for the window's definition.
+        for n in range(1, 200):
+            y = np.arange(n)
+            p = np.arange(1, 2 * n + 3)[:, None]  # one row per period
+            r = p * y % n
+            r[2 * r > n] -= n
+            d = (p * y - r) // n
+            keep = (2 * r > -p) & (2 * r <= p) & (y != 0) & (np.gcd(d, p) == 1)
+            for row, period in enumerate(p[:, 0].tolist()):
+                got = success_set(OracleSpec(n, 1, period, 0))
+                assert got.tolist() == y[keep[row]].tolist(), (n, period)
 
     def test_every_member_recovers(self):
         for n, m, p, s in [(16, 3, 4, 1), (229, 7, 15, 11), (128, 8, 8, 3)]:

@@ -1,11 +1,12 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
+import lpq.simulator
 from lpq import (
     DegenerateInstance,
+    GroverRegister,
     NotUnitary,
     OracleSpec,
     ValidationError,
@@ -38,15 +39,19 @@ QHS163 = np.array([178, 2, 2, 2, 18, 2, 2, 2, 18, 2, 2, 2, 18, 2, 2, 2]) / 256
 
 
 def reference_transform(state):
-    """Direct-summation transform, coded without numpy's FFT."""
+    """Direct-summation transform, coded without numpy's FFT: one row of
+    the kernel per y, with the phase z*y reduced mod n in integers."""
     n = len(state)
-    out = []
-    for y in range(n):
-        acc = 0j
-        for z in range(n):
-            acc += state[z] * cmath.exp(-2j * cmath.pi * z * y / n)
-        out.append(acc / math.sqrt(n))
-    return np.array(out)
+    z = np.arange(n)
+    out = [np.exp(-2j * np.pi * (z * y % n) / n) @ state for y in range(n)]
+    return np.array(out) / math.sqrt(n)
+
+
+def dense_round(state, spec):
+    """One amplification round on a plain array: flip the marked labels,
+    then reflect about the mean."""
+    flipped = np.where(marked_mask(spec), -state, state)
+    return 2 * flipped.mean() - flipped
 
 
 def random_states(n, count, seed):
@@ -113,9 +118,10 @@ class TestGroverSchedule:
 class TestGroverIterate:
     def test_exact_search_n4(self):
         spec = build_oracle(4, 1, 1, 2)
-        state = grover_iterate(uniform_state(4), spec)
+        state = grover_iterate(GroverRegister(uniform_state(4)), spec).amplitudes()
         expected = np.zeros(4)
         expected[2] = 1.0
+        assert np.abs(dense_round(uniform_state(4), spec) - expected).max() < 1e-12
         assert np.abs(state - expected).max() < 1e-12
 
     def test_all_marked_is_negated_reflection(self):
@@ -124,15 +130,25 @@ class TestGroverIterate:
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v /= np.linalg.norm(v)
         inverted = 2 * v.mean() - v
-        assert np.abs(grover_iterate(v, spec) + inverted).max() < 1e-12
+        dense = dense_round(v, spec)
+        out = grover_iterate(GroverRegister(v.copy()), spec).amplitudes()
+        assert np.abs(dense + inverted).max() < 1e-12
+        assert np.abs(out + inverted).max() < 1e-12
+        assert np.abs(out - dense).max() < 1e-15
 
     def test_k_fold_matches_two_level(self):
-        sched = grover_schedule(16, 3)
-        state = uniform_state(16)
-        for _ in range(sched.k):
-            state = grover_iterate(state, SPEC163)
-        expected = np.where(marked_mask(SPEC163), sched.a_k, sched.b_k)
-        assert np.abs(state - expected).max() < 1e-10
+        for spec in (SPEC163, build_oracle(1000, 3, 31, 7)):
+            sched = grover_schedule(spec.n, spec.m)
+            register = GroverRegister(uniform_state(spec.n))
+            dense = uniform_state(spec.n)
+            for _ in range(sched.k):
+                register = grover_iterate(register, spec)
+                dense = dense_round(dense, spec)
+            expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
+            state = register.amplitudes()
+            assert np.abs(dense - expected).max() < 1e-10
+            assert np.abs(state - expected).max() < 1e-10
+            assert np.abs(state - dense).max() < 1e-14
 
     # (182, 19, 8, 0) is a strided view on which numpy's in-place
     # np.negative skips two of the nineteen marked labels.
@@ -140,12 +156,20 @@ class TestGroverIterate:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_updates_argument_in_place(self, spec, dtype):
         state = uniform_state(spec.n).astype(dtype)
-        flipped = np.where(marked_mask(spec), -state, state)
-        expected = 2 * flipped.mean() - flipped
-        out = grover_iterate(state, spec)
-        assert out is state
-        assert out.dtype == dtype
+        expected = dense_round(state, spec)
+        register = GroverRegister(state)
+        out = grover_iterate(register, spec)
+        assert out is register
+        assert out.base is state
+        # the second round starts from sign = -1 and a nonzero shift
+        expected = dense_round(expected, spec)
+        assert grover_iterate(register, spec) is register
+        assert abs(register.total - state.sum()) < 1e-12
+        amplitudes = register.amplitudes()
+        assert amplitudes is state
+        assert amplitudes.dtype == dtype
         assert np.abs(state - expected).max() < 1e-15
+        assert abs(register.total - state.sum()) < 1e-12
 
     def test_k_rounds_two_level_at_2e16(self):
         # the production register, read out through the identity transform
@@ -160,7 +184,10 @@ class TestGroverIterate:
     def test_norm_preserved(self, n):
         spec = build_oracle(n, 2, math.isqrt(n), 1)
         for v in random_states(n, 100, seed=n):
-            assert abs(np.linalg.norm(grover_iterate(v, spec)) - 1) < 1e-9
+            dense = dense_round(v, spec)
+            out = grover_iterate(GroverRegister(v.copy()), spec).amplitudes()
+            assert abs(np.linalg.norm(out) - 1) < 1e-9
+            assert np.abs(out - dense).max() < 1e-14
 
 
 class TestDft:
@@ -194,6 +221,25 @@ class TestDft:
         assert np.abs(dft(np.conj(v), inverse=True) - np.conj(dft(v))).max() < 1e-12
         # and it inverts the forward transform
         assert np.abs(dft(dft(v), inverse=True) - v).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 31, 64, 4099])
+    def test_real_input_through_rfft(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        out = dft(v)
+        assert out.shape == (n,) and out.dtype == complex
+        assert np.abs(out - reference_transform(v)).max() < 1e-9
+        assert np.abs(out - dft(v.astype(complex))).max() < 1e-14
+        # out(n - y) == conj(out(y)) bit for bit, y = 1..n-1
+        assert (out[1:][::-1] == np.conj(out[1:])).all()
+
+    @pytest.mark.parametrize("alg", [Algorithm.AMPLIFIED, Algorithm.QFT])
+    def test_real_register_tables_at_4099(self, alg):
+        spec = build_oracle(4099, 3, 64, 2)
+        sim = simulated_table(spec, alg)
+        closed = closed_form_table(spec, alg)
+        assert np.abs(sim.pr - closed.pr).max() < spec.n * np.finfo(float).eps
 
     def test_amplified_spectrum_matches_closed_form(self):
         state = np.where(marked_mask(SPEC163), 9 / 16, 1 / 16).astype(complex)
@@ -321,3 +367,27 @@ def test_tables_normalized_past_2e16(alg, monkeypatch):
     null = sim.codes == CODE_NULL
     assert (sim.pr[null] == 0).all() and (closed.pr[null] == 0).all()
     assert (sim.pr[~null] > 0).all() and sim.pr[~null].min() < 1e-12
+
+
+def test_amplified_register_at_2e20(monkeypatch):
+    # O(m) rounds make the whole k = 402 schedule at 2^20 affordable here.
+    monkeypatch.setenv("LPQ_SOFT_N_LIMIT", str(1 << 20))
+    spec = build_oracle(1 << 20, 4, 700, 123)
+    sched = grover_schedule(spec.n, spec.m)
+    rounds = []
+    iterate = lpq.simulator.grover_iterate
+
+    def counting(register, spec):
+        rounds.append(spec)
+        return iterate(register, spec)
+
+    monkeypatch.setattr(lpq.simulator, "grover_iterate", counting)
+    register = general_unitary_state(spec, lambda v: v, amplified=True)
+    assert len(rounds) == sched.k == 402
+    expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
+    assert np.abs(register - expected).max() < 1e-12
+    del register, expected
+    sim = simulated_table(spec, Algorithm.AMPLIFIED)
+    assert len(rounds) == 2 * 402
+    closed = closed_form_table(spec, Algorithm.AMPLIFIED)
+    assert np.abs(sim.pr - closed.pr).max() < spec.n * np.finfo(float).eps

@@ -45,14 +45,12 @@ from .offset import (
     CountingContract,
     OffsetSearchResult,
     amplified_measure_member,
-    exhaust_offsets,
     find_offset_counting,
     find_offset_decreasing,
-    g_function,
-    test_pair,
+    g_ladder,
     test_period_known_s,
 )
-from .oracle import OracleHandle, OracleSpec, build_oracle, evaluate, members
+from .oracle import OracleHandle, OracleSpec, build_oracle
 from .recovery import (
     ContinuedFraction,
     Convergent,

@@ -1,12 +1,12 @@
 """Finding the offset once a period candidate is in hand.
 
-Three-probe verification: if f(s1) = 1, f(s1 + p1) = 1 and
+Three-probe verification: if p1 >= 1 and f(s1) = 1, f(s1 + p1) = 1 and
 f(s1 + (m-1)*p1) = 1 then (s1, p1) is the true pair — any smaller p1 misses
 the member next to s, any larger one (or any wrong s1) runs past the top of
-the marked set.  Probes outside 0..n-1 evaluate to 0 rather than erroring,
-which makes the tests total.  For m = 1 the pair test is vacuous (there is
-no second member to probe), so the search procedures return the single
-member directly in that case.
+the marked set; p1 < 1 is rejected unqueried.  Probes outside 0..n-1
+evaluate to 0 rather than erroring, which makes the tests total.  For m = 1
+the pair test is vacuous (there is no second member to probe), so the
+search procedures return the single member directly in that case.
 
 Two seeded searches recover the offset from a measured member x1 = s + r*p:
 
@@ -21,14 +21,16 @@ Two seeded searches recover the offset from a measured member x1 = s + r*p:
   a member strictly below the current one, and repeat; the walk halves the
   remaining multiplier on average, so it ends at s after O(log2 m) rounds.
 
-Each search owns its local state; concurrent searches are safe because the
-oracle itself is pure.
+Both searches raise ValidationError for p < 1 before any query.  They
+build the ladder (``g_ladder``) only after x1 - p probed marked, so every
+rung lies in 0..x1 - p and costs one plain oracle call, as charged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -47,22 +49,11 @@ def _probe(handle: OracleHandle, x: int) -> int:
 
 
 def test_period_known_s(handle: OracleHandle, s: int, p1: int, m: int) -> bool:
-    """Three probes decide whether p1 is the true period for known offset s."""
+    """Three probes decide whether (s, p1) is the true pair; p1 < 1 costs none."""
+    if p1 < 1:
+        return False
     probes = (_probe(handle, s), _probe(handle, s + p1), _probe(handle, s + (m - 1) * p1))
     return all(b == 1 for b in probes)
-
-
-def test_pair(handle: OracleHandle, s1: int, p1: int, m: int) -> bool:
-    """Three probes decide whether (s1, p1) is the true (offset, period)."""
-    return test_period_known_s(handle, s1, p1, m)
-
-
-def exhaust_offsets(handle: OracleHandle, candidate_offsets, p1: int, m: int):
-    """First candidate offset passing the pair test, or None (p1 is wrong)."""
-    for s1 in candidate_offsets:
-        if test_pair(handle, s1, p1, m):
-            return s1, p1
-    return None
 
 
 def amplified_measure_member(handle: OracleHandle, seed) -> int:
@@ -103,9 +94,13 @@ def _unmarked_label(spec: OracleSpec, i: int) -> int:
     return spec.s + (spec.m - 1) * spec.p + 1 + (i - gaps)
 
 
-def g_function(x: int, x1: int, p: int) -> int:
-    """Probe ladder g(x) = max(0, x1 - (x+1)*p); non-increasing in x."""
-    return max(0, x1 - (x + 1) * p)
+def g_ladder(x1: int, p: int, t: int) -> list[int]:
+    """The probe ladder [g(0), ..., g(t-1)], g(x) = max(0, x1 - (x+1)*p).
+
+    Needs p >= 1.  The positive rungs step down by p; the rest are 0.
+    """
+    rungs = list(range(x1 - p, max(x1 - (t + 1) * p, 0), -p))
+    return rungs + [0] * (t - len(rungs))
 
 
 def _pow2_at_least(m: int) -> int:
@@ -158,12 +153,17 @@ class OffsetSearchResult:
         }
 
 
+def _check_period(p: int) -> None:
+    if p < 1:
+        raise ValidationError(f"period candidate must be >= 1, got {p}")
+
+
 def _measure_starting_member(handle, rng, x_start):
     if x_start is not None:
         return x_start
     for _ in range(_MEASURE_RETRIES):
         x1 = amplified_measure_member(handle, rng)
-        if _probe(handle, x1) == 1:
+        if handle(x1) == 1:
             return x1
     raise NonTermination(f"no member measured in {_MEASURE_RETRIES} amplified attempts")
 
@@ -175,8 +175,9 @@ def find_offset_counting(
 
     Raises VerificationFailed when the pair test rejects the candidate,
     which happens exactly when p is wrong or the counter lied; the caller
-    should rerun period finding.
+    should rerun period finding.  Raises ValidationError for p < 1.
     """
+    _check_period(p)
     rng = np.random.default_rng(seed)
     queries_before = handle.query_count
     x1 = _measure_starting_member(handle, rng, x_start)
@@ -187,17 +188,17 @@ def find_offset_counting(
         return result
     if _probe(handle, x1 - p) == 0:
         # Either the multiplier is already zero or p is wrong.
-        if test_pair(handle, x1, p, m):
+        if test_period_known_s(handle, x1, p, m):
             result.oracle_queries = handle.query_count - queries_before
             return result
         raise VerificationFailed(f"pair (s={x1}, p={p}) rejected by probes")
     t = _pow2_at_least(m)
-    true_count = sum(_probe(handle, g_function(x, x1, p)) for x in range(t))
+    true_count = sum(map(handle, g_ladder(x1, p, t)))
     contract = _idealized_count(true_count, t, rng)
     candidate = x1 - contract.reported * p
     result.counting_cost = contract.cost
     result.iterations = 1
-    if not test_pair(handle, candidate, p, m):
+    if not test_period_known_s(handle, candidate, p, m):
         raise VerificationFailed(
             f"pair (s={candidate}, p={p}) rejected by probes (count={contract.reported})"
         )
@@ -212,9 +213,10 @@ def find_offset_decreasing(
 ) -> OffsetSearchResult:
     """Offset via a strictly decreasing walk of amplified measurements.
 
-    Raises VerificationFailed when p is wrong and NonTermination if the
-    walk exceeds its iteration guard.
+    Raises VerificationFailed when p is wrong, NonTermination if the
+    walk exceeds its iteration guard, and ValidationError for p < 1.
     """
+    _check_period(p)
     rng = np.random.default_rng(seed)
     queries_before = handle.query_count
     x = _measure_starting_member(handle, rng, x_start)
@@ -226,7 +228,7 @@ def find_offset_decreasing(
     t = _pow2_at_least(m)
     while True:
         if _probe(handle, x - p) == 0:
-            if test_pair(handle, x, p, m):
+            if test_period_known_s(handle, x, p, m):
                 result.offset = x
                 result.oracle_queries = handle.query_count - queries_before
                 return result
@@ -234,22 +236,17 @@ def find_offset_decreasing(
         if result.iterations >= max_rounds:
             raise NonTermination(f"offset walk exceeded {max_rounds} rounds")
         # Mark the probe ladder below x and amplify over the t-point register.
-        g_vals = [g_function(i, x, p) for i in range(t)]
-        marked = [_probe(handle, g) == 1 for g in g_vals]
-        good = sum(marked)
+        ladder = g_ladder(x, p, t)
+        marked = list(map(handle, ladder))
+        good = sum(marked)  # >= 1: the top rung x - p probed marked
         schedule = grover_schedule(t, good)
         for _ in range(_MEASURE_RETRIES):
             if rng.random() < good * schedule.a_k**2:
-                pick = int(rng.integers(good))
-                idx = [i for i, hit in enumerate(marked) if hit][pick]
-            else:
-                idx = None  # landed off the marked image; retry the round
-            if idx is not None:
-                break
+                break  # landed on the marked image; else retry the round
         else:
             raise NonTermination(f"{_MEASURE_RETRIES} off-image measurements in a row")
-        x_new = g_vals[idx]
-        _probe(handle, x_new)  # membership confirmation probe
+        x_new = list(compress(ladder, marked))[int(rng.integers(good))]
+        handle(x_new)  # membership confirmation probe
         result.history.append(x_new)
         result.iterations += 1
         x = x_new

@@ -2,13 +2,15 @@
 
 An instance over the labels {0..n-1} marks the m labels
 {s, s+p, ..., s+(m-1)p}; the oracle is the indicator of that set, wrapped
-behind a query counter so search procedures can report their cost.
+behind a query counter so search procedures can report their cost.  One
+query is exactly one ``OracleHandle.__call__``: a range check, a bump of
+the tally (no lock; nothing in lpq queries concurrently) and an inline
+arithmetic membership test.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -42,12 +44,6 @@ class OracleSpec:
         """The marked labels, ascending."""
         return [self.s + r * self.p for r in range(self.m)]
 
-    def contains(self, x: int) -> bool:
-        if x < self.s:
-            return False
-        r, rem = divmod(x - self.s, self.p)
-        return rem == 0 and r < self.m
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "m": self.m, "p": self.p, "s": self.s})
 
@@ -80,24 +76,22 @@ def build_oracle(n: int, m: int, p: int, s: int, strict: bool = True) -> OracleS
     return OracleSpec(n, m, p, s)
 
 
-def members(spec: OracleSpec) -> list[int]:
-    return spec.members()
-
-
 class OracleHandle:
-    """The oracle as a callable with an atomic query tally.
+    """The oracle as a callable with a query tally.
 
     ``handle(x)`` returns 1 iff x is marked, and bumps ``query_count``.
-    The membership test itself is pure; only the counter mutates, under a
-    lock so concurrent searches keep an exact tally.
+    A spec handle tests x - s against the stored period and span; a
+    ``from_members`` handle looks x up in its frozenset.
     """
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
         self._n = spec.n
-        self._contains = spec.contains
+        self._s = spec.s
+        self._p = spec.p
+        self._span = (spec.m - 1) * spec.p
+        self._marked = None
         self._count = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_members(cls, n: int, labels) -> "OracleHandle":
@@ -114,9 +108,8 @@ class OracleHandle:
         handle = cls.__new__(cls)
         handle.spec = None
         handle._n = n
-        handle._contains = marked.__contains__
+        handle._marked = marked
         handle._count = 0
-        handle._lock = threading.Lock()
         return handle
 
     @property
@@ -128,12 +121,10 @@ class OracleHandle:
         return self._count
 
     def __call__(self, x: int) -> int:
-        if not 0 <= x <= self._n - 1:
+        if not 0 <= x < self._n:
             raise LabelOutOfRange(f"label {x} outside 0..{self._n - 1}")
-        with self._lock:
-            self._count += 1
-        return 1 if self._contains(x) else 0
-
-
-def evaluate(handle: OracleHandle, x: int) -> int:
-    return handle(x)
+        self._count += 1
+        if self._marked is not None:
+            return 1 if x in self._marked else 0
+        d = x - self._s
+        return 1 if 0 <= d <= self._span and d % self._p == 0 else 0

@@ -126,6 +126,19 @@ class TestFindOffset:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("method,period,seed", [("counting", 0, 1), ("decreasing", -4, 3)])
+    def test_period_below_one_is_validation_error(self, method, period, seed, capsys):
+        # three probes at p = 0 all land on the measured member, which
+        # used to "verify" it as the offset
+        code = main(
+            ["find-offset", "--n", "64", "--m", "3", "--p", "4", "--s", "1",
+             "--period", str(period), "--method", method, "--seed", str(seed)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: period candidate must be >= 1, got {period}\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_verification_failure_in_format(self, fmt, capsys):
         # the counting search draws an adversarial count at this seed
@@ -406,6 +419,13 @@ class TestBulkSerializer:
 
 
 class TestParser:
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-m", "lpq", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "find-offset" in done.stdout
+
     def test_not_built_at_import(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         probe = "import lpq.cli as c; print(c._build_parser.cache_info().currsize)"

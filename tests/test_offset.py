@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ from lpq import (
     VerificationFailed,
     amplified_measure_member,
     build_oracle,
-    exhaust_offsets,
     find_offset_counting,
     find_offset_decreasing,
-    g_function,
+    g_ladder,
     grover_schedule,
 )
-from lpq import test_pair as pair_probe
 from lpq import test_period_known_s as period_probe
 from lpq.offset import _unmarked_label
 from lpq.oracle import OracleSpec
@@ -50,31 +49,45 @@ class TestPeriodProbes:
             for p1 in range(1, n + 1):
                 assert period_probe(h, s, p1, m) == (p1 == p)
 
+    @pytest.mark.parametrize("p1", [0, -4])
+    def test_below_one_rejected_without_query(self, p1):
+        # at p1 = 0 all three probes would land on the member s
+        h = handle163()
+        assert not period_probe(h, 1, p1, 3)
+        assert h.query_count == 0
+
 
 class TestPairProbes:
     def test_true_pair(self):
-        assert pair_probe(handle163(), 1, 4, 3)
+        assert period_probe(handle163(), 1, 4, 3)
 
     def test_offset_too_small(self):
-        assert not pair_probe(handle163(), 0, 4, 3)
+        assert not period_probe(handle163(), 0, 4, 3)
 
     def test_offset_shifted_by_period(self):
         # s1 = s + p pushes the last probe past the top of the marked set
-        assert not pair_probe(handle163(), 5, 4, 3)
+        assert not period_probe(handle163(), 5, 4, 3)
 
     def test_out_of_range_probe_is_zero_not_error(self):
-        assert not pair_probe(handle163(), 14, 4, 3)
+        assert not period_probe(handle163(), 14, 4, 3)
+
+
+def _passing_offsets(handle, candidates, p1, m):
+    return [s1 for s1 in candidates if period_probe(handle, s1, p1, m)]
 
 
 class TestExhaustOffsets:
+    """Scanning candidate offsets: the pair test passes only the true pair."""
+
     def test_finds_true_pair(self):
-        assert exhaust_offsets(handle163(), range(4), 4, 3) == (1, 4)
+        assert _passing_offsets(handle163(), range(16), 4, 3) == [1]
 
     def test_true_offset_missing(self):
-        assert exhaust_offsets(handle163(), [2, 3], 4, 3) is None
+        assert _passing_offsets(handle163(), [0, 2, 3, 5, 9], 4, 3) == []
 
     def test_wrong_period(self):
-        assert exhaust_offsets(handle163(), range(16), 3, 3) is None
+        for p1 in (-1, 0, 1, 2, 3, 5, 8):
+            assert _passing_offsets(handle163(), range(16), p1, 3) == []
 
 
 class TestAmplifiedMeasurement:
@@ -105,7 +118,8 @@ class TestAmplifiedMeasurement:
                 for m in range(1, (n - 1) // p + 2):
                     for s in range(n - (m - 1) * p):
                         spec = OracleSpec(n, m, p, s)
-                        unmarked = [x for x in range(n) if not spec.contains(x)]
+                        marked = set(spec.members())
+                        unmarked = [x for x in range(n) if x not in marked]
                         got = [_unmarked_label(spec, i) for i in range(n - m)]
                         assert got == unmarked, spec
 
@@ -115,7 +129,7 @@ class TestAmplifiedMeasurement:
         spec = build_oracle(16, 8, 2, 1)
         h = OracleHandle(spec)
         good = spec.m * grover_schedule(spec.n, spec.m).a_k ** 2
-        unmarked = [x for x in range(spec.n) if not spec.contains(x)]
+        unmarked = sorted(set(range(spec.n)) - set(spec.members()))
         off = 0
         for seed in range(400):
             rng = np.random.default_rng(seed)
@@ -129,15 +143,29 @@ class TestAmplifiedMeasurement:
 
 
 class TestGFunction:
+    """``g_ladder(x1, p, t)`` lists g(x) = max(0, x1 - (x+1)*p), x < t."""
+
     def test_ladder_from_9(self):
-        assert [g_function(x, 9, 4) for x in range(3)] == [5, 1, 0]
+        assert g_ladder(9, 4, 3) == [5, 1, 0]
 
     def test_below_period_clamps(self):
-        assert all(g_function(x, 3, 4) == 0 for x in range(5))
+        assert g_ladder(3, 4, 5) == [0] * 5
 
     def test_monotone(self):
-        for x in range(20):
-            assert g_function(x + 1, 57, 5) <= g_function(x, 57, 5)
+        ladder = g_ladder(57, 5, 20)
+        assert all(b <= a for a, b in zip(ladder, ladder[1:]))
+
+    def test_matches_formula(self):
+        rng = random.Random(1234)
+        cases = [(0, 1, 1), (3, 4, 5), (4, 4, 3), (8, 4, 1), (8, 4, 4), (100, 1, 128)]
+        cases += [(rng.randrange(0, 5000), rng.randrange(1, 300), rng.randrange(1, 70)) for _ in range(500)]
+        zero_tails = below_period = 0
+        for x1, p, t in cases:
+            expected = [max(0, x1 - (x + 1) * p) for x in range(t)]
+            assert g_ladder(x1, p, t) == expected, (x1, p, t)
+            zero_tails += expected[-1] == 0
+            below_period += x1 < p
+        assert zero_tails > 100 and below_period > 10
 
 
 def _lying_counter_seed():
@@ -187,6 +215,16 @@ class TestCountingSearch:
             find_offset_counting(h, 8, 8, seed=_honest_counter_seed(), x_start=3 + 7 * 4)
 
 
+class _PinnedGenerator(np.random.Generator):
+    """Every measurement lands on the marked image, on its first member."""
+
+    def random(self, *args, **kwargs):
+        return 0.0
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+
 class TestDecreasingSearch:
     @pytest.mark.parametrize("start_r", [1, 2])
     def test_recovers_from_any_member(self, start_r):
@@ -223,9 +261,85 @@ class TestDecreasingSearch:
             assert result.oracle_queries <= (result.iterations + 1) * (t + 3) + 16
 
     def test_iteration_guard_on_degenerate_candidate(self):
-        # a zero period candidate pins the walk in place; the guard fires
-        with pytest.raises(NonTermination):
-            find_offset_decreasing(handle163(), 0, 3, seed=0, x_start=9)
+        # a measurement pinned to the top rung steps down by one period per
+        # round: 1023 steps from 2046 outrun the 64 * 11 = 704 round guard
+        spec = build_oracle(4096, 1024, 2, 0)
+        h = OracleHandle(spec)
+        with pytest.raises(NonTermination, match="704 rounds"):
+            find_offset_decreasing(h, 2, 1024, _PinnedGenerator(np.random.PCG64(0)), x_start=2046)
+        # per round: the x - p probe, 1024 rungs and a confirmation probe
+        assert h.query_count == 704 * (1 + 1024 + 1) + 1
+
+
+class TestPeriodBelowOne:
+    """The three-probe argument needs p >= 1; smaller candidates are typed
+    errors before any query."""
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    @pytest.mark.parametrize("p", [0, -4])
+    @pytest.mark.parametrize("x_start", [None, 9])
+    def test_raises_before_any_query(self, search, p, x_start):
+        h = OracleHandle(build_oracle(64, 3, 4, 1))
+        with pytest.raises(ValidationError, match="period candidate"):
+            search(h, p, 3, 1, x_start=x_start)
+        assert h.query_count == 0
+
+
+class _CallCounter:
+    """Counts ``OracleHandle.__call__`` from outside, as the benchmark does."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = OracleHandle.__call__
+
+        def counted(handle, x):
+            self.calls += 1
+            return original(handle, x)
+
+        monkeypatch.setattr(OracleHandle, "__call__", counted)
+
+
+class TestQueryReconcile:
+    """Each charged query is one ``__call__``: wrapped calls, the reported
+    ``oracle_queries`` and the ``query_count`` delta agree."""
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    @pytest.mark.parametrize(
+        "spec,x_start",
+        [
+            (build_oracle(1024, 32, 16, 100), None),
+            (build_oracle(1024, 32, 16, 100), 100 + 31 * 16),
+            (build_oracle(1024, 32, 16, 100), 100),
+            (build_oracle(4096, 1, 1, 77), None),
+            (build_oracle(4096, 5, 64, 0), None),
+            (build_oracle(256, 16, 1, 0, strict=False), 15),
+        ],
+    )
+    def test_calls_match_reported(self, monkeypatch, search, spec, x_start):
+        counter = _CallCounter(monkeypatch)
+        h = OracleHandle(spec)
+        for seed in range(8):
+            before_calls, before_count = counter.calls, h.query_count
+            try:
+                result = search(h, spec.p, spec.m, seed, x_start=x_start)
+            except VerificationFailed:
+                # the counting search's counter lies with probability 1/3
+                assert search is find_offset_counting
+            else:
+                assert result.offset == spec.s
+                assert result.oracle_queries == counter.calls - before_calls
+            assert counter.calls - before_calls == h.query_count - before_count > 0
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    @pytest.mark.parametrize("period", [1, 15, 17, 32, 48])
+    def test_wrong_period(self, monkeypatch, search, period):
+        counter = _CallCounter(monkeypatch)
+        h = OracleHandle(build_oracle(1024, 32, 16, 100))
+        for seed in range(4):
+            before_calls, before_count = counter.calls, h.query_count
+            with pytest.raises(VerificationFailed):
+                search(h, period, 32, seed)
+            assert counter.calls - before_calls == h.query_count - before_count > 0
 
 
 class TestSpeclessHandle:

@@ -7,7 +7,6 @@ from .analysis import (
     GeometricStats,
     WorkfactorReport,
     expected_trials,
-    general_unitary_ratio,
     geometric_stats,
     monte_carlo_trials,
     pipeline_success_probability,
@@ -34,7 +33,6 @@ from .errors import (
     LpqError,
     MarkedSetTooLarge,
     NonTermination,
-    NotUnitary,
     OverflowsLabelSpace,
     PeriodTooLarge,
     ValidationError,
@@ -71,16 +69,10 @@ from .recovery import (
 from .simulator import (
     GroverRegister,
     GroverSchedule,
-    amplified_qft_state,
     dft,
-    general_unitary_state,
     grover_iterate,
     grover_schedule,
     marked_mask,
-    qft_state,
-    qhs_distribution,
-    qhs_state,
-    sample,
     simulated_table,
     soft_n_limit,
     uniform_state,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import RatioBounds, case_probabilities, closed_form_table, ratio_bounds
+from .closedform import case_probabilities, closed_form_table
 from .errors import BoundViolated, InvalidProbability, NonTermination
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
@@ -222,21 +222,6 @@ def monte_carlo_trials(
     variance = float(counts.var(ddof=1)) if runs > 1 else 0.0
     half = 1.96 * math.sqrt(variance / runs) if runs > 1 else 0.0
     return EmpiricalTrials(runs, mean, variance, (mean - half, mean + half), counts)
-
-
-def general_unitary_ratio(n: int, m: int) -> tuple[RatioBounds, float]:
-    """Amplified/plain amplitude ratio under any norm-killing transform.
-
-    At any frequency where the transform sums to zero over all labels but
-    not over the marked ones, amplified and plain amplitudes differ by the
-    constant (n / (-2m)) * tan(theta) * sin(2k theta), independent of the
-    transform and of the frequency; its square obeys the usual bounds.
-    """
-    schedule = grover_schedule(n, m)
-    amp_ratio = (n / (-2.0 * m)) * math.tan(schedule.theta) * math.sin(
-        2 * schedule.k * schedule.theta
-    )
-    return ratio_bounds(n, m, Algorithm.QFT), amp_ratio
 
 
 def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):

@@ -37,10 +37,6 @@ class ZeroDenominator(ValidationError):
     """Continued fraction of x/0 requested."""
 
 
-class NotUnitary(ValidationError):
-    """Supplied transform fails the norm-preservation spot check."""
-
-
 class InvalidProbability(ValidationError):
     """Probability outside (0, 1]."""
 

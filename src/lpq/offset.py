@@ -21,9 +21,11 @@ Two seeded searches recover the offset from a measured member x1 = s + r*p:
   a member strictly below the current one, and repeat; the walk halves the
   remaining multiplier on average, so it ends at s after O(log2 m) rounds.
 
-Both searches raise ValidationError for p < 1 before any query.  They
-build the ladder (``g_ladder``) only after x1 - p probed marked, so every
-rung lies in 0..x1 - p and costs one plain oracle call, as charged.
+Both searches raise ValidationError for p < 1 before any query, and for
+an ``x_start`` that one charged probe finds unmarked (LabelOutOfRange,
+uncharged, outside 0..n-1).  They build the ladder (``g_ladder``) only
+after x1 - p probed marked, so every rung lies in 0..x1 - p and costs one
+plain oracle call, as charged.
 """
 
 from __future__ import annotations
@@ -160,6 +162,8 @@ def _check_period(p: int) -> None:
 
 def _measure_starting_member(handle, rng, x_start):
     if x_start is not None:
+        if handle(x_start) != 1:
+            raise ValidationError(f"x_start={x_start} is not a marked label")
         return x_start
     for _ in range(_MEASURE_RETRIES):
         x1 = amplified_measure_member(handle, rng)
@@ -175,7 +179,8 @@ def find_offset_counting(
 
     Raises VerificationFailed when the pair test rejects the candidate,
     which happens exactly when p is wrong or the counter lied; the caller
-    should rerun period finding.  Raises ValidationError for p < 1.
+    should rerun period finding.  Raises ValidationError for p < 1 or an
+    x_start that is not a member.
     """
     _check_period(p)
     rng = np.random.default_rng(seed)
@@ -214,7 +219,8 @@ def find_offset_decreasing(
     """Offset via a strictly decreasing walk of amplified measurements.
 
     Raises VerificationFailed when p is wrong, NonTermination if the
-    walk exceeds its iteration guard, and ValidationError for p < 1.
+    walk exceeds its iteration guard, and ValidationError for p < 1 or an
+    x_start that is not a member.
     """
     _check_period(p)
     rng = np.random.default_rng(seed)

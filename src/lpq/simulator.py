@@ -1,18 +1,22 @@
 """Exact statevector simulation of the three measurement pipelines.
 
-Everything lives in C^n for an arbitrary integer n >= 1 (no power-of-two
-restriction): labels are ring elements and the Fourier step is the order-n
-transform with kernel omega = exp(-2*pi*i/n),
+Labels are 0..n-1 for any integer n >= 1 (no power-of-two restriction),
+and the Fourier step is the order-n transform with kernel
+omega = exp(-2*pi*i/n),
 
     out(y) = n**-0.5 * sum_z omega**(z*y) * in(z).
 
-numpy's FFT computes that sum exactly for any n; ``dft(method="direct")``
-keeps the O(n^2) direct-summation reference path available, and the test
-suite holds the fast path to it within 1e-9.
-
-Registers before the transform are real float64 ndarrays: the uniform
-state, the oracle's sign flips and the reflection about the mean all keep
-amplitudes real, so only ``dft`` produces complex arrays.
+Each pipeline builds one real float64 register and transforms it once:
+amplified, the uniform state after k amplification rounds; qft, the
+oracle's phase kickback on the uniform state (-1/sqrt(n) on marked labels,
+1/sqrt(n) elsewhere); qhs, the marked column of the two-register state,
+mask / sqrt(n).  Sign flips and reflections about the mean keep amplitudes
+real, so ``dft`` returns only the half spectrum y = 0..n//2 (numpy's
+``rfft``, exact for any n); out(n - y) = conj(out(y)), so the table is the
+squared half, mirrored.  The tests hold ``dft`` to a direct summation.
+For qhs the unmarked column is delta(y) minus the marked one h(y), since
+the all-ones vector transforms to n at y = 0 and to 0 elsewhere: the
+probability is 2|h(y)|^2 off y = 0, and h0^2 + (1 - h0)^2 at y = 0.
 
 The amplification rounds run on a :class:`GroverRegister`, which holds the
 amplitudes as ``sign * base + shift`` with a running ``total = base.sum()``.
@@ -33,11 +37,10 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInstance, NotUnitary, ValidationError
+from .errors import DegenerateInstance, ValidationError
 from .oracle import OracleSpec
 from .spectrum import Algorithm, ProbabilityTable, case_codes, make_table
 
@@ -154,37 +157,17 @@ def grover_iterate(register: GroverRegister, spec: OracleSpec) -> GroverRegister
     return register
 
 
-def dft(state: np.ndarray, inverse: bool = False, method: str = "fft") -> np.ndarray:
-    """Order-n transform with kernel exp(-2*pi*i*z*y/n) (conjugated when
-    ``inverse``); norm preserving.
+def dft(register: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real register: out(y) for y = 0..n//2.
 
-    The forward fast path takes real input through ``np.fft.rfft``, which
-    gives y = 0..n//2, and mirrors the rest: out(n - y) = conj(out(y)).
-    The full length-n spectrum is returned either way.
+    out(y) = n**-0.5 * sum_z omega**(z*y) * register(z), through
+    ``np.fft.rfft``; the rest of the spectrum is out(n - y) = conj(out(y)).
     """
-    state = np.asarray(state)
-    n = state.shape[-1]
-    if method == "fft" and not inverse and not np.iscomplexobj(state):
-        half = np.fft.rfft(state)
-        half /= math.sqrt(n)
-        out = np.empty(state.shape[:-1] + (n,), dtype=complex)
-        h = half.shape[-1]
-        out[..., :h] = half
-        np.conjugate(half[..., n - h : 0 : -1], out=out[..., h:])
-        return out
-    state = state.astype(complex, copy=False)
-    if method == "fft":
-        out = np.fft.ifft(state) * n if inverse else np.fft.fft(state)
-        return out / math.sqrt(n)
-    if method != "direct":
-        raise ValidationError(f"unknown dft method {method!r}")
-    sign = 2j if inverse else -2j
-    out = np.empty(n, dtype=complex)
-    z = np.arange(n)
-    for start in range(0, n, 512):  # bound the twiddle block to ~4 MB
-        y = np.arange(start, min(start + 512, n))
-        out[y] = np.exp(sign * np.pi / n * np.outer(y, z)) @ state
-    return out / math.sqrt(n)
+    if np.iscomplexobj(register):
+        raise ValidationError("dft takes a real register")
+    half = np.fft.rfft(register)
+    half /= math.sqrt(register.shape[-1])
+    return half
 
 
 def _amplified_register(spec: OracleSpec, iterations: int | None = None) -> np.ndarray:
@@ -194,102 +177,37 @@ def _amplified_register(spec: OracleSpec, iterations: int | None = None) -> np.n
     return register.amplitudes()
 
 
-def amplified_qft_state(spec: OracleSpec, iterations: int | None = None) -> np.ndarray:
-    """k amplification rounds on the uniform state, then the transform."""
-    return dft(_amplified_register(spec, iterations))
-
-
-def _kicked_register(spec: OracleSpec) -> np.ndarray:
-    # Single oracle application via phase kickback: amplitude (1-2)/sqrt(n)
-    # on marked labels, 1/sqrt(n) elsewhere (the ancilla is dropped).
-    return np.where(marked_mask(spec), -1.0, 1.0) / math.sqrt(spec.n)
-
-
-def qft_state(spec: OracleSpec) -> np.ndarray:
-    """Oracle phase kickback on the uniform state, then the transform."""
-    _check_desk_scale(spec.n)
-    return dft(_kicked_register(spec))
-
-
-def qhs_state(spec: OracleSpec) -> np.ndarray:
-    """Two-register pipeline: amplitudes as an (n, 2) array.
-
-    Column b holds, for each frequency y, (1/n) * sum over labels x with
-    oracle value b of omega**(x*y).
-    """
-    _check_desk_scale(spec.n)
-    n = spec.n
-    # Columns are stored as the rows of a (2, n) array, so the FFT runs in
-    # place on a contiguous row and allocates no n-sized temporaries.
-    out = np.empty((2, n), dtype=complex)
-    f = out[1]
-    f[:] = marked_mask(spec)
-    np.fft.fft(f, out=f)
-    # The unmarked indicator is 1 - mask, and the all-ones vector transforms
-    # to n at y = 0 and to 0 elsewhere, so one FFT gives both columns.
-    np.divide(f, -n, out=out[0])
-    np.subtract(f[:1], n, out=out[0, :1])
-    np.divide(out[0, :1], -n, out=out[0, :1])
-    np.divide(f, n, out=f)
-    return out.T
-
-
-def qhs_distribution(spec: OracleSpec) -> ProbabilityTable:
-    """Measurement distribution of the first register: the squared norms of
-    the two-register columns, summed per frequency."""
-    state = qhs_state(spec)
-    pr = np.abs(state[:, 0]) ** 2 + np.abs(state[:, 1]) ** 2
-    del state  # 32 bytes a frequency: free it before the table is built
-    return make_table(spec.n, pr, case_codes(spec.n, spec.m, spec.p), "simulated")
-
-
-def _as_transform(transform) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(transform):
-        return transform
-    matrix = np.asarray(transform, dtype=complex)
-    return lambda v: matrix @ v
-
-
-def _spot_check_unitary(apply_u: Callable, n: int, tol: float = 1e-8) -> None:
-    rng = np.random.default_rng(0x5EED)
-    for _ in range(3):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        if abs(np.linalg.norm(apply_u(v)) - 1.0) > tol:
-            raise NotUnitary("transform does not preserve norm on probe vectors")
-
-
-def general_unitary_state(
-    spec: OracleSpec,
-    transform,
-    amplified: bool = True,
-    iterations: int | None = None,
-) -> np.ndarray:
-    """Run either pipeline with the final transform replaced by ``transform``
-    (an (n, n) matrix or a callable on state vectors)."""
-    apply_u = _as_transform(transform)
-    _spot_check_unitary(apply_u, spec.n)
-    register = _amplified_register(spec, iterations) if amplified else _kicked_register(spec)
-    return apply_u(register)
-
-
 def simulated_table(
     spec: OracleSpec, algorithm: Algorithm, iterations: int | None = None
 ) -> ProbabilityTable:
-    """Brute-force measurement distribution for one pipeline."""
+    """Brute-force measurement distribution for one pipeline: build its real
+    register, transform it once, and square the half spectrum."""
     algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.QHS:
-        return qhs_distribution(spec)
+    n = spec.n
     if algorithm is Algorithm.AMPLIFIED:
-        state = amplified_qft_state(spec, iterations)
+        register = _amplified_register(spec, iterations)
     else:
-        state = qft_state(spec)
-    pr = np.abs(state) ** 2
-    return make_table(spec.n, pr, case_codes(spec.n, spec.m, spec.p), "simulated")
-
-
-def sample(table: ProbabilityTable, seed) -> int:
-    """One frequency drawn from the table; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(table.pr)
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        _check_desk_scale(n)
+        mask = marked_mask(spec)
+        if algorithm is Algorithm.QFT:
+            # One oracle application by phase kickback: amplitude (1-2)/sqrt(n)
+            # on marked labels, 1/sqrt(n) elsewhere (the ancilla is dropped).
+            register = np.where(mask, -1.0, 1.0) / math.sqrt(n)
+        else:
+            # The marked column of the two-register state (1/sqrt(n)) sum_x |x>|f(x)>.
+            register = mask / math.sqrt(n)
+    half = dft(register)
+    del register  # free each n-sized array before the next one is allocated
+    h = half.size
+    h0 = half[0].real
+    pr = np.empty(n)
+    np.abs(half, out=pr[:h])
+    del half
+    pr[:h] **= 2
+    if algorithm is Algorithm.QHS:
+        # The unmarked column is delta(y) - (marked column): the same modulus
+        # off y = 0, and 1 - h0 at y = 0.
+        pr[1:h] *= 2.0
+        pr[0] += (1.0 - h0) ** 2
+    pr[h:] = pr[n - h : 0 : -1]
+    return make_table(n, pr, case_codes(n, spec.m, spec.p), "simulated")

@@ -17,6 +17,7 @@ is large, and zeroing it would break normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -61,15 +62,15 @@ def classify(y: int, spec: "OracleSpec") -> SpectrumCase:
 
 
 def case_codes(n: int, m: int, p: int) -> np.ndarray:
-    """Vectorized classification: int8 codes for every y in 0..n-1."""
-    py = np.arange(n, dtype=np.int64)
-    py *= p
-    py %= n
-    mpy = py * m  # m*p*y = m*(p*y mod n) (mod n)
-    mpy %= n
+    """Vectorized classification: int8 codes for every y in 0..n-1.
+
+    p*y == 0 (mod n) iff n/gcd(n, p) divides y, and m*p*y == 0 (mod n) iff
+    n/gcd(n, m*p) divides y; the first stride is a multiple of the second,
+    so two strided writes over a generic fill mark every case.
+    """
     codes = np.full(n, CODE_GENERIC, dtype=np.int8)
-    codes[(py != 0) & (mpy == 0)] = CODE_NULL
-    codes[py == 0] = CODE_RESONANT
+    codes[:: n // math.gcd(n, m * p)] = CODE_NULL
+    codes[:: n // math.gcd(n, p)] = CODE_RESONANT
     codes[0] = CODE_ZERO
     return codes
 

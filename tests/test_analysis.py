@@ -11,18 +11,19 @@ from lpq import (
     OracleHandle,
     build_oracle,
     expected_trials,
-    general_unitary_ratio,
-    general_unitary_state,
     geometric_stats,
     grover_schedule,
+    marked_mask,
     monte_carlo_trials,
     pipeline_success_probability,
+    ratio_bounds,
     recover_period,
     success_probability,
     workfactor_comparison,
 )
 from lpq.closedform import closed_form_table
 from lpq.offset import test_period_known_s as probes_accept
+from lpq.simulator import _amplified_register
 from lpq.spectrum import Algorithm
 
 STRICT_SPECS = [
@@ -215,9 +216,18 @@ class TestMonteCarloReference:
             monte_carlo_trials(Algorithm.QFT, spec, runs=1, seed=0)
 
 
+def general_unitary_ratio(n, m):
+    """The paper's amplified/plain amplitude ratio at any frequency where the
+    transform sums to zero over all labels but not over the marked ones:
+    (n / (-2m)) * tan(theta) * sin(2k theta), whatever the transform."""
+    sched = grover_schedule(n, m)
+    return (n / (-2.0 * m)) * math.tan(sched.theta) * math.sin(2 * sched.k * sched.theta)
+
+
 class TestGeneralUnitaryRatio:
     def test_sign_and_square(self):
-        bounds, amp_ratio = general_unitary_ratio(64, 4)
+        amp_ratio = general_unitary_ratio(64, 4)
+        bounds = ratio_bounds(64, 4, Algorithm.QFT)
         assert amp_ratio < 0
         sched = grover_schedule(64, 4)
         pr_ratio = (64**2 / (4 * 4**2)) * math.tan(sched.theta) ** 2 * math.sin(
@@ -231,13 +241,16 @@ class TestGeneralUnitaryRatio:
         spec = build_oracle(n, m, 5, 4)
         rng = np.random.default_rng(123)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        # deflate the uniform direction into axis 0, then probe any other y
+        # deflate the uniform direction into axis 0, so every other row sums to zero
         w = q @ (np.ones(n) / math.sqrt(n))
         v = w - np.linalg.norm(w) * np.eye(n)[0] * np.exp(1j * np.angle(w[0]))
         house = np.eye(n) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
         u = house @ q
-        probe_y = 11
-        plain = general_unitary_state(spec, u, amplified=False)
-        amped = general_unitary_state(spec, u, amplified=True)
-        _, expected = general_unitary_ratio(n, m)
-        assert abs(amped[probe_y] / plain[probe_y] - expected) < 1e-8
+        assert np.abs(u @ u.conj().T - np.eye(n)).max() < 1e-12
+        zero_rows = np.abs(u.sum(axis=1)) < 1e-12
+        assert zero_rows.sum() == n - 1 and not zero_rows[0]
+        # the plain register is one phase-kickback oracle application
+        plain = u @ (np.where(marked_mask(spec), -1.0, 1.0) / math.sqrt(n))
+        amped = u @ _amplified_register(spec)
+        ratio = amped[zero_rows] / plain[zero_rows]
+        assert np.abs(ratio - general_unitary_ratio(n, m)).max() < 1e-8

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lpq import (
+    LabelOutOfRange,
     NonTermination,
     OracleHandle,
     ValidationError,
@@ -267,8 +268,9 @@ class TestDecreasingSearch:
         h = OracleHandle(spec)
         with pytest.raises(NonTermination, match="704 rounds"):
             find_offset_decreasing(h, 2, 1024, _PinnedGenerator(np.random.PCG64(0)), x_start=2046)
-        # per round: the x - p probe, 1024 rungs and a confirmation probe
-        assert h.query_count == 704 * (1 + 1024 + 1) + 1
+        # the x_start membership probe, then per round: the x - p probe,
+        # 1024 rungs and a confirmation probe, then the last x - p probe
+        assert h.query_count == 1 + 704 * (1 + 1024 + 1) + 1
 
 
 class TestPeriodBelowOne:
@@ -283,6 +285,37 @@ class TestPeriodBelowOne:
         with pytest.raises(ValidationError, match="period candidate"):
             search(h, p, 3, 1, x_start=x_start)
         assert h.query_count == 0
+
+
+class TestStartingMember:
+    """A given x_start is checked before the search uses it: out of range is
+    LabelOutOfRange with no query charged, an unmarked label is a
+    ValidationError after one charged probe."""
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    @pytest.mark.parametrize("x_start", [100, -3, 16])
+    def test_out_of_range(self, search, x_start):
+        h = handle163()
+        with pytest.raises(LabelOutOfRange, match=f"label {x_start} outside 0..15"):
+            search(h, 4, 3, 0, x_start=x_start)
+        assert h.query_count == 0
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    @pytest.mark.parametrize("x_start", [0, 2, 15])
+    def test_non_member(self, search, x_start):
+        h = handle163()
+        with pytest.raises(ValidationError, match=f"x_start={x_start} is not a marked label"):
+            search(h, 4, 3, 0, x_start=x_start)
+        assert h.query_count == 1
+
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    def test_member_costs_one_probe(self, search):
+        # at s the x - p probe is out of range and free, and the pair test
+        # then probes s, s + p and s + 2p
+        h = handle163()
+        result = search(h, 4, 3, 0, x_start=1)
+        assert result.offset == 1
+        assert result.oracle_queries == h.query_count == 1 + 3
 
 
 class _CallCounter:

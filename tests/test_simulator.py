@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,24 +8,18 @@ import lpq.simulator
 from lpq import (
     DegenerateInstance,
     GroverRegister,
-    NotUnitary,
     OracleSpec,
     ValidationError,
-    amplified_qft_state,
     build_oracle,
     dft,
-    general_unitary_state,
     grover_iterate,
     grover_schedule,
     marked_mask,
-    qft_state,
-    qhs_distribution,
-    qhs_state,
-    sample,
     simulated_table,
     uniform_state,
 )
 from lpq.closedform import closed_form_table
+from lpq.simulator import _amplified_register
 from lpq.spectrum import CODE_NULL, Algorithm, case_codes, make_table
 
 SPEC163 = build_oracle(16, 3, 4, 1)
@@ -47,6 +42,27 @@ def reference_transform(state):
     return np.array(out) / math.sqrt(n)
 
 
+def full_spectrum(half, n):
+    """The length-n spectrum of a real register from its half, through
+    out(n - y) = conj(out(y))."""
+    return np.concatenate([half, np.conj(half[n - half.size : 0 : -1])])
+
+
+def kicked_register(spec):
+    """The plain pipeline's register: one phase-kickback oracle application
+    on the uniform state."""
+    return np.where(marked_mask(spec), -1.0, 1.0) / math.sqrt(spec.n)
+
+
+def two_register_table(spec):
+    """Dense qhs reference: both columns of the two-register state
+    transformed on their own, squared and summed per frequency."""
+    mask = marked_mask(spec)
+    marked = np.fft.fft(mask.astype(float)) / spec.n
+    unmarked = np.fft.fft((~mask).astype(float)) / spec.n
+    return np.abs(marked) ** 2 + np.abs(unmarked) ** 2
+
+
 def dense_round(state, spec):
     """One amplification round on a plain array: flip the marked labels,
     then reflect about the mean."""
@@ -54,10 +70,12 @@ def dense_round(state, spec):
     return 2 * flipped.mean() - flipped
 
 
-def random_states(n, count, seed):
+def random_states(n, count, seed, real=False):
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        if not real:
+            v = v + 1j * rng.standard_normal(n)
         yield v / np.linalg.norm(v)
 
 
@@ -175,7 +193,7 @@ class TestGroverIterate:
         # the production register, read out through the identity transform
         spec = build_oracle(1 << 16, 4, 16, 3)
         sched = grover_schedule(spec.n, spec.m)
-        register = general_unitary_state(spec, lambda v: v, amplified=True)
+        register = _amplified_register(spec)
         assert register.dtype == np.float64
         expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
         assert np.abs(register - expected).max() < 1e-12
@@ -193,46 +211,40 @@ class TestGroverIterate:
 class TestDft:
     def test_uniform_to_delta(self):
         out = dft(uniform_state(12))
-        expected = np.zeros(12)
+        expected = np.zeros(7)
         expected[0] = 1.0
         assert np.abs(out - expected).max() < 1e-12
 
     def test_delta_to_uniform(self):
-        state = np.zeros(9, dtype=complex)
+        state = np.zeros(9)
         state[0] = 1.0
         assert np.abs(dft(state) - 1 / 3).max() < 1e-12
 
     @pytest.mark.parametrize("n", [8, 16, 60, 128, 255])
     def test_unitary(self, n):
-        for v in random_states(n, 100, seed=1000 + n):
-            assert abs(np.linalg.norm(dft(v)) - 1) < 1e-9
+        for v in random_states(n, 100, seed=1000 + n, real=True):
+            assert abs(np.linalg.norm(full_spectrum(dft(v), n)) - 1) < 1e-9
 
     @pytest.mark.parametrize("n", [5, 16, 31, 64])
     def test_matches_direct_summation(self, n):
-        for v in random_states(n, 5, seed=n):
-            expected = reference_transform(v)
-            assert np.abs(dft(v) - expected).max() < 1e-9
-            assert np.abs(dft(v, method="direct") - expected).max() < 1e-9
-
-    def test_inverse_is_conjugate_convention(self):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        v /= np.linalg.norm(v)
-        assert np.abs(dft(np.conj(v), inverse=True) - np.conj(dft(v))).max() < 1e-12
-        # and it inverts the forward transform
-        assert np.abs(dft(dft(v), inverse=True) - v).max() < 1e-12
+        # the mirrored half is the whole spectrum of a real register
+        for v in random_states(n, 5, seed=n, real=True):
+            assert np.abs(full_spectrum(dft(v), n) - reference_transform(v)).max() < 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 31, 64, 4099])
     def test_real_input_through_rfft(self, n):
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
+        before = v.copy()
         out = dft(v)
-        assert out.shape == (n,) and out.dtype == complex
-        assert np.abs(out - reference_transform(v)).max() < 1e-9
-        assert np.abs(out - dft(v.astype(complex))).max() < 1e-14
-        # out(n - y) == conj(out(y)) bit for bit, y = 1..n-1
-        assert (out[1:][::-1] == np.conj(out[1:])).all()
+        assert out.shape == (n // 2 + 1,) and out.dtype == complex
+        assert np.abs(out - reference_transform(v)[: n // 2 + 1]).max() < 1e-9
+        assert (v == before).all()
+
+    def test_rejects_complex_register(self):
+        with pytest.raises(ValidationError, match="real register"):
+            dft(np.ones(4, dtype=complex))
 
     @pytest.mark.parametrize("alg", [Algorithm.AMPLIFIED, Algorithm.QFT])
     def test_real_register_tables_at_4099(self, alg):
@@ -242,51 +254,51 @@ class TestDft:
         assert np.abs(sim.pr - closed.pr).max() < spec.n * np.finfo(float).eps
 
     def test_amplified_spectrum_matches_closed_form(self):
-        state = np.where(marked_mask(SPEC163), 9 / 16, 1 / 16).astype(complex)
-        pr = np.abs(dft(state)) ** 2
+        state = np.where(marked_mask(SPEC163), 9 / 16, 1 / 16)
+        pr = np.abs(full_spectrum(dft(state), 16)) ** 2
         closed = closed_form_table(SPEC163, Algorithm.AMPLIFIED).pr
         assert np.abs(pr - closed).max() < 1e-9
 
 
 class TestPipelines:
     def test_amplified_frozen_table(self):
-        pr = np.abs(amplified_qft_state(SPEC163)) ** 2
+        pr = simulated_table(SPEC163, Algorithm.AMPLIFIED).pr
         assert np.abs(pr - AMP163).max() < 1e-12
 
     def test_amplified_zero_is_cos(self):
         sched = grover_schedule(16, 3)
-        pr0 = abs(amplified_qft_state(SPEC163)[0]) ** 2
+        pr0 = simulated_table(SPEC163, Algorithm.AMPLIFIED).pr[0]
         assert pr0 == pytest.approx(math.cos(2 * sched.k * sched.theta) ** 2, abs=1e-9)
 
     def test_qft_frozen_table(self):
-        pr = np.abs(qft_state(SPEC163)) ** 2
+        pr = simulated_table(SPEC163, Algorithm.QFT).pr
         assert np.abs(pr - QFT163).max() < 1e-12
 
     def test_qft_zero_vanishes_at_half(self):
         spec = build_oracle(8, 4, 1, 0)
-        assert abs(qft_state(spec)[0]) ** 2 < 1e-20
+        assert simulated_table(spec, Algorithm.QFT).pr[0] < 1e-20
+
+    def test_qft_all_marked_is_delta(self):
+        # every label marked: all mass at y = 0, (1 - 2m/n)^2 = 1
+        pr = simulated_table(build_oracle(4, 4, 1, 0, strict=False), Algorithm.QFT).pr
+        assert pr.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_qhs_frozen_table(self):
-        table = qhs_distribution(SPEC163)
+        table = simulated_table(SPEC163, Algorithm.QHS)
         assert np.abs(table.pr - QHS163).max() < 1e-12
         assert table.total() == pytest.approx(1.0, abs=1e-9)
 
-    def test_qhs_state_norm(self):
-        state = qhs_state(SPEC163)
-        assert np.abs(state).sum() > 0
-        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("n,m,p,s", [(16, 3, 4, 1), (1000, 5, 31, 7), (4099, 3, 64, 2)])
+    @pytest.mark.parametrize(
+        "n,m,p,s",
+        [(16, 3, 4, 1), (1000, 5, 31, 7), (4099, 3, 64, 2), (1, 1, 1, 0), (2, 1, 1, 1),
+         (7, 7, 1, 0), (255, 12, 15, 30)],
+    )
     def test_qhs_columns_from_one_transform(self, n, m, p, s):
-        # Column 0 comes from fft(mask) through fft(1 - mask) = n*delta - fft(mask);
-        # hold it to the direct transform of the unmarked indicator.
-        spec = build_oracle(n, m, p, s)
-        mask = marked_mask(spec)
-        state = qhs_state(spec)
-        assert (state[:, 1] == np.fft.fft(mask.astype(float)) / n).all()
-        assert np.abs(state[:, 0] - np.fft.fft((~mask).astype(float)) / n).max() < 1e-15
-        assert (state[1:, 0] == -state[1:, 1]).all()
-        assert abs(state[0, 0] - (n - m) / n) < 1e-15
+        # The table transforms the marked column only, taking the unmarked
+        # one as n*delta - fft(mask) over n; hold it to both columns done densely.
+        spec = build_oracle(n, m, p, s, strict=False)
+        sim = simulated_table(spec, Algorithm.QHS)
+        assert np.abs(sim.pr - two_register_table(spec)).max() < n * np.finfo(float).eps
 
     @pytest.mark.parametrize(
         "n,m,p,s", [(36, 5, 6, 2), (100, 9, 10, 5), (255, 12, 15, 30), (128, 64, 1, 0)]
@@ -299,41 +311,42 @@ class TestPipelines:
             assert np.abs(sim.pr - closed.pr).max() < 1e-9
             assert sim.total() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alg", list(Algorithm))
+    @pytest.mark.parametrize("iterations", [None, 0, 3])
+    def test_one_transform_per_table(self, alg, iterations, monkeypatch):
+        calls = {"dft": 0, "grover_iterate": 0}
+        for name in calls:
+            real = getattr(lpq.simulator, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lpq.simulator, name, counted)
+        spec = build_oracle(1000, 5, 31, 7)
+        simulated_table(spec, alg, iterations)
+        rounds = grover_schedule(spec.n, spec.m, iterations).k if alg is Algorithm.AMPLIFIED else 0
+        assert calls == {"dft": 1, "grover_iterate": rounds}
+
 
 class TestGeneralUnitary:
+    """The pipelines' registers under a dense transform matrix."""
+
     def test_dft_reproduces_pipeline(self):
-        out = general_unitary_state(SPEC163, dft, amplified=True)
-        assert np.abs(out - amplified_qft_state(SPEC163)).max() < 1e-12
+        # the kernel matrix itself, applied to each real register
+        kernel = np.array([reference_transform(e) for e in np.eye(16)]).T
+        for alg, register in (
+            (Algorithm.AMPLIFIED, _amplified_register(SPEC163)),
+            (Algorithm.QFT, kicked_register(SPEC163)),
+        ):
+            pr = np.abs(kernel @ register) ** 2
+            assert np.abs(pr - simulated_table(SPEC163, alg).pr).max() < 1e-12
 
     def test_identity_gives_two_level(self):
         sched = grover_schedule(16, 3)
-        out = general_unitary_state(SPEC163, np.eye(16), amplified=True)
+        out = np.eye(16) @ _amplified_register(SPEC163)
         expected = np.where(marked_mask(SPEC163), sched.a_k**2, sched.b_k**2)
         assert np.abs(np.abs(out) ** 2 - expected).max() < 1e-12
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            general_unitary_state(SPEC163, np.eye(16) * 0.5)
-
-
-class TestSample:
-    def test_delta(self):
-        table = simulated_table(build_oracle(4, 4, 1, 0, strict=False), Algorithm.QFT)
-        # all mass at y=0 when every label is marked: (1-2m/n)^2 = 1
-        assert table.pr[0] == pytest.approx(1.0)
-        assert sample(table, seed=123) == 0
-
-    def test_deterministic(self):
-        table = qhs_distribution(SPEC163)
-        draws = [sample(table, seed=99) for _ in range(5)]
-        assert len(set(draws)) == 1
-
-    def test_multinomial_3_sigma(self):
-        table = qhs_distribution(SPEC163)
-        draws = np.fromiter((sample(table, seed) for seed in range(100_000)), dtype=int)
-        counts = np.bincount(draws, minlength=16) / len(draws)
-        sigma = np.sqrt(table.pr * (1 - table.pr) / len(draws))
-        assert (np.abs(counts - table.pr) <= 3 * sigma + 1e-12).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -351,6 +364,17 @@ def test_soft_limit_warning(monkeypatch):
         uniform_state(64)
     monkeypatch.setenv("LPQ_SOFT_N_LIMIT", "128")
     uniform_state(64)  # no warning below the ceiling
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_soft_limit_warns_once_per_table(alg, monkeypatch):
+    spec = build_oracle(64, 4, 4, 1)
+    for limit, expected in (("32", 1), ("64", 0)):
+        monkeypatch.setenv("LPQ_SOFT_N_LIMIT", limit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulated_table(spec, alg)
+        assert [w.category for w in caught] == [RuntimeWarning] * expected
 
 
 @pytest.mark.parametrize("alg", [Algorithm.QFT, Algorithm.QHS])
@@ -382,7 +406,7 @@ def test_amplified_register_at_2e20(monkeypatch):
         return iterate(register, spec)
 
     monkeypatch.setattr(lpq.simulator, "grover_iterate", counting)
-    register = general_unitary_state(spec, lambda v: v, amplified=True)
+    register = _amplified_register(spec)
     assert len(rounds) == sched.k == 402
     expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
     assert np.abs(register - expected).max() < 1e-12

@@ -9,24 +9,17 @@ from .analysis import (
     expected_trials,
     geometric_stats,
     monte_carlo_trials,
-    pipeline_success_probability,
     verified_recovery,
     workfactor_comparison,
 )
 from .closedform import (
     RatioBounds,
-    amplified_pr,
-    classify,
+    closed_form_at,
     closed_form_table,
-    dirichlet_ratio,
-    pr_ratio_bounds,
-    qft_pr,
-    qhs_pr,
     ratio_bounds,
 )
 from .errors import (
     BoundViolated,
-    CaseMismatch,
     DegenerateInstance,
     InvalidProbability,
     LabelOutOfRange,
@@ -58,13 +51,9 @@ from .recovery import (
     continued_fraction,
     convergents,
     d_to_y,
-    euler_phi,
     recover_period,
-    smallest_residue,
     success_probability,
     success_set,
-    totient_ratio,
-    y_to_d,
 )
 from .simulator import (
     GroverRegister,
@@ -77,6 +66,6 @@ from .simulator import (
     soft_n_limit,
     uniform_state,
 )
-from .spectrum import Algorithm, ProbabilityTable, SpectrumCase
+from .spectrum import Algorithm, ProbabilityTable
 
 __version__ = "0.1.0"

@@ -4,19 +4,16 @@ Each full run of a pipeline either yields a frequency from which the period
 is recovered and verified, or it fails and the pipeline is rerun; the run
 count is geometric, E[X] = 1/p and Var[X] = (1-p)/p^2.
 
-Three different per-run success probabilities show up and all three are
-exposed, because they answer different questions:
+Two per-run success probabilities are exposed, because they answer
+different questions:
 
 * ``success_probability`` (recovery module): mass of the certified window
   around each good multiplier — a provable lower bound on success.
-* ``pipeline_success_probability``: exact mass of every frequency the
-  decision procedure actually accepts and verifies, including lucky
-  convergents outside the certified window; this is what Monte-Carlo
-  measures.
 * the y = 0 idealization 1 - Pr(0), which counts every nonzero frequency
-  as a success.  It upper-bounds both of the above and is the quantity
-  behind the headline E[X] >= n/(4m) (plain) and >= n/(2m) (two-register)
-  lower bounds, so the work-factor table is built from it.
+  as a success.  It upper-bounds the above and the exact per-run success
+  probability that Monte-Carlo measures, and it is the quantity behind the
+  headline E[X] >= n/(4m) (plain) and >= n/(2m) (two-register) lower
+  bounds, so the work-factor table is built from it.
 
 Costs are counted in oracle/transform applications: k + 1 per amplified
 run, 1 per plain run.
@@ -41,13 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import case_probabilities, closed_form_table
+from .closedform import closed_form_at, closed_form_table
 from .errors import BoundViolated, InvalidProbability, NonTermination
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
-from .recovery import accepted_denominators, recover_period, success_probability
+from .recovery import RecoveryStatus, accepted_denominators, recover_period, success_probability
 from .simulator import grover_schedule
-from .spectrum import Algorithm, ProbabilityTable
+from .spectrum import Algorithm
 
 # Largest number of uniforms Monte-Carlo draws at once (64 KiB of doubles).
 _MC_BATCH_CAP = 1 << 13
@@ -68,15 +65,10 @@ def geometric_stats(p: float) -> GeometricStats:
     return GeometricStats(p, 1.0 / p, (1.0 - p) / p**2)
 
 
-def expected_trials(
-    algorithm: Algorithm, spec: OracleSpec, table: ProbabilityTable | None = None
-) -> GeometricStats:
-    """Geometric statistics at the certified success probability.
-
-    ``table`` is the pipeline's closed-form table, built when not given.
-    """
+def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
+    """Geometric statistics at the certified success probability."""
     algorithm = Algorithm(algorithm)
-    stats = geometric_stats(success_probability(algorithm, spec, table))
+    stats = geometric_stats(success_probability(algorithm, spec))
     n, m = spec.n, spec.m
     # The certified p never exceeds 1 - Pr(0), so these hold a fortiori.
     bound = {Algorithm.QFT: n / (4 * m), Algorithm.QHS: n / (2 * m)}.get(algorithm)
@@ -86,16 +78,6 @@ def expected_trials(
             f"below the proven lower bound {bound}"
         )
     return stats
-
-
-def pipeline_success_probability(algorithm: Algorithm, spec: OracleSpec) -> float:
-    """Exact per-run success probability of the full decision procedure.
-
-    Sums the closed-form probability of every frequency whose recovered
-    candidate is the true period (verification accepts exactly those).
-    """
-    table = closed_form_table(spec, Algorithm(algorithm))
-    return float(table.pr[accepted_denominators(spec.n) == spec.p].sum())
 
 
 @dataclass(frozen=True)
@@ -115,12 +97,18 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     Expected runs use the y = 0 idealization (see module docstring), with
     Pr(0) from the closed form; the amplified pipeline is charged k + 1
     applications for its single run, the others one application per run.
+    A pipeline with Pr(0) = 1 never measures a nonzero frequency and raises
+    NonTermination: the amplified one past 2m = n, where k = 0, and every
+    one at m = n.
     """
-    schedule = grover_schedule(spec.n, spec.m)
-    amplified_cost = schedule.k + 1
+    amplified_cost = grover_schedule(spec.n, spec.m).k + 1
     reports = []
     for algorithm in Algorithm:
-        pr0 = case_probabilities(spec, algorithm, schedule)[0]
+        pr0 = float(closed_form_at(spec, algorithm, [0])[0])
+        if pr0 >= 1.0:
+            raise NonTermination(
+                f"{algorithm.value}: Pr(0) = 1, so no run measures a nonzero frequency"
+            )
         runs = 1.0 / (1.0 - pr0)
         if algorithm is Algorithm.AMPLIFIED:
             reports.append(WorkfactorReport(algorithm, amplified_cost, runs, amplified_cost, 1.0))
@@ -156,18 +144,15 @@ def monte_carlo_trials(
     runs: int,
     seed,
     max_trials: int = 10_000_000,
-    table: ProbabilityTable | None = None,
 ) -> EmpiricalTrials:
     """Run the sample -> recover -> verify loop to first success, ``runs`` times.
 
     The true offset is known to the harness only through the verification
-    probes.  Deterministic for a fixed seed.  ``table`` is the pipeline's
-    closed-form table, built here when not given.  A run needing more than
+    probes.  Deterministic for a fixed seed.  A run needing more than
     ``max_trials`` trials, or an instance where no verified frequency has
     any probability, raises NonTermination.
     """
-    if table is None:
-        table = closed_form_table(spec, Algorithm(algorithm))
+    table = closed_form_table(spec, Algorithm(algorithm))
     # Each distinct candidate period is verified once, by the oracle probes;
     # a trial succeeds exactly when its frequency's candidate passed.
     handle = OracleHandle(spec)
@@ -230,8 +215,6 @@ def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):
     A candidate the probes reject comes back with status gcd-obstruction
     and no accepted period.
     """
-    from .recovery import RecoveryStatus
-
     spec = handle.spec
     result = recover_period(y, spec.n, q_max)
     if result.accepted is None:

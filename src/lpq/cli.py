@@ -21,7 +21,8 @@ Exit codes:
     3  no recovery candidate
     4  verification failed: the oracle probes rejected the candidate, or a
        seeded search gave up (for Monte-Carlo, when no candidate period
-       survives verification, so no run can succeed)
+       survives verification, so no run can succeed; for the work factor,
+       when a pipeline's runs all measure y = 0)
 
 Errors print one ``error: ...`` line on stderr, not a traceback.
 """
@@ -40,7 +41,7 @@ import numpy as np
 from . import analysis, closedform, offset, recovery, simulator
 from .errors import LpqError, NonTermination, ValidationError, VerificationFailed
 from .oracle import OracleHandle, build_oracle
-from .spectrum import CASES, CODE_GENERIC, CODE_RESONANT, Algorithm, ProbabilityTable
+from .spectrum import CASE_NAMES, CODE_GENERIC, CODE_RESONANT, Algorithm
 
 EXIT_OK = 0
 EXIT_LPQ_ERROR = 1
@@ -60,7 +61,7 @@ def _fmt(x: float) -> str:
 # top-level "rows" list the way json.dumps(indent=1, sort_keys=True) does
 # (depth 2, keys sorted), so _write_json can splice the rendered rows into a
 # dump of the other fields.
-_CASE_NAMES = np.array([case.value for case in CASES])
+_CASE_NAMES = np.array(CASE_NAMES)
 _FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
 _SPECTRUM_ROW = {
     "csv": "%d,%s,%s,%s,%s",
@@ -160,7 +161,7 @@ def cmd_compare(args) -> int:
     spec = _spec_from(args)
     tables = {alg: closedform.closed_form_table(spec, alg) for alg in Algorithm}
     bounds = {
-        alg: closedform.pr_ratio_bounds(spec, alg) for alg in (Algorithm.QFT, Algorithm.QHS)
+        alg: closedform.ratio_bounds(spec.n, spec.m, alg) for alg in (Algorithm.QFT, Algorithm.QHS)
     }
     succ = recovery.success_set(spec)
     sums = {alg: float(tables[alg].pr[succ].sum()) for alg in Algorithm}
@@ -266,31 +267,17 @@ def cmd_find_offset(args) -> int:
     return code
 
 
-def _workfactor_rows(
-    spec, keep: Algorithm | None = None
-) -> tuple[list[dict], ProbabilityTable | None]:
-    """The work-factor rows, and the closed-form table of pipeline ``keep``.
-
-    Each pipeline's table is built once and dropped after its row unless
-    kept: three tables alive at once raise the peak memory of a large sweep.
-    """
+def _workfactor_rows(spec) -> list[dict]:
+    """The work-factor rows: one per pipeline."""
     reports = analysis.workfactor_comparison(spec)
     # p = 1 has an empty certified success set: no frequency certifies the
     # period, so there is no certified trial count to report.
     certifiable = recovery.success_set(spec).size > 0
-    rows, kept = [], None
+    rows = []
     for rep in reports:
-        table = None
-        if certifiable or rep.algorithm is keep:
-            table = closedform.closed_form_table(spec, rep.algorithm)
         certified = (
-            analysis.expected_trials(rep.algorithm, spec, table).expected_trials
-            if certifiable
-            else None
+            analysis.expected_trials(rep.algorithm, spec).expected_trials if certifiable else None
         )
-        if rep.algorithm is keep:
-            kept = table
-        del table
         if rep.algorithm is Algorithm.QFT:
             verdict = rep.expected_runs >= spec.n / (4 * spec.m)
         elif rep.algorithm is Algorithm.QHS:
@@ -308,7 +295,7 @@ def _workfactor_rows(
                 "bound_verdict": "pass" if verdict else "FAIL",
             }
         )
-    return rows, kept
+    return rows
 
 
 def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
@@ -324,10 +311,10 @@ def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
 def cmd_trials(args) -> int:
     spec = _spec_from(args)
     alg = Algorithm(args.alg)
-    rows, table = _workfactor_rows(spec, keep=alg if args.runs else None)
+    rows = _workfactor_rows(spec)
     payload = {"schema": 1, "workfactor": rows}
     if args.runs:
-        stats = analysis.monte_carlo_trials(alg, spec, args.runs, args.seed, table=table)
+        stats = analysis.monte_carlo_trials(alg, spec, args.runs, args.seed)
         payload["monte_carlo"] = {"algorithm": args.alg, **stats.to_json_obj()}
     if args.format == "json":
         _write_json(args.out, payload)
@@ -347,7 +334,7 @@ def cmd_sweep(args) -> int:
     band = []
     while n <= args.n_max:
         spec = build_oracle(n, args.m, args.p, args.s, strict=args.strict)
-        rows, _ = _workfactor_rows(spec)
+        rows = _workfactor_rows(spec)
         path = out_dir / f"workfactor_n{n}.{args.format}"
         if args.format == "json":
             _write_json(str(path), {"schema": 1, "n": n, "workfactor": rows})

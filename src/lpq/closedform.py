@@ -12,10 +12,18 @@ the measurement probability of frequency y is, by case:
     generic    (same) * R(y) / m^2               (4/n^2) R(y)   (2/n^2) R(y)
     null       0                                 0              0
 
-R is evaluated from the reduced residues p*y mod n and m*p*y mod n, folded
-into [0, n/2], so the sines stay away from the cancellation-prone arguments
-near multiples of pi; the null case returns an exact 0.0 decided by integer
-classification, never by floating point.
+One evaluator, :func:`closed_form_at`, computes this at any set of
+frequencies.  It classifies each y from the integer residues r = p*y mod n
+and r*m mod n (see :mod:`lpq.spectrum`), never by floating point: the
+zero, resonant and null cases are exact constants, the null one an exact
+0.0.  At a generic y both sines of R are taken at the residue folded into
+[0, n/2], away from the cancellation-prone arguments near multiples of pi.
+
+Pr(y) depends on y only through p*y mod n, and Pr(n - y) = Pr(y), so
+:func:`closed_form_table` evaluates at most n/2 + 1 frequencies.  When p
+shares a factor with n these are y = 0 and one period y = 1..n/gcd(n, p),
+tiled over the rest of the spectrum; otherwise they are y = 0..n/2,
+mirrored onto the y above n/2.
 
 The amplified/baseline probability ratio is the same constant at every
 resonant and generic frequency, sandwiched (for 2m <= n) between
@@ -30,180 +38,85 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CaseMismatch, ValidationError
+from .errors import ValidationError
 from .oracle import OracleSpec
-from .spectrum import (
-    CODE_GENERIC,
-    CODE_RESONANT,
-    CODE_ZERO,
-    Algorithm,
-    ProbabilityTable,
-    SpectrumCase,
-    case_codes,
-    classify,
-    make_table,
-)
+from .simulator import grover_schedule
+from .spectrum import Algorithm, ProbabilityTable, case_codes, make_table
 
-if TYPE_CHECKING:
-    from .simulator import GroverSchedule
-
-__all__ = [
-    "SpectrumCase",
-    "classify",
-    "dirichlet_ratio",
-    "amplified_pr",
-    "qft_pr",
-    "qhs_pr",
-    "case_probabilities",
-    "closed_form_table",
-    "RatioBounds",
-    "ratio_bounds",
-    "pr_ratio_bounds",
-]
-
-
-def _folded_sin(residue: int, n: int) -> float:
-    # |sin(pi * residue / n)| via the representative in [0, n/2]
-    return math.sin(math.pi * min(residue, n - residue) / n)
-
-
-def dirichlet_ratio(y: int, spec: OracleSpec) -> float:
-    """Kernel ratio R(y); exact 0.0 in the null case, and always <= m^2."""
-    case = classify(y, spec)
-    if case in (SpectrumCase.ZERO, SpectrumCase.RESONANT):
-        raise CaseMismatch(f"y={y} is {case.value}; R(y) is defined off the resonances")
-    if case is SpectrumCase.NULL:
-        return 0.0
-    n = spec.n
-    num = _folded_sin((spec.m * spec.p * y) % n, n)
-    den = _folded_sin((spec.p * y) % n, n)
-    return (num / den) ** 2
-
-
-def _default_schedule(spec: OracleSpec, schedule: "GroverSchedule | None"):
-    if schedule is not None:
-        return schedule
-    from .simulator import grover_schedule
-
-    return grover_schedule(spec.n, spec.m)
-
-
-def amplified_pr(y: int, spec: OracleSpec, schedule: "GroverSchedule | None" = None) -> float:
-    """Amplified-pipeline probability of measuring y."""
-    schedule = _default_schedule(spec, schedule)
-    case = classify(y, spec)
-    if case is SpectrumCase.ZERO:
-        return math.cos(2 * schedule.k * schedule.theta) ** 2
-    if case is SpectrumCase.NULL:
-        return 0.0
-    line = math.tan(schedule.theta) ** 2 * math.sin(2 * schedule.k * schedule.theta) ** 2
-    if case is SpectrumCase.RESONANT:
-        return line
-    return line * dirichlet_ratio(y, spec) / spec.m**2
-
-
-def qft_pr(y: int, spec: OracleSpec) -> float:
-    """Plain-transform probability of measuring y."""
-    n, m = spec.n, spec.m
-    case = classify(y, spec)
-    if case is SpectrumCase.ZERO:
-        return (1 - 2 * m / n) ** 2
-    if case is SpectrumCase.RESONANT:
-        return 4 * m**2 / n**2
-    if case is SpectrumCase.NULL:
-        return 0.0
-    return 4 / n**2 * dirichlet_ratio(y, spec)
-
-
-def qhs_pr(y: int, spec: OracleSpec) -> float:
-    """Two-register pipeline probability of measuring y."""
-    n, m = spec.n, spec.m
-    case = classify(y, spec)
-    if case is SpectrumCase.ZERO:
-        return 1 - 2 * m * (n - m) / n**2
-    if case is SpectrumCase.RESONANT:
-        return 2 * m**2 / n**2
-    if case is SpectrumCase.NULL:
-        return 0.0
-    return 2 / n**2 * dirichlet_ratio(y, spec)
-
+__all__ = ["closed_form_at", "closed_form_table", "RatioBounds", "ratio_bounds"]
 
 _Y_BLOCK = 1 << 16
 
 
-def _put_generic(pr: np.ndarray, codes: np.ndarray, m: int, p: int, factor: float) -> None:
-    """Write factor * R(y) into pr at every generic frequency y.
+def _folded_sines(residues: np.ndarray, n: int) -> np.ndarray:
+    """|sin(pi*r/n)| for residues r in 0..n-1, from the representative in [0, n/2]."""
+    x = np.minimum(residues, n - residues) * np.pi
+    x /= n
+    return np.sin(x, out=x)
 
-    Both sines are read from one table of sin(pi*r/n) over the folded
-    residues r in 0..n/2, so each is evaluated once however often p*y and
-    m*p*y repeat it; the values equal evaluating the sine per frequency.
-    Blocks of _Y_BLOCK frequencies keep the temporaries small.
+
+def closed_form_at(
+    spec: OracleSpec, algorithm: Algorithm, ys, iterations: int | None = None
+) -> np.ndarray:
+    """Closed-form probability of measuring each frequency in ``ys``.
+
+    ``ys`` is a 1-D sequence of frequencies in 0..n-1; ``iterations``
+    overrides the amplified pipeline's round count.  Frequencies are
+    evaluated in blocks of _Y_BLOCK, so the temporaries stay small.
     """
-    n = pr.size
-    sines = np.pi * np.arange(n // 2 + 1)
-    sines /= n
-    np.sin(sines, out=sines)
-
-    def folded(y: np.ndarray, c: int) -> np.ndarray:
-        # |{c*y}_n|, the residue folded into 0..n/2 as in the scalar path
-        r = y * c
-        r %= n
-        return np.minimum(r, n - r, out=r)
-
-    for start in range(0, n, _Y_BLOCK):
-        y = np.flatnonzero(codes[start : start + _Y_BLOCK] == CODE_GENERIC)
-        y += start
-        ratios = sines[folded(y, m * p)]
-        ratios /= sines[folded(y, p)]
-        np.square(ratios, out=ratios)
-        ratios *= factor
-        pr[y] = ratios
-
-
-def case_probabilities(
-    spec: OracleSpec,
-    algorithm: Algorithm,
-    schedule: "GroverSchedule | None" = None,
-    iterations: int | None = None,
-) -> tuple[float, float, float]:
-    """Pr(0), the probability of each resonant y, and the factor that
-    multiplies R(y) at each generic y, for one pipeline."""
     algorithm = Algorithm(algorithm)
     n, m = spec.n, spec.m
+    p = spec.p % n
+    if (n - 1) * max(m, p) >= 1 << 63:
+        raise ValidationError(
+            f"closed form needs residue products below 2**63 (n={n}, m={m}, p={p})"
+        )
     if algorithm is Algorithm.AMPLIFIED:
-        if schedule is None:
-            from .simulator import grover_schedule
-
-            schedule = grover_schedule(n, m, iterations)
+        schedule = grover_schedule(n, m, iterations)
         line = math.tan(schedule.theta) ** 2 * math.sin(2 * schedule.k * schedule.theta) ** 2
-        return math.cos(2 * schedule.k * schedule.theta) ** 2, line, line / m**2
-    scale = 4.0 if algorithm is Algorithm.QFT else 2.0
-    if algorithm is Algorithm.QFT:
-        zero = (1 - 2 * m / n) ** 2
+        zero, resonant, factor = math.cos(2 * schedule.k * schedule.theta) ** 2, line, line / m**2
+    elif algorithm is Algorithm.QFT:
+        zero, resonant, factor = (1 - 2 * m / n) ** 2, 4.0 * m**2 / n**2, 4.0 / n**2
     else:
-        zero = 1 - 2 * m * (n - m) / n**2
-    return zero, scale * m**2 / n**2, scale / n**2
+        zero, resonant, factor = 1 - 2 * m * (n - m) / n**2, 2.0 * m**2 / n**2, 2.0 / n**2
+    ys = np.asarray(ys, dtype=np.int64)
+    if ys.size and not (0 <= ys.min() and ys.max() < n):
+        raise ValidationError(f"frequencies must lie in 0..{n - 1}")
+    pr = np.empty(ys.shape)
+    for start in range(0, ys.size, _Y_BLOCK):
+        y = ys[start : start + _Y_BLOCK]
+        r = y * p
+        r %= n
+        rm = r * m
+        rm %= n
+        out = pr[start : start + _Y_BLOCK]
+        # factor * R(y) everywhere; the 0/0 at r = 0 is overwritten below
+        with np.errstate(invalid="ignore"):
+            np.divide(_folded_sines(rm, n), _folded_sines(r, n), out=out)
+        np.square(out, out=out)
+        out *= factor
+        special = np.flatnonzero(rm == 0)  # the zero, resonant and null frequencies
+        resonance = r[special] == 0
+        out[special] = np.where(resonance, np.where(y[special] == 0, zero, resonant), 0.0)
+    return pr
 
 
 def closed_form_table(
-    spec: OracleSpec,
-    algorithm: Algorithm,
-    schedule: "GroverSchedule | None" = None,
-    iterations: int | None = None,
+    spec: OracleSpec, algorithm: Algorithm, iterations: int | None = None
 ) -> ProbabilityTable:
-    """Whole-spectrum closed-form table for one pipeline."""
+    """Whole-spectrum closed-form table for one pipeline, from one period
+    or one half of the spectrum (module docstring)."""
     n = spec.n
-    zero, resonant, generic = case_probabilities(spec, algorithm, schedule, iterations)
-    codes = case_codes(n, spec.m, spec.p)
-    pr = np.zeros(n, dtype=float)
-    pr[codes == CODE_ZERO] = zero
-    pr[codes == CODE_RESONANT] = resonant
-    _put_generic(pr, codes, spec.m, spec.p, generic)
-    return make_table(n, pr, codes, "closed-form")
+    period = n // math.gcd(n, spec.p)
+    pr = closed_form_at(spec, algorithm, np.arange(min(period, n // 2) + 1), iterations)
+    if period < n:  # y = 0 and y = 1..period: tile the period
+        pr = np.concatenate((pr[:1], np.resize(pr[1:], n - 1)))
+    else:  # y = 0..n//2: mirror
+        pr = np.concatenate((pr, pr[(n + 1) // 2 - 1 : 0 : -1]))
+    return make_table(n, pr, case_codes(n, spec.m, spec.p), "closed-form")
 
 
 @dataclass(frozen=True)
@@ -235,7 +148,3 @@ def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBo
     upper = approx * n / (n - m)
     lower = upper * (1 - 2 * m / n) ** 2
     return RatioBounds(lower, upper, approx, baseline)
-
-
-def pr_ratio_bounds(spec: OracleSpec, baseline: Algorithm = Algorithm.QFT) -> RatioBounds:
-    return ratio_bounds(spec.n, spec.m, baseline)

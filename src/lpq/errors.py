@@ -29,10 +29,6 @@ class LabelOutOfRange(ValidationError):
     """Oracle queried outside 0..n-1."""
 
 
-class CaseMismatch(ValidationError):
-    """A per-frequency formula was applied outside its spectral case."""
-
-
 class ZeroDenominator(ValidationError):
     """Continued fraction of x/0 requested."""
 

@@ -10,7 +10,6 @@ arithmetic membership test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -35,22 +34,9 @@ class OracleSpec:
     p: int
     s: int
 
-    @property
-    def is_strict(self) -> bool:
-        """True when p*p <= n and 2*m <= n, the regime all bounds assume."""
-        return self.p * self.p <= self.n and 2 * self.m <= self.n
-
     def members(self) -> list[int]:
         """The marked labels, ascending."""
         return [self.s + r * self.p for r in range(self.m)]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "m": self.m, "p": self.p, "s": self.s})
-
-    @classmethod
-    def from_json(cls, text: str, strict: bool = True) -> "OracleSpec":
-        obj = json.loads(text)
-        return build_oracle(obj["n"], obj["m"], obj["p"], obj["s"], strict=strict)
 
 
 def build_oracle(n: int, m: int, p: int, s: int, strict: bool = True) -> OracleSpec:

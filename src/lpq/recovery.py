@@ -23,15 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import closed_form_table
+from .closedform import closed_form_at
 from .errors import ValidationError, ZeroDenominator
 from .oracle import OracleSpec
-from .spectrum import Algorithm, ProbabilityTable
+from .spectrum import Algorithm
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,6 @@ class ContinuedFraction:
     """
 
     quotients: tuple[int, ...]
-
-    def value(self) -> Fraction:
-        acc = Fraction(self.quotients[-1])
-        for a in reversed(self.quotients[:-1]):
-            acc = a + 1 / acc
-        return acc
 
 
 class Convergent(NamedTuple):
@@ -180,17 +173,6 @@ def recover_period(y: int, n: int, q_max: int | None = None) -> RecoveryResult:
     return RecoveryResult(y, ladder, best.q, RecoveryStatus.RECOVERED)
 
 
-def smallest_residue(a: int, n: int) -> int:
-    """Representative of a mod n in (-n/2, n/2]."""
-    r = a % n
-    return r - n if 2 * r > n else r
-
-
-def y_to_d(y: int, n: int, p: int) -> int:
-    """Multiplier d(y) = round(p*y/n), consistent with {p*y}_n = p*y - n*d."""
-    return (p * y - smallest_residue(p * y, n)) // n
-
-
 def d_to_y(d: int, n: int, p: int) -> int:
     """Frequency y(d) = round(n*d/p), rounding half up."""
     return (2 * n * d + p) // (2 * p)
@@ -221,33 +203,6 @@ def success_set(spec: OracleSpec) -> np.ndarray:
     return y[(y != 0) & (np.gcd(d, p) == 1)]
 
 
-def success_probability(
-    algorithm: Algorithm, spec: OracleSpec, table: ProbabilityTable | None = None
-) -> float:
-    """Closed-form probability mass of the certified success set.
-
-    ``table`` is the pipeline's closed-form table, built when not given.
-    """
-    if table is None:
-        table = closed_form_table(spec, Algorithm(algorithm))
-    return float(table.pr[success_set(spec)].sum())
-
-
-def euler_phi(p: int) -> int:
-    """Totient by trial division; periods here are at most isqrt(n)."""
-    result = p
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            while p % q == 0:
-                p //= q
-            result -= result // q
-        q += 1
-    if p > 1:
-        result -= result // p
-    return result
-
-
-def totient_ratio(p: int) -> float:
-    """phi(p)/p, the chance a uniform multiplier is coprime to p."""
-    return euler_phi(p) / p
+def success_probability(algorithm: Algorithm, spec: OracleSpec) -> float:
+    """Closed-form probability mass of the certified success set."""
+    return float(closed_form_at(spec, algorithm, success_set(spec)).sum())

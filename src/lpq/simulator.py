@@ -89,11 +89,6 @@ class GroverSchedule:
     a_k: float
     b_k: float
 
-    @property
-    def good_probability(self) -> float:
-        """Total probability on the marked set after k rounds."""
-        return math.sin((2 * self.k + 1) * self.theta) ** 2
-
 
 def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSchedule:
     """sin(theta) = sqrt(m/n), k = floor(pi / (4 theta)) unless overridden."""
@@ -101,7 +96,14 @@ def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSche
         raise DegenerateInstance(f"need m >= 1, got {m}")
     if m > n:
         raise DegenerateInstance(f"need m <= n, got m={m}, n={n}")
-    theta = math.asin(math.sqrt(m / n))
+    if 2 * m == n:
+        # theta is pi/4 and k is 1; asin(sqrt(1/2)) lands one ulp above pi/4,
+        # where pi/(4*theta) would round to 0.9999999999999999.  By Niven's
+        # theorem 1/2 is the only rational m/n at which pi/(4*theta) is an
+        # integer, so floor() is exact at every other instance.
+        theta = math.pi / 4
+    else:
+        theta = math.asin(math.sqrt(m / n))
     k = math.floor(math.pi / (4 * theta)) if iterations is None else int(iterations)
     a_k = math.sin((2 * k + 1) * theta) / math.sqrt(m)
     b_k = 0.0 if m == n else math.cos((2 * k + 1) * theta) / math.sqrt(n - m)

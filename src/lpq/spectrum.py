@@ -20,14 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    from .oracle import OracleSpec
 
 
 class Algorithm(str, Enum):
@@ -36,29 +32,11 @@ class Algorithm(str, Enum):
     QHS = "qhs"
 
 
-class SpectrumCase(str, Enum):
-    ZERO = "zero"
-    RESONANT = "resonant"
-    GENERIC = "generic"
-    NULL = "null"
-
-
-# Small-int codes used in bulk arrays; CASES maps code -> case.
-CASES = (SpectrumCase.ZERO, SpectrumCase.RESONANT, SpectrumCase.GENERIC, SpectrumCase.NULL)
+# Small-int codes used in bulk arrays; CASE_NAMES maps code -> case name.
+CASE_NAMES = ("zero", "resonant", "generic", "null")
 CODE_ZERO, CODE_RESONANT, CODE_GENERIC, CODE_NULL = range(4)
 
 NORMALIZATION_TOL = 1e-9
-
-
-def classify(y: int, spec: "OracleSpec") -> SpectrumCase:
-    """Spectral case of frequency y for this instance."""
-    if y == 0:
-        return SpectrumCase.ZERO
-    if (spec.p * y) % spec.n == 0:
-        return SpectrumCase.RESONANT
-    if (spec.m * spec.p * y) % spec.n == 0:
-        return SpectrumCase.NULL
-    return SpectrumCase.GENERIC
 
 
 def case_codes(n: int, m: int, p: int) -> np.ndarray:
@@ -86,9 +64,6 @@ class ProbabilityTable:
     pr: np.ndarray
     codes: np.ndarray
     source: str
-
-    def case(self, y: int) -> SpectrumCase:
-        return CASES[self.codes[y]]
 
     def total(self) -> float:
         return float(self.pr.sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lpq import build_oracle, grover_schedule
-from lpq.closedform import closed_form_table, pr_ratio_bounds
+from lpq.closedform import closed_form_table, ratio_bounds
 from lpq.recovery import success_set
 from lpq.spectrum import CODE_GENERIC, CODE_RESONANT, Algorithm, case_codes
 
@@ -94,9 +94,8 @@ def run_sweep(n_max: int, n_min: int = 2) -> SweepReport:
                 abs(float(closed[alg].sum()) - 1.0),
             )
         report.two_level_dev = max(report.two_level_dev, two_dev)
-        report.good_prob_margin = min(
-            report.good_prob_margin, sched.good_probability - (1.0 - m / n)
-        )
+        good = math.sin((2 * sched.k + 1) * sched.theta) ** 2  # marked mass after k rounds
+        report.good_prob_margin = min(report.good_prob_margin, good - (1.0 - m / n))
         _ratio_checks(report, spec, closed)
         report.triples += 1
         report.offsets += amp.shape[0]
@@ -110,7 +109,7 @@ def _ratio_checks(report: SweepReport, spec, closed) -> None:
         return
     succ = success_set(spec)
     for baseline in (Algorithm.QFT, Algorithm.QHS):
-        bounds = pr_ratio_bounds(spec, baseline)
+        bounds = ratio_bounds(spec.n, spec.m, baseline)
         ratios = closed[Algorithm.AMPLIFIED][live] / closed[baseline][live]
         report.ratio_violation = max(
             report.ratio_violation,

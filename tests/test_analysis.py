@@ -15,7 +15,6 @@ from lpq import (
     grover_schedule,
     marked_mask,
     monte_carlo_trials,
-    pipeline_success_probability,
     ratio_bounds,
     recover_period,
     success_probability,
@@ -23,6 +22,7 @@ from lpq import (
 )
 from lpq.closedform import closed_form_table
 from lpq.offset import test_period_known_s as probes_accept
+from lpq.recovery import accepted_denominators
 from lpq.simulator import _amplified_register
 from lpq.spectrum import Algorithm
 
@@ -32,6 +32,17 @@ STRICT_SPECS = [
     build_oracle(250, 50, 5, 0),
     build_oracle(1000, 12, 31, 7),
 ]
+
+
+def pipeline_success_probability(algorithm: Algorithm, spec) -> float:
+    """Exact per-run success probability of the full decision procedure.
+
+    Sums the closed-form probability of every frequency whose recovered
+    candidate is the true period (verification accepts exactly those); the
+    reference that the Monte-Carlo means are held to.
+    """
+    table = closed_form_table(spec, Algorithm(algorithm))
+    return float(table.pr[accepted_denominators(spec.n) == spec.p].sum())
 
 
 class TestGeometricStats:
@@ -113,6 +124,25 @@ class TestWorkfactor:
         for rep in workfactor_comparison(spec):
             pr0 = float(closed_form_table(spec, rep.algorithm).pr[0])
             assert rep.expected_runs == 1.0 / (1.0 - pr0)
+
+    @pytest.mark.parametrize("n", [2, 8, 128, 4096])
+    def test_half_marked_takes_one_round(self, n):
+        # at 2m = n, theta = pi/4 and k = 1: one round leaves Pr(0) at ~0
+        spec = build_oracle(n, n // 2, 1, 0)
+        assert grover_schedule(n, n // 2).k == 1
+        reports = {r.algorithm: r for r in workfactor_comparison(spec)}
+        assert reports[Algorithm.AMPLIFIED].per_run_cost == 2
+        assert reports[Algorithm.AMPLIFIED].expected_runs == 1.0
+        assert reports[Algorithm.QFT].expected_runs == 1.0
+        assert float(closed_form_table(spec, Algorithm.AMPLIFIED).pr[0]) < 1e-30
+
+    @pytest.mark.parametrize("n,m", [(8, 5), (7, 7), (1, 1), (100, 99)])
+    def test_no_round_past_half_raises(self, n, m):
+        # past 2m = n, k = 0 and Pr(0) = 1: no run ever measures y != 0
+        spec = build_oracle(n, m, 1, 0, strict=False)
+        assert grover_schedule(n, m).k == 0
+        with pytest.raises(NonTermination, match="no run measures a nonzero frequency"):
+            workfactor_comparison(spec)
 
     def test_ratio_monotone_in_n(self):
         ratios = []

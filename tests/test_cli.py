@@ -10,10 +10,10 @@ import pytest
 import lpq.closedform
 from lpq import build_oracle, cli
 from lpq.cli import main
-from lpq.closedform import closed_form_table, pr_ratio_bounds
+from lpq.closedform import closed_form_table, ratio_bounds
 from lpq.recovery import success_set
 from lpq.simulator import simulated_table
-from lpq.spectrum import Algorithm
+from lpq.spectrum import CASE_NAMES, Algorithm
 
 
 def run(tmp_path, *argv):
@@ -235,6 +235,33 @@ class TestTrials:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestHalfMarked:
+    @pytest.mark.parametrize("n,p", [(8, 1), (128, 1), (256, 2)])
+    def test_one_round_at_2m_equal_n(self, n, p, tmp_path):
+        # theta = pi/4 and k = 1, so Pr(0) ~ 0 and one amplified run suffices
+        out = tmp_path / "trials.json"
+        argv = ["trials", "--n", n, "--m", n // 2, "--p", p, "--s", 0, "--format", "json"]
+        assert main([*map(str, argv), "--out", str(out)]) == 0
+        rows = {r["algorithm"]: r for r in json.loads(out.read_text())["workfactor"]}
+        assert rows["amplified"]["per_run_cost"] == 2
+        assert rows["amplified"]["expected_runs"] == 1
+        assert all(r["bound_verdict"] == "pass" for r in rows.values())
+
+    @pytest.mark.parametrize("cmd", ["trials", "sweep"])
+    def test_past_2m_equal_n_exits_4(self, cmd, tmp_path, capsys):
+        # k = 0 leaves Pr(0) = 1: no run measures a nonzero frequency
+        argv = ["--m", "5", "--p", "1", "--s", "0", "--no-strict"]
+        if cmd == "trials":
+            argv += ["--n", "8"]
+        else:
+            argv += ["--n-min", "8", "--n-max", "8", "--out", str(tmp_path)]
+        assert main([cmd, *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "amplified: Pr(0) = 1, so no run measures a nonzero frequency"
+        assert captured.err == f"error: {message}\n"
+
+
 def _count_closed_form_tables(monkeypatch) -> list:
     """Wrap every lpq binding of closed_form_table with a call counter."""
     original, calls = lpq.closedform.closed_form_table, []
@@ -252,13 +279,15 @@ def _count_closed_form_tables(monkeypatch) -> list:
 
 
 class TestClosedFormTablesPerInstance:
-    def test_trials_builds_one_per_algorithm(self, monkeypatch, capsys):
+    # The work-factor rows read at most phi(p) + 1 closed-form values per
+    # pipeline; only Monte-Carlo needs a whole table.
+    def test_trials_builds_only_the_monte_carlo_table(self, monkeypatch, capsys):
         calls = _count_closed_form_tables(monkeypatch)
-        code = main(
-            ["trials", "--n", "4096", "--m", "4", "--p", "16", "--s", "3", "--runs", "3"]
-        )
-        assert code == 0
-        assert len(calls) == 3
+        argv = ["trials", "--n", "4096", "--m", "4", "--p", "16", "--s", "3"]
+        assert main(argv) == 0
+        assert calls == []
+        assert main([*argv, "--runs", "3", "--alg", "qhs"]) == 0
+        assert [args[1] for args in calls] == [Algorithm.QHS]
 
     def test_trials_p1_builds_only_the_monte_carlo_table(self, monkeypatch, capsys):
         # p = 1 certifies nothing, so only --runs needs a table
@@ -269,14 +298,14 @@ class TestClosedFormTablesPerInstance:
         assert main(argv) == 4
         assert len(calls) == 1
 
-    def test_sweep_builds_three_per_doubling(self, monkeypatch, tmp_path, capsys):
+    def test_sweep_builds_none(self, monkeypatch, tmp_path, capsys):
         calls = _count_closed_form_tables(monkeypatch)
         code = main(
             ["sweep", "--m", "4", "--p", "4", "--s", "1", "--n-min", "256",
              "--n-max", "1024", "--out", str(tmp_path)]
         )
         assert code == 0
-        assert len(calls) == 3 * 3
+        assert calls == []
 
 
 class TestSweep:
@@ -340,7 +369,7 @@ def reference_spectrum(spec, alg, fmt):
             "rows": [
                 {
                     "y": y,
-                    "case": closed.case(y).value,
+                    "case": CASE_NAMES[closed.codes[y]],
                     "pr_closedform": float(closed.pr[y]),
                     "pr_simulated": float(simulated.pr[y]),
                     "abs_deviation": float(dev[y]),
@@ -352,19 +381,20 @@ def reference_spectrum(spec, alg, fmt):
     lines = ["# schema=1", "y,case,pr_closedform,pr_simulated,abs_deviation"]
     for y in range(spec.n):
         cells = [closed.pr[y], simulated.pr[y], dev[y]]
-        lines.append(",".join([str(y), closed.case(y).value, *(format(float(x), ".17g") for x in cells)]))
+        case = CASE_NAMES[closed.codes[y]]
+        lines.append(",".join([str(y), case, *(format(float(x), ".17g") for x in cells)]))
     lines.append(f"# max_abs_deviation={format(float(dev.max()), '.17g')}")
     return "\n".join(lines) + "\n"
 
 
 def reference_compare(spec, fmt):
     tables = {alg: closed_form_table(spec, alg) for alg in Algorithm}
-    bounds = {alg: pr_ratio_bounds(spec, alg) for alg in (Algorithm.QFT, Algorithm.QHS)}
+    bounds = {alg: ratio_bounds(spec.n, spec.m, alg) for alg in (Algorithm.QFT, Algorithm.QHS)}
     succ = success_set(spec)
     sums = {alg: float(tables[alg].pr[succ].sum()) for alg in Algorithm}
     rows, verdicts = [], []
     for y in range(spec.n):
-        case = tables[Algorithm.QFT].case(y).value
+        case = CASE_NAMES[tables[Algorithm.QFT].codes[y]]
         if case in ("zero", "null"):
             rows.append([str(y), case, "excluded", "excluded", "excluded"])
             continue

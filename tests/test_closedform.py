@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -7,23 +8,77 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpq import (
-    CaseMismatch,
-    SpectrumCase,
     ValidationError,
-    amplified_pr,
     build_oracle,
-    classify,
+    closed_form_at,
     closed_form_table,
-    dirichlet_ratio,
     grover_schedule,
-    pr_ratio_bounds,
-    qft_pr,
-    qhs_pr,
+    ratio_bounds,
     simulated_table,
 )
-from lpq.spectrum import Algorithm, case_codes
+from lpq.spectrum import (
+    CASE_NAMES,
+    CODE_GENERIC,
+    CODE_NULL,
+    CODE_RESONANT,
+    CODE_ZERO,
+    Algorithm,
+    case_codes,
+)
 
 SPEC163 = build_oracle(16, 3, 4, 1)
+
+
+def classify(y: int, spec) -> str:
+    """The spectral case of frequency y, one frequency at a time: the
+    reference for the vectorized ``case_codes``."""
+    if y == 0:
+        return "zero"
+    if (spec.p * y) % spec.n == 0:
+        return "resonant"
+    if (spec.m * spec.p * y) % spec.n == 0:
+        return "null"
+    return "generic"
+
+
+@functools.cache
+def case_constants(n: int, m: int, algorithm: Algorithm) -> tuple[float, float, float]:
+    """Pr at y = 0, Pr at a resonance, and the factor of R(y) at a generic y."""
+    if algorithm is Algorithm.AMPLIFIED:
+        sched = grover_schedule(n, m)
+        zero = math.cos(2 * sched.k * sched.theta) ** 2
+        resonant = math.tan(sched.theta) ** 2 * math.sin(2 * sched.k * sched.theta) ** 2
+        return zero, resonant, resonant / m**2
+    if algorithm is Algorithm.QFT:
+        return (1 - 2 * m / n) ** 2, 4 * m**2 / n**2, 4 / n**2
+    return 1 - 2 * m * (n - m) / n**2, 2 * m**2 / n**2, 2 / n**2
+
+
+def reference_pr(y: int, spec, algorithm: Algorithm) -> float:
+    """The paper's case table written out for one frequency: the reference
+    for ``closed_form_at``.  The kernel ratio R(y) takes both sines at the
+    exact residue folded into [0, n/2]."""
+    n, m, p = spec.n, spec.m, spec.p
+    zero, resonant, generic = case_constants(n, m, algorithm)
+    case = classify(y, spec)
+    if case == "zero":
+        return zero
+    if case == "resonant":
+        return resonant
+    if case == "null":
+        return 0.0
+    num, den = (m * p * y) % n, (p * y) % n
+    num = math.sin(math.pi * min(num, n - num) / n)
+    den = math.sin(math.pi * min(den, n - den) / n)
+    return generic * (num / den) ** 2
+
+
+def small_instances():
+    """Every (n, m, p) with n <= 64, non-strict ones (p*p > n, 2m > n) included."""
+    for n in range(1, 65):
+        for p in range(1, n + 1):
+            for m in range(1, (n - 1) // p + 2):
+                yield build_oracle(n, m, p, 0, strict=False)
 
 
 def strict_specs(seed, count):
@@ -42,63 +97,72 @@ def strict_specs(seed, count):
 
 class TestClassify:
     def test_resonant(self):
-        assert classify(4, SPEC163) is SpectrumCase.RESONANT
+        assert classify(4, SPEC163) == "resonant"
+        assert case_codes(16, 3, 4)[4] == CODE_RESONANT
 
     def test_generic(self):
-        assert classify(1, SPEC163) is SpectrumCase.GENERIC
+        assert classify(1, SPEC163) == "generic"
+        assert case_codes(16, 3, 4)[1] == CODE_GENERIC
 
     def test_null(self):
         spec = build_oracle(16, 4, 4, 1, strict=False)
-        assert classify(1, spec) is SpectrumCase.NULL
+        assert classify(1, spec) == "null"
+        assert case_codes(16, 4, 4)[1] == CODE_NULL
 
     def test_zero(self):
-        assert classify(0, SPEC163) is SpectrumCase.ZERO
+        assert classify(0, SPEC163) == "zero"
+        assert case_codes(16, 3, 4)[0] == CODE_ZERO
 
     def test_partition_is_total(self):
-        # every instance with n <= 64, non-strict ones (p*p > n, 2m > n) included
-        names = np.array(["zero", "resonant", "generic", "null"])
-        for n in range(1, 65):
-            for p in range(1, n + 1):
-                for m in range(1, (n - 1) // p + 2):
-                    spec = build_oracle(n, m, p, 0, strict=False)
-                    expected = [classify(y, spec).value for y in range(n)]
-                    assert names[case_codes(n, m, p)].tolist() == expected, (n, m, p)
+        names = np.array(CASE_NAMES)
+        for spec in small_instances():
+            n, m, p = spec.n, spec.m, spec.p
+            expected = [classify(y, spec) for y in range(n)]
+            assert names[case_codes(n, m, p)].tolist() == expected, (n, m, p)
 
 
 class TestDirichletRatio:
+    """R(y), read off the qft pipeline's generic entries: (n^2/4) Pr(y)."""
+
+    @staticmethod
+    def kernel(spec, ys):
+        return closed_form_at(spec, Algorithm.QFT, ys) * spec.n**2 / 4
+
     def test_m1_is_one(self):
         spec = build_oracle(16, 1, 3, 2)
-        for y in range(16):
-            if classify(y, spec) is SpectrumCase.GENERIC:
-                assert dirichlet_ratio(y, spec) == pytest.approx(1.0, abs=1e-12)
+        generic = np.flatnonzero(case_codes(16, 1, 3) == CODE_GENERIC)
+        assert generic.size == 15
+        assert self.kernel(spec, generic) == pytest.approx(np.ones(15), abs=1e-12)
 
     def test_null_is_exact_zero(self):
         spec = build_oracle(16, 4, 4, 1, strict=False)
-        assert dirichlet_ratio(1, spec) == 0.0
+        for alg in Algorithm:
+            assert closed_form_at(spec, alg, [1, 2, 3]).tolist() == [0.0, 0.0, 0.0]
 
     def test_163_y1_is_one(self):
         # sin^2(3 pi/4) / sin^2(pi/4) = 1; cross-check by direct geometric sum
-        assert dirichlet_ratio(1, SPEC163) == pytest.approx(1.0, abs=1e-12)
+        assert self.kernel(SPEC163, [1])[0] == pytest.approx(1.0, abs=1e-12)
         total = sum(np.exp(-2j * np.pi * r * 4 * 1 / 16) for r in range(3))
         assert abs(total) ** 2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_resonant(self):
-        with pytest.raises(CaseMismatch):
-            dirichlet_ratio(4, SPEC163)
-        with pytest.raises(CaseMismatch):
-            dirichlet_ratio(0, SPEC163)
+    def test_resonances_take_case_constants(self):
+        # R(y) is 0/0 at the resonances; they get the exact case constants,
+        # with no floating-point warning
+        with np.errstate(all="raise"):
+            pr = closed_form_at(SPEC163, Algorithm.QFT, [0, 4, 8, 12])
+        assert pr.tolist() == [0.390625, 0.140625, 0.140625, 0.140625]
 
     def test_matches_geometric_sum_and_bound(self):
         for spec in strict_specs(seed=7, count=25):
-            for y in range(spec.n):
-                if classify(y, spec) not in (SpectrumCase.GENERIC, SpectrumCase.NULL):
-                    continue
-                ratio = dirichlet_ratio(y, spec)
+            codes = case_codes(spec.n, spec.m, spec.p)
+            ys = np.flatnonzero((codes == CODE_GENERIC) | (codes == CODE_NULL))
+            ratios = self.kernel(spec, ys)
+            for y, ratio in zip(ys.tolist(), ratios.tolist()):
                 total = sum(
                     np.exp(-2j * np.pi * r * spec.p * y / spec.n) for r in range(spec.m)
                 )
                 assert ratio == pytest.approx(abs(total) ** 2, abs=1e-8)
-                assert -1e-12 <= ratio <= spec.m**2 + 1e-9
+                assert 0.0 <= ratio <= spec.m**2 + 1e-9
 
 
 class TestPointValues:
@@ -107,42 +171,98 @@ class TestPointValues:
     def test_qft_zero(self):
         exact = Fraction(16 - 2 * 3, 16) ** 2
         assert exact == Fraction(100, 256)
-        assert qft_pr(0, SPEC163) == pytest.approx(float(exact), abs=1e-12)
-        assert qft_pr(0, SPEC163) == 0.390625
+        assert closed_form_at(SPEC163, Algorithm.QFT, [0])[0] == 0.390625
 
     def test_qhs_zero(self):
         exact = 1 - Fraction(2 * 3 * 13, 256)
         assert exact == Fraction(178, 256)
-        assert qhs_pr(0, SPEC163) == pytest.approx(float(exact), abs=1e-12)
-        assert qhs_pr(0, SPEC163) == 0.6953125
+        assert closed_form_at(SPEC163, Algorithm.QHS, [0])[0] == 0.6953125
 
     def test_qhs_resonant(self):
-        assert qhs_pr(4, SPEC163) == pytest.approx(float(Fraction(18, 256)), abs=1e-12)
+        pr = closed_form_at(SPEC163, Algorithm.QHS, [4])[0]
+        assert pr == pytest.approx(float(Fraction(18, 256)), abs=1e-12)
 
     def test_qft_resonant(self):
-        assert qft_pr(4, SPEC163) == pytest.approx(float(Fraction(36, 256)), abs=1e-12)
+        pr = closed_form_at(SPEC163, Algorithm.QFT, [4])[0]
+        assert pr == pytest.approx(float(Fraction(36, 256)), abs=1e-12)
 
     def test_amplified_zero_from_schedule(self):
         sched = grover_schedule(16, 3)
-        assert amplified_pr(0, SPEC163) == pytest.approx(
+        assert closed_form_at(SPEC163, Algorithm.AMPLIFIED, [0])[0] == pytest.approx(
             math.cos(2 * sched.k * sched.theta) ** 2, abs=1e-15
         )
 
     def test_amplified_resonant_bounds(self):
         n, m = 16, 3
-        pr = amplified_pr(4, SPEC163)
+        pr = closed_form_at(SPEC163, Algorithm.AMPLIFIED, [4])[0]
         upper = (m / n) * (n / (n - m))
         assert upper + 1e-12 >= pr >= upper * (1 - 2 * m / n) ** 2 - 1e-12
+
+
+def assert_matches_reference(spec, alg, ys):
+    got = closed_form_at(spec, alg, ys)
+    want = np.array([reference_pr(y, spec, alg) for y in ys.tolist()])
+    # equal to 1e-12 relative; the null entries (want == 0) exactly
+    assert (np.abs(got - want) <= 1e-12 * want).all(), (spec, alg)
 
 
 class TestTables:
     @pytest.mark.parametrize("alg", list(Algorithm))
     def test_scalar_matches_vectorized(self, alg):
-        fn = {"amplified": amplified_pr, "qft": qft_pr, "qhs": qhs_pr}[alg.value]
-        for spec in strict_specs(seed=11, count=10):
+        # closed_form_at against the case table at every y of every small instance
+        for spec in small_instances():
+            assert_matches_reference(spec, alg, np.arange(spec.n))
+
+    @pytest.mark.parametrize("n,m,p", [(1 << 20, 4, 700), (1 << 20, 64, 127)])
+    def test_scalar_matches_vectorized_at_2e20(self, n, m, p):
+        spec = build_oracle(n, m, p, 0)
+        rng = np.random.default_rng(n + m + p)
+        period = n // math.gcd(n, p)
+        ys = np.concatenate(
+            [
+                rng.integers(0, n, 3000),  # mostly generic
+                np.arange(0, n, period),  # zero and the resonances
+                (n // math.gcd(n, m * p)) * np.arange(1, 40) % n,  # resonant and null
+                [1, n // 2, n - 1],
+            ]
+        )
+        for alg in Algorithm:
+            assert_matches_reference(spec, alg, ys)
+
+    @pytest.mark.parametrize(
+        "n,m,p",
+        [(4096, 4, 16), (4096, 3, 64), (4099, 3, 64), (1000, 5, 31), (1000, 5, 40),
+         (65536, 8, 200), (65536, 8, 201), (1024, 1, 512), (12, 4, 3), (1, 1, 1), (2, 1, 2)],
+    )
+    def test_table_is_all_y_evaluation(self, n, m, p):
+        # the period fill and the mirror reproduce the all-y evaluation bit for bit
+        spec = build_oracle(n, m, p, 0, strict=False)
+        for alg in Algorithm:
             table = closed_form_table(spec, alg)
-            for y in range(spec.n):
-                assert fn(y, spec) == pytest.approx(float(table.pr[y]), abs=1e-12)
+            assert table.pr.tobytes() == closed_form_at(spec, alg, np.arange(n)).tobytes()
+            assert table.codes.tolist() == case_codes(n, m, p).tolist()
+
+    def test_rejects_residue_overflow(self):
+        # (n-1)*m >= 2**63 would wrap the int64 residue products
+        spec = build_oracle(1 << 33, 1 << 31, 1, 0)
+        with pytest.raises(ValidationError, match="2\\*\\*63"):
+            closed_form_at(spec, Algorithm.QFT, [1])
+        spec = build_oracle(1 << 32, 1 << 30, 1, 0)
+        assert_matches_reference(spec, Algorithm.QFT, np.array([0, 3, 1 << 31, (1 << 32) - 5]))
+
+    def test_rejects_out_of_range_frequencies(self):
+        for ys in ([16], [-1], [0, 3, 17]):
+            with pytest.raises(ValidationError, match="0..15"):
+                closed_form_at(SPEC163, Algorithm.QFT, ys)
+        assert closed_form_at(SPEC163, Algorithm.QFT, []).size == 0
+
+    def test_iterations_override(self):
+        # no round leaves the uniform state, whose spectrum is a delta at 0
+        table = closed_form_table(SPEC163, Algorithm.AMPLIFIED, iterations=0)
+        assert table.pr.tolist() == [1.0] + [0.0] * 15
+        table = closed_form_table(SPEC163, Algorithm.AMPLIFIED, iterations=3)
+        every = closed_form_at(SPEC163, Algorithm.AMPLIFIED, np.arange(16), iterations=3)
+        assert table.pr.tobytes() == every.tobytes()
 
     @pytest.mark.parametrize("alg", list(Algorithm))
     def test_normalized_and_matches_simulation(self, alg):
@@ -155,13 +275,13 @@ class TestTables:
 
 class TestRatioBounds:
     def test_approx_value(self):
-        bounds = pr_ratio_bounds(SPEC163, Algorithm.QFT)
+        bounds = ratio_bounds(16, 3, Algorithm.QFT)
         assert bounds.approx == pytest.approx(16 / 12)
 
     def test_gap_identities(self):
         for spec in strict_specs(seed=17, count=30):
-            qft = pr_ratio_bounds(spec, Algorithm.QFT)
-            qhs = pr_ratio_bounds(spec, Algorithm.QHS)
+            qft = ratio_bounds(spec.n, spec.m, Algorithm.QFT)
+            qhs = ratio_bounds(spec.n, spec.m, Algorithm.QHS)
             assert qft.gap == pytest.approx(1.0, abs=1e-9)
             assert qhs.gap == pytest.approx(2.0, abs=1e-9)
             assert qft.lower == pytest.approx(qft.upper * (1 - 2 * spec.m / spec.n) ** 2)
@@ -170,20 +290,19 @@ class TestRatioBounds:
         for spec in strict_specs(seed=19, count=20):
             tables = {alg: closed_form_table(spec, alg).pr for alg in Algorithm}
             codes = case_codes(spec.n, spec.m, spec.p)
-            live = (codes == 1) | (codes == 2)
+            live = (codes == CODE_RESONANT) | (codes == CODE_GENERIC)
             if not live.any():
                 continue
             for baseline in (Algorithm.QFT, Algorithm.QHS):
-                bounds = pr_ratio_bounds(spec, baseline)
+                bounds = ratio_bounds(spec.n, spec.m, baseline)
                 ratios = tables[Algorithm.AMPLIFIED][live] / tables[baseline][live]
                 assert ratios.max() - ratios.min() < 1e-9
                 assert ratios.min() >= bounds.lower - 1e-9
                 assert ratios.max() <= bounds.upper + 1e-9
 
     def test_requires_strict_m(self):
-        spec = build_oracle(8, 5, 1, 0, strict=False)
         with pytest.raises(ValidationError):
-            pr_ratio_bounds(spec)
+            ratio_bounds(8, 5)
 
 
 @settings(max_examples=50)
@@ -194,6 +313,6 @@ def test_null_case_is_exact_zero(n, salt):
     m = int(rng.integers(2, max(3, n // 2 + 1))) if n >= 4 else 2
     spec = build_oracle(n * m, m, n, 0, strict=False)
     table = closed_form_table(spec, Algorithm.QFT)
-    null_rows = case_codes(spec.n, m, n) == 3
+    null_rows = case_codes(spec.n, m, n) == CODE_NULL
     if null_rows.any():
         assert (table.pr[null_rows] == 0.0).all()

@@ -97,7 +97,8 @@ class TestAmplifiedMeasurement:
         spec = build_oracle(16, 4, 4, 1, strict=False)
         h = OracleHandle(spec)
         members = set(spec.members())
-        assert grover_schedule(16, 4).good_probability == pytest.approx(1.0, abs=1e-12)
+        sched = grover_schedule(16, 4)
+        assert math.sin((2 * sched.k + 1) * sched.theta) ** 2 == pytest.approx(1.0, abs=1e-12)
         for seed in range(200):
             assert amplified_measure_member(h, seed) in members
 
@@ -105,7 +106,8 @@ class TestAmplifiedMeasurement:
         spec = build_oracle(64, 3, 8, 2)
         h = OracleHandle(spec)
         members = set(spec.members())
-        good = grover_schedule(64, 3).good_probability
+        sched = grover_schedule(64, 3)
+        good = math.sin((2 * sched.k + 1) * sched.theta) ** 2  # marked mass after k rounds
         draws = 10_000
         hits = sum(amplified_measure_member(h, seed) in members for seed in range(draws))
         sigma = math.sqrt(good * (1 - good) / draws)

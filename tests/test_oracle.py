@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +10,6 @@ from lpq import (
     LabelOutOfRange,
     MarkedSetTooLarge,
     OracleHandle,
-    OracleSpec,
     OverflowsLabelSpace,
     PeriodTooLarge,
     build_oracle,
@@ -17,7 +19,8 @@ from lpq import (
 def test_build_oracle_example():
     spec = build_oracle(16, 3, 4, 1)
     assert spec.members() == [1, 5, 9]
-    assert spec.is_strict
+    # strict: p*p <= n and 2*m <= n, the regime all bounds assume
+    assert spec.p * spec.p <= spec.n and 2 * spec.m <= spec.n
 
 
 def test_strict_period_rejected():
@@ -107,9 +110,11 @@ def test_member_gaps_are_exactly_p():
 
 
 def test_json_round_trip():
+    # a spec is its four fields, so it rebuilds from their JSON
     spec = build_oracle(16, 3, 4, 1)
-    assert spec.to_json() == '{"n": 16, "m": 3, "p": 4, "s": 1}'
-    assert OracleSpec.from_json(spec.to_json()) == spec
+    text = json.dumps(dataclasses.asdict(spec))
+    assert text == '{"n": 16, "m": 3, "p": 4, "s": 1}'
+    assert build_oracle(**json.loads(text)) == spec
 
 
 def test_arbitrary_subset_handle():

@@ -108,7 +108,7 @@ class TestGroverSchedule:
         sched = grover_schedule(7, 7)
         assert sched.theta == pytest.approx(math.pi / 2)
         assert sched.k == 0
-        assert sched.good_probability == pytest.approx(1.0)
+        assert math.sin((2 * sched.k + 1) * sched.theta) ** 2 == pytest.approx(1.0)
 
     def test_16_3_exact_amplitudes(self):
         # sin(3t) = 3 sin t - 4 sin^3 t with sin t = sqrt(3)/4 gives exact

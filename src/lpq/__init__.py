@@ -33,7 +33,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .offset import (
-    CountingContract,
     OffsetSearchResult,
     amplified_measure_member,
     find_offset_counting,
@@ -63,7 +62,6 @@ from .simulator import (
     grover_schedule,
     marked_mask,
     simulated_table,
-    soft_n_limit,
     uniform_state,
 )
 from .spectrum import Algorithm, ProbabilityTable

@@ -30,6 +30,7 @@ Errors print one ``error: ...`` line on stderr, not a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -256,7 +257,7 @@ def cmd_find_offset(args) -> int:
     except VerificationFailed as exc:
         obj, code = {"error": str(exc)}, EXIT_VERIFICATION
     else:
-        obj, code = result.to_json_obj(), EXIT_OK
+        obj, code = dataclasses.asdict(result), EXIT_OK
     obj["schema"] = 1
     obj["period_candidate"] = period
     if args.format == "json":

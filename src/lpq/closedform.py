@@ -110,13 +110,22 @@ def closed_form_table(
     """Whole-spectrum closed-form table for one pipeline, from one period
     or one half of the spectrum (module docstring)."""
     n = spec.n
+    codes = case_codes(n, spec.m, spec.p)
     period = n // math.gcd(n, spec.p)
-    pr = closed_form_at(spec, algorithm, np.arange(min(period, n // 2) + 1), iterations)
-    if period < n:  # y = 0 and y = 1..period: tile the period
-        pr = np.concatenate((pr[:1], np.resize(pr[1:], n - 1)))
-    else:  # y = 0..n//2: mirror
-        pr = np.concatenate((pr, pr[(n + 1) // 2 - 1 : 0 : -1]))
-    return make_table(n, pr, case_codes(n, spec.m, spec.p), "closed-form")
+    # Allocate the table before any temporary and fill its head a block at
+    # a time: the temporaries stay small and sit above the table in the
+    # heap, so freeing them leaves no table-sized hole below it.
+    pr = np.empty(n)
+    h = min(period, n // 2) + 1
+    for start in range(0, h, _Y_BLOCK):
+        ys = np.arange(start, min(start + _Y_BLOCK, h))
+        pr[start : start + ys.size] = closed_form_at(spec, algorithm, ys, iterations)
+    if period < n:  # y = 0, then y = 1..period over and over
+        pr[h : n - period + 1].reshape(-1, period)[:] = pr[1:h]
+        pr[n - period + 1 :] = pr[1:period]
+    else:  # y = 0..n//2, then the mirror
+        pr[h:] = pr[(n + 1) // 2 - 1 : 0 : -1]
+    return make_table(pr, codes)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,14 @@ evaluate to 0 rather than erroring, which makes the tests total.  For m = 1
 the pair test is vacuous (there is no second member to probe), so the
 search procedures return the single member directly in that case.
 
-Two seeded searches recover the offset from a measured member x1 = s + r*p:
+Two seeded searches recover the offset from a measured member x1 = s + r*p.
+Both run in one frame: it rejects p < 1 before any query, measures x1 by
+amplification (or checks a given ``x_start`` with one charged probe;
+LabelOutOfRange, uncharged, outside 0..n-1), returns x1 at once for m = 1,
+and charges every query the search made to ``oracle_queries``.  At each
+member x a descent reaches, one probe of x - p decides: marked means x is
+above the offset; unmarked means x is the offset if the pair test accepts
+(x, p), and otherwise that p is wrong (VerificationFailed).
 
 * counting: an idealized counter reports how many of the t probe points
   g(x) = max(0, x1 - (x+1)*p) are marked.  The counter returns the exact
@@ -21,11 +28,8 @@ Two seeded searches recover the offset from a measured member x1 = s + r*p:
   a member strictly below the current one, and repeat; the walk halves the
   remaining multiplier on average, so it ends at s after O(log2 m) rounds.
 
-Both searches raise ValidationError for p < 1 before any query, and for
-an ``x_start`` that one charged probe finds unmarked (LabelOutOfRange,
-uncharged, outside 0..n-1).  They build the ladder (``g_ladder``) only
-after x1 - p probed marked, so every rung lies in 0..x1 - p and costs one
-plain oracle call, as charged.
+The ladder (``g_ladder``) is built only after x - p probed marked, so
+every rung lies in 0..x - p and costs one plain oracle call, as charged.
 """
 
 from __future__ import annotations
@@ -63,15 +67,9 @@ def amplified_measure_member(handle: OracleHandle, seed) -> int:
 
     Samples the exact two-level distribution (a_k^2 on each member, b_k^2
     off); lands on a member with probability sin^2((2k+1) theta) >= 1 - m/n.
-    The caller still checks membership through the oracle.  Handles built
-    with ``OracleHandle.from_members`` carry no spec and cannot be measured.
+    The caller still checks membership through the oracle.
     """
     spec = handle.spec
-    if spec is None:
-        raise ValidationError(
-            "oracle handle built from a member list carries no spec to amplify; "
-            "pass x_start, a known member, to search from it"
-        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     schedule = grover_schedule(spec.n, spec.m)
     if rng.random() < spec.m * schedule.a_k**2:
@@ -109,28 +107,13 @@ def _pow2_at_least(m: int) -> int:
     return 1 << max(0, (m - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class CountingContract:
-    """Idealized exact-count subroutine: reports the number of marked probe
-    points, correct with probability >= confidence, at the quoted cost."""
-
-    t: int
-    reported: int
-    true_count: int
-    confidence: float = 2.0 / 3.0
-
-    @property
-    def cost(self) -> float:
-        r = self.reported
-        return math.sqrt((r + 1) * (self.t - r + 1))
-
-
-def _idealized_count(true_count: int, t: int, rng: np.random.Generator) -> CountingContract:
-    if rng.random() < 2.0 / 3.0 or t == 0:
-        return CountingContract(t, true_count, true_count)
+def _idealized_count(true_count: int, t: int, rng: np.random.Generator) -> int:
+    """The count an idealized counter reports: exact with probability 2/3."""
+    if rng.random() < 2.0 / 3.0:
+        return true_count
     # Adversarial failure: a near-miss, the hardest wrong answer to spot.
     wrong = [c for c in (true_count - 1, true_count + 1) if 0 <= c <= t]
-    return CountingContract(t, int(rng.choice(wrong)), true_count)
+    return int(rng.choice(wrong))
 
 
 @dataclass
@@ -143,21 +126,6 @@ class OffsetSearchResult:
     iterations: int = 0
     oracle_queries: int = 0
     counting_cost: float = 0.0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "method": self.method,
-            "offset": self.offset,
-            "history": list(self.history),
-            "iterations": self.iterations,
-            "oracle_queries": self.oracle_queries,
-            "counting_cost": self.counting_cost,
-        }
-
-
-def _check_period(p: int) -> None:
-    if p < 1:
-        raise ValidationError(f"period candidate must be >= 1, got {p}")
 
 
 def _measure_starting_member(handle, rng, x_start):
@@ -172,73 +140,54 @@ def _measure_starting_member(handle, rng, x_start):
     raise NonTermination(f"no member measured in {_MEASURE_RETRIES} amplified attempts")
 
 
-def find_offset_counting(
-    handle: OracleHandle, p: int, m: int, seed, x_start: int | None = None
-) -> OffsetSearchResult:
-    """Offset via one idealized count of the marked probe ladder.
+def _at_offset(handle: OracleHandle, x: int, p: int, m: int) -> bool:
+    """Whether the member x is the offset, by one probe of x - p and, if
+    that is unmarked, the pair test; VerificationFailed if it rejects."""
+    if _probe(handle, x - p):
+        return False
+    if test_period_known_s(handle, x, p, m):
+        return True
+    raise VerificationFailed(f"pair (s={x}, p={p}) rejected by probes")
 
-    Raises VerificationFailed when the pair test rejects the candidate,
-    which happens exactly when p is wrong or the counter lied; the caller
-    should rerun period finding.  Raises ValidationError for p < 1 or an
-    x_start that is not a member.
-    """
-    _check_period(p)
+
+def _search(method: str, descend, handle: OracleHandle, p: int, m: int, seed, x_start):
+    """The frame both searches share (module docstring);
+    ``descend(handle, p, m, rng, result)`` moves ``result`` from the
+    starting member down to the offset."""
+    if p < 1:
+        raise ValidationError(f"period candidate must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     queries_before = handle.query_count
     x1 = _measure_starting_member(handle, rng, x_start)
-    result = OffsetSearchResult("counting", x1, history=[x1])
-    if m == 1:
-        # x1 is the only member, hence the offset; no pair to test.
-        result.oracle_queries = handle.query_count - queries_before
-        return result
-    if _probe(handle, x1 - p) == 0:
-        # Either the multiplier is already zero or p is wrong.
-        if test_period_known_s(handle, x1, p, m):
-            result.oracle_queries = handle.query_count - queries_before
-            return result
-        raise VerificationFailed(f"pair (s={x1}, p={p}) rejected by probes")
-    t = _pow2_at_least(m)
-    true_count = sum(map(handle, g_ladder(x1, p, t)))
-    contract = _idealized_count(true_count, t, rng)
-    candidate = x1 - contract.reported * p
-    result.counting_cost = contract.cost
-    result.iterations = 1
-    if not test_period_known_s(handle, candidate, p, m):
-        raise VerificationFailed(
-            f"pair (s={candidate}, p={p}) rejected by probes (count={contract.reported})"
-        )
-    result.offset = candidate
-    result.history.append(candidate)
+    result = OffsetSearchResult(method, x1, history=[x1])
+    if m > 1:  # at m = 1, x1 is the only member, hence the offset: no pair to test
+        descend(handle, p, m, rng, result)
     result.oracle_queries = handle.query_count - queries_before
     return result
 
 
-def find_offset_decreasing(
-    handle: OracleHandle, p: int, m: int, seed, x_start: int | None = None
-) -> OffsetSearchResult:
-    """Offset via a strictly decreasing walk of amplified measurements.
+def _count_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchResult) -> None:
+    x1 = result.offset
+    if _at_offset(handle, x1, p, m):
+        return
+    t = _pow2_at_least(m)
+    reported = _idealized_count(sum(map(handle, g_ladder(x1, p, t))), t, rng)
+    candidate = x1 - reported * p
+    result.counting_cost = math.sqrt((reported + 1) * (t - reported + 1))
+    result.iterations = 1
+    if not test_period_known_s(handle, candidate, p, m):
+        raise VerificationFailed(
+            f"pair (s={candidate}, p={p}) rejected by probes (count={reported})"
+        )
+    result.offset = candidate
+    result.history.append(candidate)
 
-    Raises VerificationFailed when p is wrong, NonTermination if the
-    walk exceeds its iteration guard, and ValidationError for p < 1 or an
-    x_start that is not a member.
-    """
-    _check_period(p)
-    rng = np.random.default_rng(seed)
-    queries_before = handle.query_count
-    x = _measure_starting_member(handle, rng, x_start)
-    result = OffsetSearchResult("decreasing", x, history=[x])
-    if m == 1:
-        result.oracle_queries = handle.query_count - queries_before
-        return result
+
+def _walk_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchResult) -> None:
     max_rounds = 64 * math.ceil(math.log2(m) + 1)
     t = _pow2_at_least(m)
-    while True:
-        if _probe(handle, x - p) == 0:
-            if test_period_known_s(handle, x, p, m):
-                result.offset = x
-                result.oracle_queries = handle.query_count - queries_before
-                return result
-            raise VerificationFailed(f"pair (s={x}, p={p}) rejected by probes")
+    x = result.offset
+    while not _at_offset(handle, x, p, m):
         if result.iterations >= max_rounds:
             raise NonTermination(f"offset walk exceeded {max_rounds} rounds")
         # Mark the probe ladder below x and amplify over the t-point register.
@@ -251,8 +200,33 @@ def find_offset_decreasing(
                 break  # landed on the marked image; else retry the round
         else:
             raise NonTermination(f"{_MEASURE_RETRIES} off-image measurements in a row")
-        x_new = list(compress(ladder, marked))[int(rng.integers(good))]
-        handle(x_new)  # membership confirmation probe
-        result.history.append(x_new)
+        x = list(compress(ladder, marked))[int(rng.integers(good))]
+        handle(x)  # membership confirmation probe
+        result.history.append(x)
         result.iterations += 1
-        x = x_new
+    result.offset = x
+
+
+def find_offset_counting(
+    handle: OracleHandle, p: int, m: int, seed, x_start: int | None = None
+) -> OffsetSearchResult:
+    """Offset via one idealized count of the marked probe ladder.
+
+    Raises VerificationFailed when the pair test rejects the candidate,
+    which happens exactly when p is wrong or the counter lied; the caller
+    should rerun period finding.  Raises ValidationError for p < 1 or an
+    x_start that is not a member.
+    """
+    return _search("counting", _count_down, handle, p, m, seed, x_start)
+
+
+def find_offset_decreasing(
+    handle: OracleHandle, p: int, m: int, seed, x_start: int | None = None
+) -> OffsetSearchResult:
+    """Offset via a strictly decreasing walk of amplified measurements.
+
+    Raises VerificationFailed when p is wrong, NonTermination if the
+    walk exceeds its iteration guard, and ValidationError for p < 1 or an
+    x_start that is not a member.
+    """
+    return _search("decreasing", _walk_down, handle, p, m, seed, x_start)

@@ -2,10 +2,12 @@
 
 An instance over the labels {0..n-1} marks the m labels
 {s, s+p, ..., s+(m-1)p}; the oracle is the indicator of that set, wrapped
-behind a query counter so search procedures can report their cost.  One
-query is exactly one ``OracleHandle.__call__``: a range check, a bump of
-the tally (no lock; nothing in lpq queries concurrently) and an inline
-arithmetic membership test.
+behind a query counter so search procedures can report their cost.  Every
+handle wraps a validated :class:`OracleSpec`, so amplification can always
+read n, m, p and s off ``handle.spec``.  One query is exactly one
+``OracleHandle.__call__``: a range check, a bump of the tally (no lock;
+nothing in lpq queries concurrently) and an inline arithmetic membership
+test.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ def build_oracle(n: int, m: int, p: int, s: int, strict: bool = True) -> OracleS
 class OracleHandle:
     """The oracle as a callable with a query tally.
 
-    ``handle(x)`` returns 1 iff x is marked, and bumps ``query_count``.
-    A spec handle tests x - s against the stored period and span; a
-    ``from_members`` handle looks x up in its frozenset.
+    ``handle(x)`` returns 1 iff x is marked, and bumps ``query_count``:
+    it tests x - s against the stored period and span.
     """
 
     def __init__(self, spec: OracleSpec):
@@ -76,27 +77,7 @@ class OracleHandle:
         self._s = spec.s
         self._p = spec.p
         self._span = (spec.m - 1) * spec.p
-        self._marked = None
         self._count = 0
-
-    @classmethod
-    def from_members(cls, n: int, labels) -> "OracleHandle":
-        """Oracle for an arbitrary marked subset (no periodic structure).
-
-        Exists so recovery can be exercised on aperiodic sets; such handles
-        carry no spec and only support evaluation.
-        """
-        marked = frozenset(int(x) for x in labels)
-        if not marked:
-            raise DegenerateInstance("marked set is empty")
-        if min(marked) < 0 or max(marked) > n - 1:
-            raise OverflowsLabelSpace(f"labels outside 0..{n - 1}")
-        handle = cls.__new__(cls)
-        handle.spec = None
-        handle._n = n
-        handle._marked = marked
-        handle._count = 0
-        return handle
 
     @property
     def n(self) -> int:
@@ -110,7 +91,5 @@ class OracleHandle:
         if not 0 <= x < self._n:
             raise LabelOutOfRange(f"label {x} outside 0..{self._n - 1}")
         self._count += 1
-        if self._marked is not None:
-            return 1 if x in self._marked else 0
         d = x - self._s
         return 1 if 0 <= d <= self._span and d % self._p == 0 else 0

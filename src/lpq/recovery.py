@@ -189,8 +189,14 @@ def success_set(spec: OracleSpec) -> np.ndarray:
     docstring), so the set is y(d) for the d in 1..p-1 coprime to p, in
     O(p).  Past n that map is no longer one-to-one, and the window is
     scanned over the n labels instead, which is then the cheaper side.
+    Both run in int64, so ValidationError is raised where the largest
+    value either forms reaches 2**63: 2*n or 2*n*(p-1) + p in y(d), and
+    (n-1)*p in the scan.
     """
     n, p = spec.n, spec.p
+    largest = max(2 * n, 2 * n * (p - 1) + p) if p <= n else (n - 1) * p
+    if largest >= 1 << 63:
+        raise ValidationError(f"success set needs products below 2**63 (n={n}, p={p})")
     if p <= n:
         d = np.arange(1, p, dtype=np.int64)
         return d_to_y(d[np.gcd(d, p) == 1], n, p)

@@ -34,7 +34,6 @@ fresh array and leaves its inputs alone.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -44,19 +43,13 @@ from .errors import DegenerateInstance, ValidationError
 from .oracle import OracleSpec
 from .spectrum import Algorithm, ProbabilityTable, case_codes, make_table
 
-DEFAULT_SOFT_N_LIMIT = 1 << 16
-
-
-def soft_n_limit() -> int:
-    """Full-spectrum size ceiling; override with LPQ_SOFT_N_LIMIT."""
-    return int(os.environ.get("LPQ_SOFT_N_LIMIT", DEFAULT_SOFT_N_LIMIT))
+SOFT_N_LIMIT = 1 << 16  # full-spectrum size past which a simulation warns
 
 
 def _check_desk_scale(n: int) -> None:
-    limit = soft_n_limit()
-    if n > limit:
+    if n > SOFT_N_LIMIT:
         warnings.warn(
-            f"n={n} exceeds the soft full-spectrum ceiling {limit}; "
+            f"n={n} exceeds the soft full-spectrum ceiling {SOFT_N_LIMIT}; "
             "expect long runtimes and reduced accuracy margins",
             RuntimeWarning,
             stacklevel=3,
@@ -212,4 +205,4 @@ def simulated_table(
         pr[1:h] *= 2.0
         pr[0] += (1.0 - h0) ** 2
     pr[h:] = pr[n - h : 0 : -1]
-    return make_table(n, pr, case_codes(n, spec.m, spec.p), "simulated")
+    return make_table(pr, case_codes(n, spec.m, spec.p))

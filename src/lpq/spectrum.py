@@ -55,27 +55,20 @@ def case_codes(n: int, m: int, p: int) -> np.ndarray:
 
 @dataclass
 class ProbabilityTable:
-    """Per-frequency measurement probabilities with case annotations.
+    """Per-frequency measurement probabilities with case annotations."""
 
-    ``source`` records provenance: "closed-form" or "simulated".
-    """
-
-    n: int
     pr: np.ndarray
     codes: np.ndarray
-    source: str
-
-    def total(self) -> float:
-        return float(self.pr.sum())
 
 
-def make_table(n: int, pr: np.ndarray, codes: np.ndarray, source: str) -> ProbabilityTable:
+def make_table(pr: np.ndarray, codes: np.ndarray) -> ProbabilityTable:
     """Zero the null frequencies, enforce normalization, and build the table.
 
+    Takes ownership of ``pr``, a fresh float64 array: its null entries are
+    zeroed in place and it becomes the table's ``pr``, with no copy.
     Every probability here is a square or a sum of squares, so any negative
     or non-finite entry is a defect, not rounding.
     """
-    pr = np.asarray(pr, dtype=float).copy()
     finite = np.isfinite(pr)
     if not finite.all():
         raise ValidationError(f"non-finite probability {pr[~finite][0]} in table")
@@ -87,4 +80,4 @@ def make_table(n: int, pr: np.ndarray, codes: np.ndarray, source: str) -> Probab
     total = pr.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(f"table sums to {total}, not 1")
-    return ProbabilityTable(n, pr, codes, source)
+    return ProbabilityTable(pr, codes)

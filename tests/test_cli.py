@@ -235,6 +235,16 @@ class TestTrials:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["trials", "compare"])
+def test_success_set_overflow_is_validation_error(cmd, capsys):
+    # 15 * 2**65 is past int64: one error line, not an OverflowError
+    argv = [cmd, "--n", "16", "--m", "1", "--p", str(2**65), "--s", "3", "--no-strict"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: success set needs products below 2**63 (n=16, p={2**65})\n"
+
+
 class TestHalfMarked:
     @pytest.mark.parametrize("n,p", [(8, 1), (128, 1), (256, 2)])
     def test_one_round_at_2m_equal_n(self, n, p, tmp_path):

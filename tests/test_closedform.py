@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -264,11 +265,25 @@ class TestTables:
         every = closed_form_at(SPEC163, Algorithm.AMPLIFIED, np.arange(16), iterations=3)
         assert table.pr.tobytes() == every.tobytes()
 
+    @pytest.mark.parametrize("p", [127, 700])  # mirror and period tile
+    def test_traced_peak_at_2e20(self, p):
+        # The 8 MiB table, 1 MiB of case codes and a few block-sized
+        # temporaries: no second table-sized array (19 MiB with one).
+        spec = build_oracle(1 << 20, 4, p, 3)
+        closed_form_table(spec, Algorithm.QFT)
+        tracemalloc.start()
+        try:
+            closed_form_table(spec, Algorithm.QFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
+
     @pytest.mark.parametrize("alg", list(Algorithm))
     def test_normalized_and_matches_simulation(self, alg):
         for spec in strict_specs(seed=13, count=20):
             table = closed_form_table(spec, alg)
-            assert table.total() == pytest.approx(1.0, abs=1e-9)
+            assert table.pr.sum() == pytest.approx(1.0, abs=1e-9)
             sim = simulated_table(spec, alg)
             assert np.abs(table.pr - sim.pr).max() < 1e-9
 

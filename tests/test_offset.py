@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 
@@ -377,21 +379,6 @@ class TestQueryReconcile:
             assert counter.calls - before_calls == h.query_count - before_count > 0
 
 
-class TestSpeclessHandle:
-    """Handles built from a member list have no spec to amplify."""
-
-    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
-    def test_measuring_raises_typed_error(self, search):
-        handle = OracleHandle.from_members(256, [3, 19, 35, 51])
-        with pytest.raises(ValidationError, match="no spec"):
-            search(handle, 16, 4, 0)
-
-    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
-    def test_known_member_still_searches(self, search):
-        handle = OracleHandle.from_members(256, [3, 19, 35, 51])
-        assert search(handle, 16, 4, 0, x_start=51).offset == 3
-
-
 def test_mean_rounds_scale_with_log_m():
     spec = build_oracle(4096, 32, 64, 5)
     rounds = []
@@ -400,3 +387,49 @@ def test_mean_rounds_scale_with_log_m():
         assert result.offset == 5
         rounds.append(result.iterations)
     assert np.mean(rounds) <= 4 * math.log2(32)
+
+
+# Full find-offset transcripts, held fixed: (method, n, m, p, s, seed,
+# --period or None for the true one) -> (exit code, output object).
+_TRANSCRIPTS = [
+    (("counting", 1024, 32, 16, 100, 0, None), 0, {"counting_cost": 17.0, "history": [356, 100], "iterations": 1, "method": "counting", "offset": 100, "oracle_queries": 37, "period_candidate": 16, "schema": 1}),
+    (("decreasing", 1024, 32, 16, 100, 0, None), 0, {"counting_cost": 0.0, "history": [356, 276, 244, 116, 100], "iterations": 4, "method": "decreasing", "offset": 100, "oracle_queries": 141, "period_candidate": 16, "schema": 1}),
+    (("counting", 4096, 9, 60, 77, 0, None), 0, {"counting_cost": 8.06225774829855, "history": [317, 77], "iterations": 1, "method": "counting", "offset": 77, "oracle_queries": 21, "period_candidate": 60, "schema": 1}),
+    (("decreasing", 4096, 9, 60, 77, 0, None), 0, {"counting_cost": 0.0, "history": [317, 197, 137, 77], "iterations": 3, "method": "decreasing", "offset": 77, "oracle_queries": 59, "period_candidate": 60, "schema": 1}),
+    (("counting", 1 << 20, 300, 1000, 4321, 0, None), 0, {"counting_cost": 235.457002444183, "history": [157321, 4321], "iterations": 1, "method": "counting", "offset": 4321, "oracle_queries": 517, "period_candidate": 1000, "schema": 1}),
+    (("decreasing", 1 << 20, 300, 1000, 4321, 0, None), 0, {"counting_cost": 0.0, "history": [157321, 115321, 95321, 20321, 4321], "iterations": 4, "method": "decreasing", "offset": 4321, "oracle_queries": 2061, "period_candidate": 1000, "schema": 1}),
+    (("counting", 64, 4, 4, 3, 4, None), 4, {"error": "pair (s=-1, p=4) rejected by probes (count=4)", "period_candidate": 4, "schema": 1}),
+    (("counting", 64, 1, 4, 3, 4, None), 0, {"counting_cost": 0.0, "history": [3], "iterations": 0, "method": "counting", "offset": 3, "oracle_queries": 1, "period_candidate": 4, "schema": 1}),
+    (("decreasing", 64, 1, 4, 3, 4, None), 0, {"counting_cost": 0.0, "history": [3], "iterations": 0, "method": "decreasing", "offset": 3, "oracle_queries": 1, "period_candidate": 4, "schema": 1}),
+    (("decreasing", 1024, 32, 16, 100, 0, 17), 4, {"error": "pair (s=356, p=17) rejected by probes", "period_candidate": 17, "schema": 1}),
+]
+
+
+@pytest.mark.parametrize("case,code,expected", _TRANSCRIPTS)
+def test_find_offset_transcripts(case, code, expected, capsys):
+    from lpq.cli import main
+
+    method, n, m, p, s, seed, period = case
+    argv = ["find-offset", "--method", method, "--seed", seed, "--n", n, "--m", m, "--p", p, "--s", s]
+    argv += [] if period is None else ["--period", period]
+    rows = [f"{k},{json.dumps(v)}" for k, v in sorted(expected.items())]
+    for fmt, text in (
+        ("json", json.dumps(expected, indent=1, sort_keys=True) + "\n"),
+        ("csv", "\n".join(["# schema=1", "field,value", *rows, ""])),
+    ):
+        assert main([str(a) for a in argv] + ["--format", fmt]) == code
+        assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.parametrize(
+    "search,expected",
+    [
+        (find_offset_counting, {"method": "counting", "offset": 100, "history": [596, 100], "iterations": 1, "oracle_queries": 37, "counting_cost": 8.0}),
+        (find_offset_decreasing, {"method": "decreasing", "offset": 100, "history": [596, 212, 100], "iterations": 2, "oracle_queries": 73, "counting_cost": 0.0}),
+    ],
+)
+def test_search_transcript_from_x_start(search, expected):
+    h = OracleHandle(build_oracle(1024, 32, 16, 100))
+    result = search(h, 16, 32, 1, x_start=100 + 31 * 16)
+    assert dataclasses.asdict(result) == expected
+    assert h.query_count == expected["oracle_queries"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lpq import (
     OracleHandle,
     RecoveryStatus,
+    ValidationError,
     ZeroDenominator,
     accepted_denominators,
     build_oracle,
@@ -241,6 +242,31 @@ class TestSuccessSet:
                 got = success_set(OracleSpec(n, 1, period, 0))
                 assert got.tolist() == y[keep[row]].tolist(), (n, period)
 
+    @pytest.mark.parametrize(
+        "n,p", [(15, 2**40 + 7), (16, (2**63 - 1) // 15), (1000, 2**53 + 1), (15, 2**62 // 14 - 1)]
+    )
+    def test_scan_matches_python_ints_below_the_bound(self, n, p):
+        # int64 would wrap past 2**63; Python ints never do
+        expected = [
+            y
+            for y in range(1, n)
+            if -p < 2 * smallest_residue(p * y, n) <= p and math.gcd(y_to_d(y, n, p), p) == 1
+        ]
+        assert success_set(OracleSpec(n, 1, p, 0)).tolist() == expected
+
+    @pytest.mark.parametrize("n,p", [(2**60, 4), (2**62 - 1, 1), (2**59, 7), (2**50, 2**12)])
+    def test_multipliers_match_python_ints_below_the_bound(self, n, p):
+        expected = [(2 * n * d + p) // (2 * p) for d in range(1, p) if math.gcd(d, p) == 1]
+        assert success_set(OracleSpec(n, 1, p, 0)).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n,p",
+        [(15, 2**62 + 3), (16, (2**63 - 1) // 15 + 1), (16, 2**65), (2**62, 1), (2**60, 5), (2**50, 2**12 + 1)],
+    )
+    def test_rejects_products_past_int64(self, n, p):
+        with pytest.raises(ValidationError, match="below 2\\*\\*63"):
+            success_set(OracleSpec(n, 1, p, 0))
+
     def test_every_member_recovers(self):
         for n, m, p, s in [(16, 3, 4, 1), (229, 7, 15, 11), (128, 8, 8, 3)]:
             spec = build_oracle(n, m, p, s)
@@ -311,7 +337,17 @@ def test_recovery_on_aperiodic_set_is_graceful():
     # rejected by the probes rather than crash anything
     from lpq import test_period_known_s
 
-    handle = OracleHandle.from_members(64, [3, 11, 24, 50])
+    class SubsetOracle:
+        """A 0/1 oracle for a subset with no period, with a query tally."""
+
+        n = 64
+        query_count = 0
+
+        def __call__(self, x):
+            self.query_count += 1
+            return int(x in (3, 11, 24, 50))
+
+    handle = SubsetOracle()
     proposals = 0
     for y in range(64):
         result = recover_period(y, 64)

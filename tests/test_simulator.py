@@ -286,7 +286,7 @@ class TestPipelines:
     def test_qhs_frozen_table(self):
         table = simulated_table(SPEC163, Algorithm.QHS)
         assert np.abs(table.pr - QHS163).max() < 1e-12
-        assert table.total() == pytest.approx(1.0, abs=1e-9)
+        assert table.pr.sum() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "n,m,p,s",
@@ -309,7 +309,7 @@ class TestPipelines:
             sim = simulated_table(spec, alg)
             closed = closed_form_table(spec, alg)
             assert np.abs(sim.pr - closed.pr).max() < 1e-9
-            assert sim.total() == pytest.approx(1.0, abs=1e-9)
+            assert sim.pr.sum() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("alg", list(Algorithm))
     @pytest.mark.parametrize("iterations", [None, 0, 3])
@@ -355,22 +355,36 @@ def test_make_table_rejects_non_finite(bad):
     pr = np.full(64, 1 / 64)
     pr[5] = bad
     with pytest.raises(ValidationError, match="non-finite"):
-        make_table(64, pr, case_codes(64, 4, 4), "simulated")
+        make_table(pr, case_codes(64, 4, 4))
+
+
+def test_make_table_takes_ownership():
+    pr = np.zeros(64)
+    pr[0], pr[8] = 1.0, 1e-12  # rounding dust on the null frequency 8
+    codes = case_codes(64, 4, 4)
+    table = make_table(pr, codes)
+    assert table.pr is pr and table.codes is codes
+    assert pr[8] == 0.0
 
 
 def test_soft_limit_warning(monkeypatch):
-    monkeypatch.setenv("LPQ_SOFT_N_LIMIT", "32")
-    with pytest.warns(RuntimeWarning):
+    text = "n={} exceeds the soft full-spectrum ceiling {}; expect long runtimes and reduced accuracy margins"
+    with pytest.warns(RuntimeWarning, match=f"^{text.format(65537, 65536)}$"):
+        uniform_state((1 << 16) + 1)
+    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 32)
+    with pytest.warns(RuntimeWarning, match=f"^{text.format(64, 32)}$"):
         uniform_state(64)
-    monkeypatch.setenv("LPQ_SOFT_N_LIMIT", "128")
-    uniform_state(64)  # no warning below the ceiling
+    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        uniform_state(64)  # no warning below the ceiling
 
 
 @pytest.mark.parametrize("alg", list(Algorithm))
 def test_soft_limit_warns_once_per_table(alg, monkeypatch):
     spec = build_oracle(64, 4, 4, 1)
-    for limit, expected in (("32", 1), ("64", 0)):
-        monkeypatch.setenv("LPQ_SOFT_N_LIMIT", limit)
+    for limit, expected in ((32, 1), (64, 0)):
+        monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", limit)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             simulated_table(spec, alg)
@@ -381,12 +395,12 @@ def test_soft_limit_warns_once_per_table(alg, monkeypatch):
 def test_tables_normalized_past_2e16(alg, monkeypatch):
     # Generic probabilities here fall far below 1e-12: zeroing by an absolute
     # threshold would erase ~1e-7 of mass and fail normalization.
-    monkeypatch.setenv("LPQ_SOFT_N_LIMIT", str(1 << 17))
+    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 1 << 17)
     spec = build_oracle(1 << 17, 4, 16, 3)
     closed = closed_form_table(spec, alg)
     sim = simulated_table(spec, alg)
-    assert abs(closed.total() - 1) < 1e-12
-    assert abs(sim.total() - 1) < 1e-12
+    assert abs(closed.pr.sum() - 1) < 1e-12
+    assert abs(sim.pr.sum() - 1) < 1e-12
     assert np.abs(sim.pr - closed.pr).max() < spec.n * np.finfo(float).eps
     null = sim.codes == CODE_NULL
     assert (sim.pr[null] == 0).all() and (closed.pr[null] == 0).all()
@@ -395,7 +409,7 @@ def test_tables_normalized_past_2e16(alg, monkeypatch):
 
 def test_amplified_register_at_2e20(monkeypatch):
     # O(m) rounds make the whole k = 402 schedule at 2^20 affordable here.
-    monkeypatch.setenv("LPQ_SOFT_N_LIMIT", str(1 << 20))
+    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 1 << 20)
     spec = build_oracle(1 << 20, 4, 700, 123)
     sched = grover_schedule(spec.n, spec.m)
     rounds = []

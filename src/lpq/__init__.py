@@ -46,6 +46,7 @@ from .recovery import (
     Convergent,
     RecoveryResult,
     RecoveryStatus,
+    acceptance_window,
     accepted_denominators,
     continued_fraction,
     convergents,

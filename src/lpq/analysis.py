@@ -18,14 +18,18 @@ different questions:
 Costs are counted in oracle/transform applications: k + 1 per amplified
 run, 1 per plain run.
 
-Monte-Carlo draws in bulk.  ``accepted_denominators`` gives the candidate
-period of every frequency at once; each distinct candidate is verified
-once with the oracle probes, which marks the frequencies where a trial
-succeeds.  Uniforms then come from one ``default_rng(seed)`` stream in
-batches.  Each is judged a success or a failure exactly as
-``searchsorted(cdf, u, side="right")`` on the closed-form CDF followed by
-that mark would judge it, but by a search over the CDF edges of the
-marked frequencies only.  The stream is cut after each success into
+Monte-Carlo draws in bulk.  Every candidate period is a q in
+2..isqrt(n), and each is verified once with the oracle probes.  A
+frequency whose candidate is q lies in the acceptance window of q (the y
+within n/(2q^2) of n*d/q for a d coprime to q), so ``accepted_denominators``
+runs only on the windows of the q that passed; that marks the frequencies
+where a trial succeeds, and no other can.  Uniforms then come from one
+``default_rng(seed)`` stream in batches.  Each is judged a success or a
+failure exactly as ``searchsorted(cdf, u, side="right")`` on the
+closed-form CDF followed by that mark would judge it, but from the CDF
+edges of the marked frequencies only: a table of 2^12 buckets of [0, 1)
+decides every uniform whose bucket holds no edge, and the rest are
+searched among the edges.  The stream is cut after each success into
 per-run trial counts.  Since ``Generator.random(k)`` yields the same
 doubles as k single draws, the counts equal those of a loop drawing one
 frequency per trial.
@@ -39,15 +43,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import closed_form_at, closed_form_table
-from .errors import BoundViolated, InvalidProbability, NonTermination
+from .errors import BoundViolated, InvalidProbability, NonTermination, ValidationError
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
-from .recovery import RecoveryStatus, accepted_denominators, recover_period, success_probability
+from .recovery import (
+    RecoveryStatus,
+    accepted_denominators,
+    acceptance_window,
+    recover_period,
+    success_probability,
+)
 from .simulator import grover_schedule
 from .spectrum import Algorithm
 
 # Largest number of uniforms Monte-Carlo draws at once (64 KiB of doubles).
 _MC_BATCH_CAP = 1 << 13
+# Buckets of [0, 1) in the Monte-Carlo lookup.  A power of two, so u * _BUCKETS
+# and its floor are exact for every double u.
+_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -148,21 +161,29 @@ def monte_carlo_trials(
     """Run the sample -> recover -> verify loop to first success, ``runs`` times.
 
     The true offset is known to the harness only through the verification
-    probes.  Deterministic for a fixed seed.  A run needing more than
-    ``max_trials`` trials, or an instance where no verified frequency has
-    any probability, raises NonTermination.
+    probes.  Deterministic for a fixed seed.  ``runs`` below 1 raises
+    ValidationError.  A run needing more than ``max_trials`` trials, or an
+    instance where no verified frequency has any probability, raises
+    NonTermination.
     """
+    if runs < 1:
+        raise ValidationError(f"need runs >= 1, got {runs}")
     table = closed_form_table(spec, Algorithm(algorithm))
-    # Each distinct candidate period is verified once, by the oracle probes;
-    # a trial succeeds exactly when its frequency's candidate passed.
+    n = spec.n
+    # A trial succeeds exactly when its frequency's candidate, a q in
+    # 2..isqrt(n), passes the probes.  Each q is verified once; a frequency
+    # whose candidate is q lies in the acceptance window of q, so the ladder
+    # runs only on the windows of the q that passed, and every frequency
+    # outside them fails.
     handle = OracleHandle(spec)
-    candidates = accepted_denominators(spec.n)
-    present = np.bincount(candidates)
-    present[0] = 0  # no candidate
-    passed = np.zeros(present.size, dtype=bool)
-    for q in np.flatnonzero(present).tolist():
+    passed = np.zeros(math.isqrt(n) + 1, dtype=bool)
+    for q in range(2, passed.size):
         passed[q] = test_period_known_s(handle, spec.s, q, spec.m)
-    good = passed[candidates]
+    good = np.zeros(n, dtype=bool)
+    for q in np.flatnonzero(passed).tolist():
+        good[acceptance_window(n, q)] = True
+    ys = np.flatnonzero(good)
+    good[ys] = passed[accepted_denominators(n, ys)]
     p_good = float(table.pr[good].sum())
     if p_good == 0.0:
         raise NonTermination(
@@ -176,19 +197,19 @@ def monte_carlo_trials(
     # good[f - 1] (good[-1] = False); good[y] is the parity of the flips
     # f <= y.  As the CDF is monotone, f <= y iff the left CDF edge of f,
     # cdf[f - 1] (0 at f = 0), is <= u.  So a trial succeeds iff an odd
-    # number of flip edges are <= u, and the search runs over those few
-    # edges instead of all n CDF entries.
+    # number of flip edges are <= u, which _odd_flips decides from a
+    # bucket table over those few edges instead of all n CDF entries.
     flips = np.flatnonzero(np.diff(good, prepend=False, append=False))
     edges = np.where(flips > 0, cdf[flips - 1], 0.0)
     del cdf
+    codes = _bucket_codes(edges)
     rng = np.random.default_rng(seed)
     counts = np.empty(runs, dtype=np.int64)
     done = pending = 0  # finished runs; trials of the current run so far
     while done < runs:
         # a quarter more draws than the remaining runs need on average
         batch = math.ceil(min(_MC_BATCH_CAP, 1.25 * (runs - done) / p_good))
-        hit = np.searchsorted(edges, rng.random(batch), side="right")
-        np.bitwise_and(hit, 1, out=hit)
+        hit = _odd_flips(edges, codes, rng.random(batch))
         # 1-based positions of the successes this batch needs
         ends = np.flatnonzero(hit)[: runs - done] + 1
         if ends.size:
@@ -207,6 +228,36 @@ def monte_carlo_trials(
     variance = float(counts.var(ddof=1)) if runs > 1 else 0.0
     half = 1.96 * math.sqrt(variance / runs) if runs > 1 else 0.0
     return EmpiricalTrials(runs, mean, variance, (mean - half, mean + half), counts)
+
+
+def _bucket_codes(edges: np.ndarray) -> np.ndarray:
+    """Per bucket [b/B, (b+1)/B) of [0, 1), B = _BUCKETS: the parity of
+    ``searchsorted(edges, b/B, side="left")``, the edges below b/B, or 2
+    when an edge lies inside the bucket.
+
+    For u in a bucket with no edge inside, the edges <= u are exactly the
+    edges < b/B, so the parity is the bucket's; only a bucket holding an
+    edge needs a search.  An edge e lies in bucket floor(e*B), which is
+    exact, and below b/B iff that bucket is below b; edges past 1 share
+    bucket B, which no uniform reaches.
+    """
+    inside = np.bincount(
+        np.minimum((edges * _BUCKETS).astype(np.intp), _BUCKETS), minlength=_BUCKETS + 1
+    )
+    below = np.cumsum(inside) - inside
+    codes = (below[:-1] & 1).astype(np.int8)
+    codes[inside[:-1] > 0] = 2
+    return codes
+
+
+def _odd_flips(edges: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(edges, u, side="right") & 1`` for uniforms u in [0, 1),
+    read from the bucket codes of :func:`_bucket_codes` wherever they
+    decide it, and searched for only where the bucket holds an edge."""
+    hit = codes[(u * _BUCKETS).astype(np.intp)]
+    slow = np.flatnonzero(hit == 2)
+    hit[slow] = np.searchsorted(edges, u[slow], side="right") & 1
+    return hit
 
 
 def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):

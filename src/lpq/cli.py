@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, closedform, offset, recovery, simulator
-from .errors import LpqError, NonTermination, ValidationError, VerificationFailed
+from .errors import BoundViolated, LpqError, NonTermination, ValidationError, VerificationFailed
 from .oracle import OracleHandle, build_oracle
 from .spectrum import CASE_NAMES, CODE_GENERIC, CODE_RESONANT, Algorithm
 
@@ -176,7 +176,7 @@ def cmd_compare(args) -> int:
     for i, (alg, b) in enumerate(bounds.items()):
         den = tables[alg].pr[kept]
         if not den.all():
-            raise ZeroDivisionError(f"{alg.value} probability 0 at a resonant or generic frequency")
+            raise BoundViolated(f"{alg.value} probability 0 at a resonant or generic frequency")
         ratio = amp / den
         ok &= (b.lower - 1e-9 <= ratio) & (ratio <= b.upper + 1e-9)
         cells[i, kept] = _column(ratio, "%.17g")
@@ -440,6 +440,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(args)
+        if args.seed < 0:
+            raise ValidationError(f"need seed >= 0, got {args.seed}")
         return args.func(args)
     except LpqError as exc:
         sys.stderr.write(f"error: {exc}\n")

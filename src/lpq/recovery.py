@@ -105,34 +105,40 @@ class RecoveryResult:
 _Y_BLOCK = 4096
 
 
-def accepted_denominators(n: int, q_max: int | None = None) -> np.ndarray:
-    """The period candidate :func:`recover_period` accepts, for every y at once.
+def accepted_denominators(n: int, ys, q_max: int | None = None) -> np.ndarray:
+    """The period candidate :func:`recover_period` accepts, for each y in ys.
 
-    Entry y is ``recover_period(y, n, q_max).accepted``, with 0 where that
-    is None.  Euclid runs on y/n unreduced, which gives the partial
-    quotients of the reduced fraction, fused with the recurrence for the
-    convergent denominators q_k.  The numerators are never needed: by
-    induction on that recurrence, |y*q_k - d_k*n| is the k-th Euclidean
-    remainder r_k, so the 1/(2q^2) test reads q_k*r_k <= n/2.  Every y
-    still on its ladder advances one convergent per numpy step, in blocks
-    of _Y_BLOCK frequencies so the temporaries stay small.
+    ``ys`` is a 1-D sequence of frequencies in 0..n-1; entry i is
+    ``recover_period(ys[i], n, q_max).accepted``, with 0 where that is
+    None.  Euclid runs on y/n unreduced, which gives the partial quotients
+    of the reduced fraction, fused with the recurrence for the convergent
+    denominators q_k.  The numerators are never needed: by induction on
+    that recurrence, |y*q_k - d_k*n| is the k-th Euclidean remainder r_k,
+    so the 1/(2q^2) test reads q_k*r_k <= n/2.  Every y still on its ladder
+    advances one convergent per numpy step, in blocks of _Y_BLOCK
+    frequencies so the temporaries stay small.
 
-    Only y <= n/2 are walked; entry n - y equals entry y.  Any reduced
-    d/q with q >= 2 and |x - d/q| <= 1/(2q^2) is a convergent of x
-    (Legendre's theorem, whose proof admits equality once q >= 2), so the
-    candidate is the largest such q <= q_max, and d/q -> (q-d)/q carries
-    those fractions for x = y/n onto those for 1 - x.
+    Each y is folded to min(y, n - y) first; both have the same candidate.
+    Any reduced d/q with q >= 2 and |x - d/q| <= 1/(2q^2) is a convergent
+    of x (Legendre's theorem, whose proof admits equality once q >= 2), so
+    the candidate is the largest such q <= q_max, and d/q -> (q-d)/q
+    carries those fractions for x = y/n onto those for 1 - x.
     """
     if q_max is None:
         q_max = math.isqrt(n)
+    ys = np.asarray(ys, dtype=np.int64)
+    if ys.size and not (0 <= ys.min() and ys.max() < n):
+        raise ValidationError(f"frequencies must lie in 0..{n - 1}")
+    folded = np.minimum(ys, n - ys)
     half = n // 2
-    best = np.zeros(n, dtype=np.int64)
-    # y = 0 has no candidate.  For y >= 1 the first convergent is 0/1,
-    # whose q = 1 is never a candidate, so each ladder starts at Euclid's
-    # second step, (n, y), with (q_{-1}, q_0) = (0, 1).
-    for start in range(1, half + 1, _Y_BLOCK):
-        at = np.arange(start, min(start + _Y_BLOCK, half + 1), dtype=np.int64)
-        num, den = np.full(at.size, n, dtype=np.int64), at
+    best = np.zeros(ys.size, dtype=np.int64)
+    for start in range(0, ys.size, _Y_BLOCK):
+        # y = 0 has no candidate.  For y >= 1 the first convergent is 0/1,
+        # whose q = 1 is never a candidate, so each ladder starts at
+        # Euclid's second step, (n, y), with (q_{-1}, q_0) = (0, 1).  A
+        # folded y <= n/2 makes that step's quotient, and so every q, >= 2.
+        at = start + np.flatnonzero(folded[start : start + _Y_BLOCK])
+        num, den = np.full(at.size, n, dtype=np.int64), folded[at]
         q_prev2, q_prev = np.zeros_like(at), np.ones_like(at)
         while at.size:
             a, rem = np.divmod(num, den)
@@ -145,9 +151,32 @@ def accepted_denominators(n: int, q_max: int | None = None) -> np.ndarray:
             go = np.flatnonzero(live & (rem != 0))  # indices: faster than a mask here
             at, num, den = at[go], den[go], rem[go]
             q_prev2, q_prev = q_prev[go], q[go]
-    best[best == 1] = 0  # a bare q = 1 carries no period information
-    best[n - half :] = best[half:0:-1]
     return best
+
+
+def acceptance_window(n: int, q: int) -> np.ndarray:
+    """Every y in 1..n-1 that passes the 1/(2q^2) test for q, ascending.
+
+    These are the y with 2*q*|y*q - d*n| <= n for some d in 1..q-1 coprime
+    to q: the integers from ceil((2*q*d*n - n) / (2*q^2)) to
+    floor((2*q*d*n + n) / (2*q^2)) for each such d, a run that lies inside
+    1..n-1 and below the next d's.  Convergents are reduced, so a y whose
+    candidate in :func:`accepted_denominators` is q lies here.  The bounds
+    are Python ints; the labels are returned as int64, so n must stay
+    below 2**63.
+    """
+    if n >= 1 << 63:
+        raise ValidationError(f"acceptance window needs n below 2**63 (n={n})")
+    den = 2 * q * q
+    bounds = [
+        (-((n - 2 * q * d * n) // den), (2 * q * d * n + n) // den)
+        for d in range(1, q)
+        if math.gcd(d, q) == 1
+    ]
+    lo, hi = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    sizes = hi - lo + 1
+    # the runs back to back: run i starts at lo[i], at position sum(sizes[:i])
+    return np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def recover_period(y: int, n: int, q_max: int | None = None) -> RecoveryResult:

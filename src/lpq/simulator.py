@@ -84,11 +84,14 @@ class GroverSchedule:
 
 
 def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSchedule:
-    """sin(theta) = sqrt(m/n), k = floor(pi / (4 theta)) unless overridden."""
+    """sin(theta) = sqrt(m/n), k = floor(pi / (4 theta)) unless overridden by
+    ``iterations``, which must be >= 0."""
     if m < 1:
         raise DegenerateInstance(f"need m >= 1, got {m}")
     if m > n:
         raise DegenerateInstance(f"need m <= n, got m={m}, n={n}")
+    if iterations is not None and iterations < 0:
+        raise ValidationError(f"need iterations >= 0, got {iterations}")
     if 2 * m == n:
         # theta is pi/4 and k is 1; asin(sqrt(1/2)) lands one ulp above pi/4,
         # where pi/(4*theta) would round to 0.9999999999999999.  By Niven's

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import lpq.analysis
+from lpq.analysis import _BUCKETS, _bucket_codes, _odd_flips
 from lpq import (
     BoundViolated,
     InvalidProbability,
     NonTermination,
     OracleHandle,
+    ValidationError,
     build_oracle,
     expected_trials,
     geometric_stats,
@@ -42,7 +44,7 @@ def pipeline_success_probability(algorithm: Algorithm, spec) -> float:
     reference that the Monte-Carlo means are held to.
     """
     table = closed_form_table(spec, Algorithm(algorithm))
-    return float(table.pr[accepted_denominators(spec.n) == spec.p].sum())
+    return float(table.pr[accepted_denominators(spec.n, np.arange(spec.n)) == spec.p].sum())
 
 
 class TestGeometricStats:
@@ -244,6 +246,107 @@ class TestMonteCarloReference:
         spec = build_oracle(256, 4, 1, 3)
         with pytest.raises(NonTermination, match="no run can succeed"):
             monte_carlo_trials(Algorithm.QFT, spec, runs=1, seed=0)
+
+
+def direct_trial_counts(algorithm, spec, runs, seed, max_trials):
+    """Trial counts from the candidate of every frequency and a search of the
+    whole CDF per uniform: the batched Monte-Carlo without its windows or
+    buckets.  Returns the counts, or the NonTermination message."""
+    table = closed_form_table(spec, algorithm)
+    handle = OracleHandle(spec)
+    candidates = accepted_denominators(spec.n, np.arange(spec.n))
+    verdict = {q: probes_accept(handle, spec.s, q, spec.m) for q in set(candidates.tolist()) - {0}}
+    good = np.array([verdict.get(q, False) for q in candidates.tolist()])
+    if float(table.pr[good].sum()) == 0.0:
+        return "no run can succeed"
+    cdf = np.cumsum(table.pr)
+    cdf[-1] = max(cdf[-1], 1.0)
+    rng = np.random.default_rng(seed)
+    counts, drawn, last = [], 0, 0  # last: trials drawn up to the previous success
+    while True:
+        hits = good[np.searchsorted(cdf, rng.random(1000), side="right")]
+        for i in np.flatnonzero(hits).tolist():
+            if drawn + i + 1 - last > max_trials:
+                return f"no success within {max_trials} trials"
+            counts.append(drawn + i + 1 - last)
+            last = drawn + i + 1
+            if len(counts) == runs:
+                return counts
+        drawn += hits.size
+        if drawn - last >= max_trials:
+            return f"no success within {max_trials} trials"
+
+
+def random_instance(rng):
+    """A valid instance with n <= 600; p <= isqrt(n) 70% of the time."""
+    n = int(rng.integers(2, 601))
+    p = int(rng.integers(1, (math.isqrt(n) if rng.random() < 0.7 else n + 1) + 1))
+    m = int(rng.integers(1, min(60, (n - 1) // p + 1) + 1))
+    s = int(rng.integers(0, n - (m - 1) * p))
+    return build_oracle(n, m, p, s, strict=p * p <= n and 2 * m <= n)
+
+
+class TestMonteCarloDifferential:
+    def test_trial_counts_equal_direct_search(self):
+        # 360 seeded instances, many of them non-strict; a small guard on
+        # some of them exercises the NonTermination paths too
+        rng = np.random.default_rng(14)
+        outcomes = {"counts": 0, "guard": 0, "no success": 0, "non-strict": 0}
+        for i in range(360):
+            spec = random_instance(rng)
+            outcomes["non-strict"] += not (spec.p * spec.p <= spec.n and 2 * spec.m <= spec.n)
+            alg = list(Algorithm)[i % 3]
+            runs, seed = int(rng.integers(1, 30)), int(rng.integers(1 << 31))
+            max_trials = int(rng.choice([5, 50, 20_000]))
+            expected = direct_trial_counts(alg, spec, runs, seed, max_trials)
+            try:
+                got = monte_carlo_trials(alg, spec, runs, seed, max_trials).trial_counts.tolist()
+            except NonTermination as exc:
+                got = str(exc)
+            if isinstance(expected, list):
+                outcomes["counts"] += 1
+                assert got == expected, (spec, alg, runs, seed, max_trials)
+            else:
+                outcomes["guard" if "within" in expected else "no success"] += 1
+                assert isinstance(got, str) and got.endswith(expected), (spec, alg, got)
+        assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_rejects_runs_below_one(self, runs):
+        with pytest.raises(ValidationError, match=f"runs >= 1, got {runs}"):
+            monte_carlo_trials(Algorithm.QFT, build_oracle(256, 4, 5, 3), runs, 7)
+
+
+class TestBucketLookup:
+    def check(self, edges, u):
+        edges = np.sort(np.asarray(edges, dtype=float))
+        u = np.asarray(u, dtype=float)
+        expected = np.searchsorted(edges, u, side="right") & 1
+        assert _odd_flips(edges, _bucket_codes(edges), u).tolist() == expected.tolist()
+
+    def test_edges_and_uniforms_on_bucket_bounds(self):
+        # an edge on b/B sits inside bucket b, and a uniform on b/B is
+        # counted past it, as searchsorted(side="right") counts it
+        rng = np.random.default_rng(3)
+        grid = np.arange(_BUCKETS) / _BUCKETS
+        for size in (1, 2, 7, 160, 3000):
+            edges = rng.choice(grid, size)  # repeats included
+            self.check(edges, grid)
+            self.check(np.append(edges, [0.0, 1.0, 1.0 + 2**-52]), grid)
+
+    def test_random_edges_and_uniforms(self):
+        rng = np.random.default_rng(4)
+        for size in (0, 1, 5, 160, 5000):
+            edges = rng.random(size)
+            u = np.concatenate([rng.random(20_000), edges[edges < 1.0]])
+            self.check(edges, u)
+            self.check(np.repeat(edges, 2), u)
+
+    def test_codes(self):
+        codes = _bucket_codes(np.array([0.0, 0.5, 0.5 + 2**-40, 1.0]))
+        b = _BUCKETS // 2
+        assert codes[0] == 2 and codes[b] == 2
+        assert set(codes[1:b].tolist()) == {1} and set(codes[b + 1 :].tolist()) == {1}
 
 
 def general_unitary_ratio(n, m):

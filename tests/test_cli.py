@@ -13,7 +13,7 @@ from lpq.cli import main
 from lpq.closedform import closed_form_table, ratio_bounds
 from lpq.recovery import success_set
 from lpq.simulator import simulated_table
-from lpq.spectrum import CASE_NAMES, Algorithm
+from lpq.spectrum import CASE_NAMES, CODE_GENERIC, Algorithm
 
 
 def run(tmp_path, *argv):
@@ -58,6 +58,13 @@ class TestSpectrum:
         assert main(["spectrum", "--n", "16", "--m", "3", "--p", "5", "--s", "0"]) == 2
         assert "p*p <= n" in capsys.readouterr().err
 
+    def test_negative_iterations_override_exit(self, capsys):
+        code = main(["spectrum", *SPEC_FLAGS, "--alg", "amplified", "--iterations-override", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need iterations >= 0, got -1\n"
+
 
 class TestCompare:
     def test_bounds_and_exclusions(self, tmp_path):
@@ -82,6 +89,23 @@ class TestCompare:
         )
         assert code == 0
         assert json.loads(out.read_text())["summary"]["all_rows_within_bounds"] is True
+
+    def test_zero_probability_divisor_is_bound_violation(self, monkeypatch, capsys):
+        # a zero qft probability at a resonant or generic frequency leaves
+        # the ratio undefined: exit 1 with one error line, not a traceback
+        original = lpq.closedform.closed_form_table
+
+        def zeroed(spec, alg, *args, **kwargs):
+            table = original(spec, alg, *args, **kwargs)
+            if Algorithm(alg) is Algorithm.QFT:
+                table.pr[table.codes == CODE_GENERIC] = 0.0
+            return table
+
+        monkeypatch.setattr(lpq.closedform, "closed_form_table", zeroed)
+        assert main(["compare", *SPEC_FLAGS]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: qft probability 0 at a resonant or generic frequency\n"
 
 
 class TestRecover:
@@ -233,6 +257,43 @@ class TestTrials:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_runs_exit(self, fmt, capsys):
+        code = main(["trials", *SPEC_FLAGS, "--runs", "-1", "--format", fmt])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need runs >= 1, got -1\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_runs_has_no_monte_carlo_block(self, fmt, capsys):
+        assert main(["trials", *SPEC_FLAGS, "--format", fmt]) == 0
+        without = capsys.readouterr().out
+        assert main(["trials", *SPEC_FLAGS, "--runs", "0", "--format", fmt]) == 0
+        assert capsys.readouterr().out == without
+        assert "monte_carlo" not in without
+
+
+SEEDED = {
+    "find-offset": ["find-offset", *SPEC_FLAGS],
+    "trials": ["trials", *SPEC_FLAGS, "--runs", "5"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SEEDED))
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_is_validation_error(cmd, via, tmp_path, capsys):
+    if via == "flag":
+        argv = [*SEEDED[cmd], "--seed", "-3"]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -3}))
+        argv = ["--config", str(config), *SEEDED[cmd]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need seed >= 0, got -3\n"
 
 
 @pytest.mark.parametrize("cmd", ["trials", "compare"])

@@ -11,6 +11,7 @@ from lpq import (
     RecoveryStatus,
     ValidationError,
     ZeroDenominator,
+    acceptance_window,
     accepted_denominators,
     build_oracle,
     continued_fraction,
@@ -151,9 +152,77 @@ class TestRecoverPeriod:
         # the vectorized table against the scalar ladder, one y at a time
         cases = [(n, None) for n in [*range(1, 160), 4096, 4099, 65536]] + [(4099, 100)]
         for n, q_max in cases:
-            table = accepted_denominators(n, q_max)
+            table = accepted_denominators(n, np.arange(n), q_max)
             expected = [recover_period(y, n, q_max).accepted or 0 for y in range(n)]
             assert table.tolist() == expected, (n, q_max)
+
+    @pytest.mark.parametrize("n", [2, 17, 160, 4099, 65536, (1 << 20) + 7])
+    def test_subset_ladder_agrees(self, n):
+        # any subset, in any order, with repeats and both halves of 0..n-1
+        rng = np.random.default_rng(n)
+        ys = np.concatenate([[0, n - 1, n // 2, (n + 1) // 2], rng.integers(0, n, 300)])
+        ys = np.concatenate([ys, ys[::7]])
+        for q_max in (None, 3, math.isqrt(n) // 2):
+            got = accepted_denominators(n, ys, q_max)
+            expected = [recover_period(int(y), n, q_max).accepted or 0 for y in ys]
+            assert got.tolist() == expected, (n, q_max)
+
+    def test_subset_ladder_edge_cases(self):
+        assert accepted_denominators(64, []).tolist() == []
+        assert accepted_denominators(64, [16, 48, 0]).tolist() == [4, 4, 0]
+        for ys in ([64], [-1], [3, 70]):
+            with pytest.raises(ValidationError, match="0..63"):
+                accepted_denominators(64, ys)
+
+
+def window_by_search(n: int, q: int) -> list[int]:
+    """The y in 1..n-1 passing the 1/(2q^2) test for q with a coprime d in
+    1..q-1; the only d that can pass is the one nearest y*q/n."""
+    y = np.arange(1, n)
+    d = (2 * y * q + n) // (2 * n)
+    ok = (2 * q * np.abs(y * q - d * n) <= n) & (d >= 1) & (d <= q - 1) & (np.gcd(d, q) == 1)
+    return y[ok].tolist()
+
+
+class TestAcceptanceWindow:
+    def test_lists_the_passing_frequencies(self):
+        for n in range(1, 301):
+            for q in range(1, math.isqrt(n) + 2):
+                assert acceptance_window(n, q).tolist() == window_by_search(n, q), (n, q)
+
+    def test_accepted_candidate_lies_in_its_window(self):
+        # convergents are reduced, so the candidate q of y always comes
+        # with a coprime d, and y is inside the window of q
+        for n in range(2, 301):
+            windows = {q: set(acceptance_window(n, q).tolist()) for q in range(2, math.isqrt(n) + 1)}
+            for y in range(n):
+                q = recover_period(y, n).accepted
+                if q is not None:
+                    assert y in windows[q], (n, y, q)
+
+    def test_bounds_exact_past_int64_products(self):
+        # 2*q*d*n passes 2**63 for most d here, and each run is 2 or 3 labels
+        # wide; every listed y passes the test in Python ints, and the label
+        # just outside each run fails
+        n, q = (1 << 33) + 17, 65535
+        ys = acceptance_window(n, q).tolist()
+
+        def passes(y):
+            d = (2 * y * q + n) // (2 * n)
+            return 2 * q * abs(y * q - d * n) <= n and 1 <= d < q and math.gcd(d, q) == 1
+
+        assert 2 * q * (q - 1) * n >= 1 << 63
+        assert len(ys) > 10_000 and ys == sorted(set(ys))
+        assert all(passes(y) for y in ys)
+        starts = [y for i, y in enumerate(ys) if i == 0 or ys[i - 1] != y - 1]
+        ends = [y for i, y in enumerate(ys) if i + 1 == len(ys) or ys[i + 1] != y + 1]
+        assert len(starts) == len(ends) == sum(math.gcd(d, q) == 1 for d in range(1, q))
+        assert not any(passes(y - 1) for y in starts)
+        assert not any(passes(y + 1) for y in ends)
+
+    def test_rejects_labels_past_int64(self):
+        with pytest.raises(ValidationError, match="below 2\\*\\*63"):
+            acceptance_window(1 << 63, 2)
 
 
 class TestResidues:

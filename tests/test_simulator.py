@@ -132,6 +132,12 @@ class TestGroverSchedule:
         sched = grover_schedule(64, 2, iterations=3)
         assert sched.k == 3
 
+    def test_negative_iteration_override_rejected(self):
+        # the closed form would read k = -1 while the simulator ran no round
+        assert grover_schedule(64, 2, iterations=0).k == 0
+        with pytest.raises(ValidationError, match="iterations >= 0, got -1"):
+            grover_schedule(64, 2, iterations=-1)
+
 
 class TestGroverIterate:
     def test_exact_search_n4(self):

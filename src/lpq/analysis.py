@@ -19,9 +19,11 @@ Costs are counted in oracle/transform applications: k + 1 per amplified
 run, 1 per plain run.
 
 Monte-Carlo draws in bulk.  Every candidate period is a q in
-2..isqrt(n), and each is verified once with the oracle probes.  A
-frequency whose candidate is q lies in the acceptance window of q (the y
-within n/(2q^2) of n*d/q for a d coprime to q), so ``accepted_denominators``
+2..isqrt(n), and all of them are verified at once: the three probes of
+(s, q) share the probe of s, so one probe of s and two batched queries,
+of s + q and of s + (m-1)*q over every q, decide them all.  A frequency
+whose candidate is q lies in the acceptance window of q (the y within
+n/(2q^2) of n*d/q for a d coprime to q), so ``accepted_denominators``
 runs only on the windows of the q that passed; that marks the frequencies
 where a trial succeeds, and no other can.  Uniforms then come from one
 ``default_rng(seed)`` stream in batches.  Each is judged a success or a
@@ -52,6 +54,7 @@ from .recovery import (
     acceptance_window,
     recover_period,
     success_probability,
+    success_set,
 )
 from .simulator import grover_schedule
 from .spectrum import Algorithm
@@ -81,7 +84,13 @@ def geometric_stats(p: float) -> GeometricStats:
 def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
     """Geometric statistics at the certified success probability."""
     algorithm = Algorithm(algorithm)
-    stats = geometric_stats(success_probability(algorithm, spec))
+    return _certified_stats(algorithm, spec, success_probability(algorithm, spec))
+
+
+def _certified_stats(algorithm: Algorithm, spec: OracleSpec, p: float) -> GeometricStats:
+    """Geometric statistics at the certified success probability p, held to
+    the proven lower bound on the expected trials (BoundViolated)."""
+    stats = geometric_stats(p)
     n, m = spec.n, spec.m
     # The certified p never exceeds 1 - Pr(0), so these hold a fortiori.
     bound = {Algorithm.QFT: n / (4 * m), Algorithm.QHS: n / (2 * m)}.get(algorithm)
@@ -95,13 +104,19 @@ def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
 
 @dataclass(frozen=True)
 class WorkfactorReport:
-    """Expected cost of solving one instance with one pipeline."""
+    """Expected cost of solving one instance with one pipeline.
+
+    ``certified_expected_trials`` is :func:`expected_trials` at the
+    certified success probability, or None at p = 1, whose success set is
+    empty: no frequency certifies the period.
+    """
 
     algorithm: Algorithm
     per_run_cost: float
     expected_runs: float
     total_cost: float
     ratio_vs_amplified: float
+    certified_expected_trials: float | None
 
 
 def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
@@ -112,22 +127,42 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     applications for its single run, the others one application per run.
     A pipeline with Pr(0) = 1 never measures a nonzero frequency and raises
     NonTermination: the amplified one past 2m = n, where k = 0, and every
-    one at m = n.
+    one at m = n.  Each pipeline's closed form is evaluated once, at the
+    success set followed by y = 0 (so the set's entries sit where
+    :func:`success_probability` puts them, and sum alike).
     """
     amplified_cost = grover_schedule(spec.n, spec.m).k + 1
-    reports = []
+    # A pipeline with Pr(0) = 1 is reported before a success set too large
+    # for int64, so that guard waits until every Pr(0) is read.
+    try:
+        succ, too_large = success_set(spec), None
+    except ValidationError as exc:
+        succ, too_large = np.empty(0, dtype=np.int64), exc
+    evaluated = {}
     for algorithm in Algorithm:
-        pr0 = float(closed_form_at(spec, algorithm, [0])[0])
-        if pr0 >= 1.0:
+        pr = closed_form_at(spec, algorithm, np.append(succ, 0))
+        if pr[-1] >= 1.0:
             raise NonTermination(
                 f"{algorithm.value}: Pr(0) = 1, so no run measures a nonzero frequency"
             )
-        runs = 1.0 / (1.0 - pr0)
+        evaluated[algorithm] = pr
+    if too_large is not None:
+        raise too_large
+    reports = []
+    for algorithm, pr in evaluated.items():
+        runs = 1.0 / (1.0 - float(pr[-1]))
+        certified = (
+            _certified_stats(algorithm, spec, float(pr[:-1].sum())).expected_trials
+            if succ.size
+            else None
+        )
         if algorithm is Algorithm.AMPLIFIED:
-            reports.append(WorkfactorReport(algorithm, amplified_cost, runs, amplified_cost, 1.0))
+            reports.append(
+                WorkfactorReport(algorithm, amplified_cost, runs, amplified_cost, 1.0, certified)
+            )
         else:
             reports.append(
-                WorkfactorReport(algorithm, 1.0, runs, runs, runs / amplified_cost)
+                WorkfactorReport(algorithm, 1.0, runs, runs, runs / amplified_cost, certified)
             )
     return reports
 
@@ -171,14 +206,17 @@ def monte_carlo_trials(
     table = closed_form_table(spec, Algorithm(algorithm))
     n = spec.n
     # A trial succeeds exactly when its frequency's candidate, a q in
-    # 2..isqrt(n), passes the probes.  Each q is verified once; a frequency
+    # 2..isqrt(n), passes the probes.  Every q is verified at once; a frequency
     # whose candidate is q lies in the acceptance window of q, so the ladder
     # runs only on the windows of the q that passed, and every frequency
     # outside them fails.
     handle = OracleHandle(spec)
     passed = np.zeros(math.isqrt(n) + 1, dtype=bool)
-    for q in range(2, passed.size):
-        passed[q] = test_period_known_s(handle, spec.s, q, spec.m)
+    # the three probes of test_period_known_s, batched over q: f(s) is the
+    # same for every q
+    if handle(spec.s):
+        q = np.arange(2, passed.size, dtype=np.int64)
+        passed[2:] = handle.query_many(spec.s + q) & handle.query_many(spec.s + (spec.m - 1) * q)
     good = np.zeros(n, dtype=bool)
     for q in np.flatnonzero(passed).tolist():
         good[acceptance_window(n, q)] = True

@@ -2,9 +2,14 @@
 
 Subcommands: spectrum, compare, recover, find-offset, trials, sweep.
 Options can also come from a JSON config file (flat object keyed like the
-long flags); explicit flags override the file.  Runs are fully determined
-by their options, including the seed, so output files are byte-identical
-across repeats.
+long flags, with underscores: q_max); explicit flags override the file.
+Each value must be what its flag takes: an integer for an integer option,
+a string for a string one, one of the choices where there are choices, and
+true or false for a switch.  A file that cannot be read or parsed, is not
+a JSON object, or holds a value of another kind is a validation error.
+Keys that the subcommand has no option for are ignored, so one file can
+serve several subcommands.  Runs are fully determined by their options,
+including the seed, so output files are byte-identical across repeats.
 
 Per-frequency tables (spectrum, compare) are emitted in bulk: each float
 column is formatted once per distinct value and each row is one
@@ -270,15 +275,8 @@ def cmd_find_offset(args) -> int:
 
 def _workfactor_rows(spec) -> list[dict]:
     """The work-factor rows: one per pipeline."""
-    reports = analysis.workfactor_comparison(spec)
-    # p = 1 has an empty certified success set: no frequency certifies the
-    # period, so there is no certified trial count to report.
-    certifiable = recovery.success_set(spec).size > 0
     rows = []
-    for rep in reports:
-        certified = (
-            analysis.expected_trials(rep.algorithm, spec).expected_trials if certifiable else None
-        )
+    for rep in analysis.workfactor_comparison(spec):
         if rep.algorithm is Algorithm.QFT:
             verdict = rep.expected_runs >= spec.n / (4 * spec.m)
         elif rep.algorithm is Algorithm.QHS:
@@ -292,7 +290,7 @@ def _workfactor_rows(spec) -> list[dict]:
                 "expected_runs": rep.expected_runs,
                 "total_cost": rep.total_cost,
                 "ratio_vs_amplified": rep.ratio_vs_amplified,
-                "certified_expected_trials": certified,
+                "certified_expected_trials": rep.certified_expected_trials,
                 "bound_verdict": "pass" if verdict else "FAIL",
             }
         )
@@ -361,7 +359,19 @@ _COMMON = {
     "iterations_override": dict(type=int, help="override the amplification round count"),
 }
 
-_DEFAULTS = {"s": 0, "seed": 0, "format": "csv", "strict": True, "alg": "amplified"}
+# Defaults live here, not in the parser, so that a config value can fill
+# any option a flag left unset.
+_DEFAULTS = {
+    "s": 0,
+    "seed": 0,
+    "format": "csv",
+    "strict": True,
+    "alg": "amplified",
+    "verify": False,
+    "method": "decreasing",
+    "n_min": 256,
+    "n_max": 16384,
+}
 
 
 @functools.cache
@@ -377,12 +387,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, extra=()):
         sp = sub.add_parser(name)
-        for key in ("n", "m", "p", "s", "seed", "out", "format", "q_max", "iterations_override"):
+        options = [
             sp.add_argument(f"--{key.replace('_', '-')}", default=None, **_COMMON[key])
-        sp.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
-        for flag, kwargs in extra:
-            sp.add_argument(flag, **kwargs)
-        sp.set_defaults(func=func)
+            for key in ("n", "m", "p", "s", "seed", "out", "format", "q_max", "iterations_override")
+        ]
+        strict = sp.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
+        options.append(strict)
+        options += [sp.add_argument(flag, **kwargs) for flag, kwargs in extra]
+        # the subcommand's actions, by dest, for checking config values
+        sp.set_defaults(func=func, options={action.dest: action for action in options})
         return sp
 
     add("spectrum", cmd_spectrum, [("--alg", dict(choices=[a.value for a in Algorithm], default=None))])
@@ -392,14 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd_recover,
         [
             ("--y", dict(type=int, required=True, help="measured frequency")),
-            ("--verify", dict(action="store_true", help="check the candidate against the oracle")),
+            (
+                "--verify",
+                dict(action="store_true", default=None,
+                     help="check the candidate against the oracle"),
+            ),
         ],
     )
     add(
         "find-offset",
         cmd_find_offset,
         [
-            ("--method", dict(choices=["counting", "decreasing"], default="decreasing")),
+            ("--method", dict(choices=["counting", "decreasing"], default=None)),
             ("--period", dict(type=int, default=None, help="period candidate (default: the true one)")),
         ],
     )
@@ -415,23 +432,47 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         cmd_sweep,
         [
-            ("--n-min", dict(type=int, default=256)),
-            ("--n-max", dict(type=int, default=16384)),
+            ("--n-min", dict(type=int, default=None)),
+            ("--n-max", dict(type=int, default=None)),
         ],
     )
     return parser
 
 
+def _read_config(path: str) -> dict:
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ValidationError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
+    return config
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """``value`` if it is what the flag behind ``action`` takes (module
+    docstring), else ValidationError."""
+    if action.choices is not None:
+        ok, wanted = value in action.choices, f"one of {', '.join(action.choices)}"
+    elif action.type is None:  # a switch: --strict/--no-strict, --verify
+        ok, wanted = isinstance(value, bool), "true or false"
+    else:  # bool is an int subclass, so compare the exact type
+        ok = type(value) is action.type
+        wanted = {int: "an integer", str: "a string"}[action.type]
+    if not ok:
+        raise ValidationError(f"config option {key} must be {wanted}, got {json.dumps(value)}")
+    return value
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-    for key, value in vars(args).items():
-        if value is None:
-            if key in config:
-                setattr(args, key, config[key])
-            elif key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
+    config = _read_config(args.config) if args.config else {}
+    for key, action in args.options.items():
+        if key in config:
+            value = _config_value(key, config[key], action)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+        if getattr(args, key) is None and key in _DEFAULTS:
+            setattr(args, key, _DEFAULTS[key])
     return args
 
 

@@ -4,15 +4,20 @@ An instance over the labels {0..n-1} marks the m labels
 {s, s+p, ..., s+(m-1)p}; the oracle is the indicator of that set, wrapped
 behind a query counter so search procedures can report their cost.  Every
 handle wraps a validated :class:`OracleSpec`, so amplification can always
-read n, m, p and s off ``handle.spec``.  One query is exactly one
-``OracleHandle.__call__``: a range check, a bump of the tally (no lock;
-nothing in lpq queries concurrently) and an inline arithmetic membership
-test.
+read n, m, p and s off ``handle.spec``.  One query is one label in
+0..n-1 put to the handle, and the tally counts exactly those: one per
+``OracleHandle.__call__``, which raises on a label outside that range, and
+one per in-range label of ``OracleHandle.query_many``, which reads 0 for
+the others without charging them.  Both test membership by the same
+arithmetic on x - s; the tally has no lock, since nothing in lpq queries
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegenerateInstance,
@@ -68,7 +73,8 @@ class OracleHandle:
     """The oracle as a callable with a query tally.
 
     ``handle(x)`` returns 1 iff x is marked, and bumps ``query_count``:
-    it tests x - s against the stored period and span.
+    it tests x - s against the stored period and span.  ``query_many``
+    asks a batch of labels at once.
     """
 
     def __init__(self, spec: OracleSpec):
@@ -93,3 +99,13 @@ class OracleHandle:
         self._count += 1
         d = x - self._s
         return 1 if 0 <= d <= self._span and d % self._p == 0 else 0
+
+    def query_many(self, xs) -> np.ndarray:
+        """``handle(x)`` for each label x in the 1-D int64 sequence ``xs``, as
+        an int8 array; a label outside 0..n-1 reads 0 and is not charged.
+        The arithmetic is int64, so n must stay below 2**63."""
+        xs = np.asarray(xs, dtype=np.int64)
+        inside = (xs >= 0) & (xs < self._n)
+        self._count += int(np.count_nonzero(inside))
+        d = xs - self._s  # may wrap outside the range, where ``inside`` masks it
+        return (inside & (d >= 0) & (d <= self._span) & (d % self._p == 0)).view(np.int8)

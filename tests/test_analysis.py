@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,43 @@ class TestWorkfactor:
         assert grover_schedule(n, m).k == 0
         with pytest.raises(NonTermination, match="no run measures a nonzero frequency"):
             workfactor_comparison(spec)
+
+    def test_certified_trials_equal_expected_trials(self):
+        # the one evaluation per pipeline gives, bit for bit, the certified
+        # trial count of expected_trials; p = 1 certifies nothing
+        rng = np.random.default_rng(15)
+        specs = [*STRICT_SPECS, build_oracle(1 << 14, 4, 97, 3), build_oracle(1 << 14, 2, 127, 0)]
+        while len(specs) < 80:
+            spec = random_instance(rng)
+            if spec.p * spec.p <= spec.n and 2 * spec.m <= spec.n:
+                specs.append(spec)
+        for spec in specs:
+            for rep in workfactor_comparison(spec):
+                if spec.p == 1:
+                    assert rep.certified_expected_trials is None
+                else:
+                    expected = expected_trials(rep.algorithm, spec).expected_trials
+                    assert rep.certified_expected_trials == expected, (spec, rep.algorithm)
+
+    def test_certified_bound_violation_raises(self, monkeypatch):
+        # the work-factor rows hold the certified count to the same bound
+        monkeypatch.setattr(lpq.analysis, "closed_form_at", lambda spec, alg, ys: np.append(
+            np.full(len(ys) - 1, 1.0 / (len(ys) - 1)), 0.5))
+        with pytest.raises(BoundViolated, match="qft expects 1.0 trials"):
+            workfactor_comparison(STRICT_SPECS[1])
+
+    @pytest.mark.parametrize(
+        "n,m,p,error,message",
+        [
+            # qft's Pr(0) rounds to 1 here, and 2n(p-1) + p is past int64 too
+            (1 << 62, 1, 2, NonTermination, "qft: Pr(0) = 1"),
+            (1 << 58, 20, 20, ValidationError, "success set needs products below 2"),
+            (1 << 62, 4, 4, ValidationError, "closed form needs residue products below 2"),
+        ],
+    )
+    def test_error_order_past_int64(self, n, m, p, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            workfactor_comparison(build_oracle(n, m, p, 0))
 
     def test_ratio_monotone_in_n(self):
         ratios = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lpq.closedform
+import lpq.recovery
 from lpq import build_oracle, cli
 from lpq.cli import main
 from lpq.closedform import closed_form_table, ratio_bounds
@@ -333,20 +334,30 @@ class TestHalfMarked:
         assert captured.err == f"error: {message}\n"
 
 
-def _count_closed_form_tables(monkeypatch) -> list:
-    """Wrap every lpq binding of closed_form_table with a call counter."""
-    original, calls = lpq.closedform.closed_form_table, []
+def _count_calls(monkeypatch, original, skip=()) -> list:
+    """Wrap every lpq binding of ``original``, except those in the modules
+    named in ``skip``, with a call counter."""
+    calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name == "lpq" or name.startswith("lpq."):
+        if (name == "lpq" or name.startswith("lpq.")) and name not in skip:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def _count_closed_form_tables(monkeypatch) -> list:
+    return _count_calls(monkeypatch, lpq.closedform.closed_form_table)
+
+
+def _count_closed_form_evaluations(monkeypatch) -> list:
+    # the table's own block evaluations (in lpq.closedform) count as the table
+    return _count_calls(monkeypatch, lpq.closedform.closed_form_at, skip={"lpq.closedform"})
 
 
 class TestClosedFormTablesPerInstance:
@@ -377,6 +388,29 @@ class TestClosedFormTablesPerInstance:
         )
         assert code == 0
         assert calls == []
+
+    # One success set per instance, and one closed-form evaluation per
+    # pipeline that gives both Pr(0) and the certified probability.
+    @pytest.mark.parametrize("p,runs", [(16, None), (16, 40), (97, 40), (1, None)])
+    def test_three_evaluations_one_success_set(self, p, runs, monkeypatch, capsys):
+        evaluations = _count_closed_form_evaluations(monkeypatch)
+        success_sets = _count_calls(monkeypatch, lpq.recovery.success_set)
+        tables = _count_closed_form_tables(monkeypatch)
+        argv = ["trials", "--n", "16384", "--m", "4", "--p", str(p), "--s", "3", "--alg", "qft"]
+        if runs is not None:
+            argv += ["--runs", str(runs)]
+        assert main(argv) == 0
+        assert [args[1] for args in evaluations] == list(Algorithm)
+        assert len(success_sets) == 1
+        assert len(tables) == (runs is not None)
+
+    def test_sweep_per_doubling(self, monkeypatch, tmp_path, capsys):
+        evaluations = _count_closed_form_evaluations(monkeypatch)
+        success_sets = _count_calls(monkeypatch, lpq.recovery.success_set)
+        argv = ["sweep", "--m", "4", "--p", "4", "--s", "1", "--n-min", "256", "--n-max", "1024",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (len(evaluations), len(success_sets)) == (9, 3)
 
 
 class TestSweep:
@@ -419,6 +453,62 @@ class TestConfig:
     def test_missing_required_option(self, capsys):
         assert main(["spectrum", "--n", "16", "--m", "3"]) == 2
         assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"seed": "5"}', 'config option seed must be an integer, got "5"'),
+            ('{"n": 16.5}', "config option n must be an integer, got 16.5"),
+            ('{"seed": true}', "config option seed must be an integer, got true"),
+            ('{"format": "xml"}', 'config option format must be one of csv, json, got "xml"'),
+            ('{"alg": 1}', "config option alg must be one of amplified, qft, qhs, got 1"),
+            ('{"strict": "no"}', 'config option strict must be true or false, got "no"'),
+            ('{"out": 7}', "config option out must be a string, got 7"),
+            ("[16, 3, 4, 1]", "config file {path} must hold a JSON object"),
+            ('"n=16"', "config file {path} must hold a JSON object"),
+        ],
+    )
+    def test_bad_value_is_validation_error(self, text, message, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        assert main(["--config", str(config), "trials", *SPEC_FLAGS, "--runs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=config)}\n"
+
+    def test_value_is_checked_even_when_a_flag_overrides_it(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": 16.5}))
+        assert main(["--config", str(config), "trials", *SPEC_FLAGS]) == 2
+        assert capsys.readouterr().err == "error: config option n must be an integer, got 16.5\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "malformed", "not utf-8"])
+    def test_unreadable_file_is_validation_error(self, kind, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "malformed":
+            path.write_text('{"n": 16')
+        elif kind == "not utf-8":
+            path.write_bytes(b'{"n": "\xff"}')
+        assert main(["--config", str(path), "trials", *SPEC_FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config file {path}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_typed_values_apply_and_unknown_keys_are_ignored(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"n": 16, "m": 3, "p": 4, "s": 1, "seed": 5, "strict": True, "format": "json",
+             "method": "counting", "alg": "qft", "n_min": 32}
+        ))
+        assert main(["--config", str(config), "find-offset"]) == 0
+        from_config = capsys.readouterr()
+        flags = ["find-offset", *SPEC_FLAGS, "--seed", "5", "--strict", "--format", "json",
+                 "--method", "counting"]
+        assert main(flags) == 0
+        assert capsys.readouterr() == from_config
 
 
 # Serializer goldens: the CLI's bulk output against the same tables

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from lpq import (
     PeriodTooLarge,
     build_oracle,
 )
+from lpq.offset import _probe
 
 
 def test_build_oracle_example():
@@ -117,3 +119,46 @@ def test_json_round_trip():
     assert text == '{"n": 16, "m": 3, "p": 4, "s": 1}'
     assert build_oracle(**json.loads(text)) == spec
 
+
+
+class TestQueryMany:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 40])
+    def test_equals_probe_on_every_label(self, n):
+        # every valid instance at this n, every label in -3..n+2, as one batch
+        labels = list(range(-3, n + 3))
+        for p in range(1, n + 1):
+            for m in range(1, (n - 1) // p + 2):
+                for s in range(0, n - (m - 1) * p):
+                    spec = build_oracle(n, m, p, s, strict=False)
+                    batched, scalar = OracleHandle(spec), OracleHandle(spec)
+                    got = batched.query_many(labels)
+                    assert got.dtype == np.int8
+                    assert got.tolist() == [_probe(scalar, x) for x in labels]
+                    assert batched.query_count == scalar.query_count == n
+
+    def test_charges_exactly_the_in_range_labels(self):
+        handle = OracleHandle(build_oracle(16, 3, 4, 1))
+        handle.query_many([5, 5, -1, 16, 0, 15, 1 << 40])
+        assert handle.query_count == 4  # repeats are charged; out-of-range labels are not
+        handle(9)
+        assert handle.query_count == 5
+        handle.query_many(np.arange(-16, 32, dtype=np.int64))
+        assert handle.query_count == 21
+
+    def test_empty(self):
+        handle = OracleHandle(build_oracle(16, 3, 4, 1))
+        for xs in ([], np.empty(0, dtype=np.int64)):
+            got = handle.query_many(xs)
+            assert got.dtype == np.int8 and got.shape == (0,)
+        assert handle.query_count == 0
+
+    def test_labels_near_2_62(self):
+        n = (1 << 62) + 5
+        spec = build_oracle(n, 4, 1 << 20, n - 1 - 3 * (1 << 20))
+        handle = OracleHandle(spec)
+        top = spec.members()[-1]
+        labels = [top, top - (1 << 20), top - 1, top + 1, n - 1, n, n + 1, 1 << 62, -(1 << 62),
+                  (1 << 63) - 1, -(1 << 63), spec.s, spec.s - (1 << 20)]
+        got = handle.query_many(np.array(labels, dtype=np.int64))
+        assert got.tolist() == [int(x in spec.members()) for x in labels]
+        assert handle.query_count == sum(0 <= x < n for x in labels)

@@ -4,10 +4,7 @@ recovery, offset search, and work-factor accounting, all at desk scale."""
 
 from .analysis import (
     EmpiricalTrials,
-    GeometricStats,
     WorkfactorReport,
-    expected_trials,
-    geometric_stats,
     monte_carlo_trials,
     verified_recovery,
     workfactor_comparison,
@@ -42,7 +39,6 @@ from .offset import (
 )
 from .oracle import OracleHandle, OracleSpec, build_oracle
 from .recovery import (
-    ContinuedFraction,
     Convergent,
     RecoveryResult,
     RecoveryStatus,
@@ -52,7 +48,6 @@ from .recovery import (
     convergents,
     d_to_y,
     recover_period,
-    success_probability,
     success_set,
 )
 from .simulator import (

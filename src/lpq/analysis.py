@@ -2,18 +2,22 @@
 
 Each full run of a pipeline either yields a frequency from which the period
 is recovered and verified, or it fails and the pipeline is rerun; the run
-count is geometric, E[X] = 1/p and Var[X] = (1-p)/p^2.
+count is geometric, with mean 1/p for a per-run success probability p.
 
-Two per-run success probabilities are exposed, because they answer
-different questions:
+Two per-run success probabilities enter the work-factor table, because
+they answer different questions:
 
-* ``success_probability`` (recovery module): mass of the certified window
-  around each good multiplier — a provable lower bound on success.
+* the certified one: the closed-form mass of the success set
+  (:func:`lpq.recovery.success_set`), the window around each good
+  multiplier — a provable lower bound on success.
 * the y = 0 idealization 1 - Pr(0), which counts every nonzero frequency
   as a success.  It upper-bounds the above and the exact per-run success
   probability that Monte-Carlo measures, and it is the quantity behind the
-  headline E[X] >= n/(4m) (plain) and >= n/(2m) (two-register) lower
-  bounds, so the work-factor table is built from it.
+  headline E[X] >= n/(c*m) lower bounds, c = 4 for the plain pipeline
+  (qft) and 2 for the two-register one (qhs), so the expected runs are
+  built from it.  For those two, 1 - Pr(0) = c*m*(n - m)/n^2, so their
+  runs are the int quotient n^2 / (c*m*(n - m)), rounded once: 1 minus a
+  rounded Pr(0) would lose about log2(n/(c*m)) bits.
 
 Costs are counted in oracle/transform applications: k + 1 per amplified
 run, 1 per plain run.
@@ -53,7 +57,6 @@ from .recovery import (
     accepted_denominators,
     acceptance_window,
     recover_period,
-    success_probability,
     success_set,
 )
 from .simulator import grover_schedule
@@ -66,49 +69,41 @@ _MC_BATCH_CAP = 1 << 13
 _BUCKETS = 1 << 12
 
 
-@dataclass(frozen=True)
-class GeometricStats:
-    """Trials-to-first-success law for per-trial success probability p."""
-
-    p: float
-    expected_trials: float
-    variance: float
+# c in n/(c*m), the proven lower bound on the expected runs of the plain
+# pipelines; the amplified one has no such bound.
+_BOUND_DIVISOR = {Algorithm.QFT: 4, Algorithm.QHS: 2}
 
 
-def geometric_stats(p: float) -> GeometricStats:
+def runs_lower_bound(algorithm: Algorithm, spec: OracleSpec) -> float | None:
+    """The proven lower bound n/(c*m) on a plain pipeline's expected runs
+    (module docstring), or None for the amplified pipeline."""
+    c = _BOUND_DIVISOR.get(algorithm)
+    return None if c is None else spec.n / (c * spec.m)
+
+
+def _certified_trials(algorithm: Algorithm, spec: OracleSpec, p: float) -> float:
+    """Expected trials 1/p at the certified success probability p, held to
+    the proven lower bound on the expected runs (BoundViolated)."""
     if not 0.0 < p <= 1.0:
         raise InvalidProbability(f"need 0 < p <= 1, got {p}")
-    return GeometricStats(p, 1.0 / p, (1.0 - p) / p**2)
-
-
-def expected_trials(algorithm: Algorithm, spec: OracleSpec) -> GeometricStats:
-    """Geometric statistics at the certified success probability."""
-    algorithm = Algorithm(algorithm)
-    return _certified_stats(algorithm, spec, success_probability(algorithm, spec))
-
-
-def _certified_stats(algorithm: Algorithm, spec: OracleSpec, p: float) -> GeometricStats:
-    """Geometric statistics at the certified success probability p, held to
-    the proven lower bound on the expected trials (BoundViolated)."""
-    stats = geometric_stats(p)
-    n, m = spec.n, spec.m
-    # The certified p never exceeds 1 - Pr(0), so these hold a fortiori.
-    bound = {Algorithm.QFT: n / (4 * m), Algorithm.QHS: n / (2 * m)}.get(algorithm)
-    if bound is not None and stats.expected_trials < bound:
+    trials = 1.0 / p
+    # The certified p never exceeds 1 - Pr(0), so the bound holds a fortiori.
+    bound = runs_lower_bound(algorithm, spec)
+    if bound is not None and trials < bound:
         raise BoundViolated(
-            f"{algorithm.value} expects {stats.expected_trials} trials, "
-            f"below the proven lower bound {bound}"
+            f"{algorithm.value} expects {trials} trials, below the proven lower bound {bound}"
         )
-    return stats
+    return trials
 
 
 @dataclass(frozen=True)
 class WorkfactorReport:
     """Expected cost of solving one instance with one pipeline.
 
-    ``certified_expected_trials`` is :func:`expected_trials` at the
-    certified success probability, or None at p = 1, whose success set is
-    empty: no frequency certifies the period.
+    ``certified_expected_trials`` is 1/p at the certified success
+    probability p, the closed-form mass of the success set, or None at
+    period 1, whose success set is empty: no frequency certifies the
+    period.
     """
 
     algorithm: Algorithm
@@ -122,40 +117,39 @@ class WorkfactorReport:
 def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     """Cost table for the three pipelines on one instance.
 
-    Expected runs use the y = 0 idealization (see module docstring), with
-    Pr(0) from the closed form; the amplified pipeline is charged k + 1
-    applications for its single run, the others one application per run.
-    A pipeline with Pr(0) = 1 never measures a nonzero frequency and raises
-    NonTermination: the amplified one past 2m = n, where k = 0, and every
-    one at m = n.  Each pipeline's closed form is evaluated once, at the
-    success set followed by y = 0 (so the set's entries sit where
-    :func:`success_probability` puts them, and sum alike).
+    Expected runs use the y = 0 idealization (see module docstring); the
+    amplified pipeline is charged k + 1 applications for its single run,
+    the others one application per run.  A pipeline with Pr(0) = 1 never
+    measures a nonzero frequency and raises NonTermination: the amplified
+    one past 2m = n, where k = 0, and every one at m = n.  Each pipeline's
+    closed form is evaluated once, at the success set, for the certified
+    probability.
     """
-    amplified_cost = grover_schedule(spec.n, spec.m).k + 1
+    n, m = spec.n, spec.m
+    schedule = grover_schedule(n, m)
+    amplified_cost = schedule.k + 1
     # A pipeline with Pr(0) = 1 is reported before a success set too large
-    # for int64, so that guard waits until every Pr(0) is read.
+    # for int64, so that guard waits until every pipeline is read.
     try:
         succ, too_large = success_set(spec), None
     except ValidationError as exc:
         succ, too_large = np.empty(0, dtype=np.int64), exc
-    evaluated = {}
+    reports = []
     for algorithm in Algorithm:
-        pr = closed_form_at(spec, algorithm, np.append(succ, 0))
-        if pr[-1] >= 1.0:
+        pr = closed_form_at(spec, algorithm, succ)
+        # runs = scale / hits = 1/(1 - Pr(0))
+        if algorithm is Algorithm.AMPLIFIED:
+            # Pr(0) = cos^2(2k theta) is small wherever k >= 1: no cancellation
+            hits, scale = 1.0 - math.cos(2 * schedule.k * schedule.theta) ** 2, 1
+        else:
+            # n^2 (1 - Pr(0)) = c*m*(n - m) as an int (module docstring)
+            hits, scale = _BOUND_DIVISOR[algorithm] * m * (n - m), n * n
+        if hits == 0:
             raise NonTermination(
                 f"{algorithm.value}: Pr(0) = 1, so no run measures a nonzero frequency"
             )
-        evaluated[algorithm] = pr
-    if too_large is not None:
-        raise too_large
-    reports = []
-    for algorithm, pr in evaluated.items():
-        runs = 1.0 / (1.0 - float(pr[-1]))
-        certified = (
-            _certified_stats(algorithm, spec, float(pr[:-1].sum())).expected_trials
-            if succ.size
-            else None
-        )
+        runs = scale / hits
+        certified = _certified_trials(algorithm, spec, float(pr.sum())) if succ.size else None
         if algorithm is Algorithm.AMPLIFIED:
             reports.append(
                 WorkfactorReport(algorithm, amplified_cost, runs, amplified_cost, 1.0, certified)
@@ -164,6 +158,8 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
             reports.append(
                 WorkfactorReport(algorithm, 1.0, runs, runs, runs / amplified_cost, certified)
             )
+    if too_large is not None:
+        raise too_large
     return reports
 
 

@@ -7,9 +7,11 @@ Each value must be what its flag takes: an integer for an integer option,
 a string for a string one, one of the choices where there are choices, and
 true or false for a switch.  A file that cannot be read or parsed, is not
 a JSON object, or holds a value of another kind is a validation error.
-Keys that the subcommand has no option for are ignored, so one file can
-serve several subcommands.  Runs are fully determined by their options,
-including the seed, so output files are byte-identical across repeats.
+Keys that only other subcommands have an option for are ignored, so one
+file can serve several subcommands; a key that no subcommand has an option
+for, such as a misspelled one, is a validation error.  Runs are fully
+determined by their options, including the seed, so output files are
+byte-identical across repeats.
 
 Per-frequency tables (spectrum, compare) are emitted in bulk: each float
 column is formatted once per distinct value and each row is one
@@ -277,12 +279,8 @@ def _workfactor_rows(spec) -> list[dict]:
     """The work-factor rows: one per pipeline."""
     rows = []
     for rep in analysis.workfactor_comparison(spec):
-        if rep.algorithm is Algorithm.QFT:
-            verdict = rep.expected_runs >= spec.n / (4 * spec.m)
-        elif rep.algorithm is Algorithm.QHS:
-            verdict = rep.expected_runs >= spec.n / (2 * spec.m)
-        else:
-            verdict = True
+        bound = analysis.runs_lower_bound(rep.algorithm, spec)
+        verdict = bound is None or rep.expected_runs >= bound
         rows.append(
             {
                 "algorithm": rep.algorithm.value,
@@ -384,6 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=str, help="JSON file with default options")
     sub = parser.add_subparsers(dest="command", required=True)
+    known = set()  # every subcommand's options, by dest
 
     def add(name, func, extra=()):
         sp = sub.add_parser(name)
@@ -396,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         options += [sp.add_argument(flag, **kwargs) for flag, kwargs in extra]
         # the subcommand's actions, by dest, for checking config values
         sp.set_defaults(func=func, options={action.dest: action for action in options})
+        known.update(action.dest for action in options)
         return sp
 
     add("spectrum", cmd_spectrum, [("--alg", dict(choices=[a.value for a in Algorithm], default=None))])
@@ -436,6 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("--n-max", dict(type=int, default=None)),
         ],
     )
+    parser.set_defaults(config_keys=frozenset(known))
     return parser
 
 
@@ -466,6 +467,11 @@ def _config_value(key: str, value, action: argparse.Action):
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     config = _read_config(args.config) if args.config else {}
+    unknown = sorted(config.keys() - args.config_keys)
+    if unknown:
+        raise ValidationError(
+            f"config file {args.config} has options no subcommand takes: {', '.join(unknown)}"
+        )
     for key, action in args.options.items():
         if key in config:
             value = _config_value(key, config[key], action)

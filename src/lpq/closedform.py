@@ -135,7 +135,6 @@ class RatioBounds:
     lower: float
     upper: float
     approx: float
-    baseline: Algorithm
 
     @property
     def gap(self) -> float:
@@ -156,4 +155,4 @@ def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBo
         raise ValidationError("baseline must be qft or qhs")
     upper = approx * n / (n - m)
     lower = upper * (1 - 2 * m / n) ** 2
-    return RatioBounds(lower, upper, approx, baseline)
+    return RatioBounds(lower, upper, approx)

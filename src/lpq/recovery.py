@@ -27,21 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import closed_form_at
 from .errors import ValidationError, ZeroDenominator
 from .oracle import OracleSpec
-from .spectrum import Algorithm
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Partial quotients [a0; a1, a2, ...] of a non-negative rational.
-
-    Canonical form: the final quotient is >= 2 whenever there is more than
-    one, which makes the expansion unique.
-    """
-
-    quotients: tuple[int, ...]
 
 
 class Convergent(NamedTuple):
@@ -49,8 +36,13 @@ class Convergent(NamedTuple):
     q: int
 
 
-def continued_fraction(num: int, den: int) -> ContinuedFraction:
-    """Euclidean partial quotients of num/den (reduced internally)."""
+def continued_fraction(num: int, den: int) -> tuple[int, ...]:
+    """Partial quotients [a0; a1, a2, ...] of num/den, by Euclid on the
+    reduced fraction.
+
+    Canonical form: the final quotient is >= 2 whenever there is more than
+    one, which makes the expansion unique.
+    """
     if den == 0:
         raise ZeroDenominator("continued fraction of x/0")
     if num < 0 or den < 0:
@@ -64,15 +56,16 @@ def continued_fraction(num: int, den: int) -> ContinuedFraction:
         num, den = den, rem
     # Euclid on a reduced fraction already ends with a quotient >= 2 unless
     # the expansion is a single integer, so this is canonical as-is.
-    return ContinuedFraction(tuple(quotients))
+    return tuple(quotients)
 
 
-def convergents(cf: ContinuedFraction) -> list[Convergent]:
-    """Convergent ladder d_i/q_i by the standard recurrence; each reduced."""
+def convergents(quotients: tuple[int, ...]) -> list[Convergent]:
+    """Convergent ladder d_i/q_i of partial quotients by the standard
+    recurrence; each reduced."""
     out = []
     d_prev, d_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
-    for a in cf.quotients:
+    for a in quotients:
         d, q = a * d_prev + d_prev2, a * q_prev + q_prev2
         out.append(Convergent(d, q))
         d_prev2, d_prev = d_prev, d
@@ -236,8 +229,3 @@ def success_set(spec: OracleSpec) -> np.ndarray:
     y = np.flatnonzero((2 * r > -p) & (2 * r <= p))  # the window, at most p wide
     d = (p * y - r[y]) // n
     return y[(y != 0) & (np.gcd(d, p) == 1)]
-
-
-def success_probability(algorithm: Algorithm, spec: OracleSpec) -> float:
-    """Closed-form probability mass of the certified success set."""
-    return float(closed_form_at(spec, algorithm, success_set(spec)).sum())

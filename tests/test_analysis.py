@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,13 @@ from lpq import (
     OracleHandle,
     ValidationError,
     build_oracle,
-    expected_trials,
-    geometric_stats,
+    closed_form_at,
     grover_schedule,
     marked_mask,
     monte_carlo_trials,
     ratio_bounds,
     recover_period,
-    success_probability,
+    success_set,
     workfactor_comparison,
 )
 from lpq.closedform import closed_form_table
@@ -48,42 +48,50 @@ def pipeline_success_probability(algorithm: Algorithm, spec) -> float:
     return float(table.pr[accepted_denominators(spec.n, np.arange(spec.n)) == spec.p].sum())
 
 
-class TestGeometricStats:
-    @pytest.mark.parametrize(
-        "p,mean,var", [(1.0, 1.0, 0.0), (0.5, 2.0, 2.0), (0.25, 4.0, 12.0)]
-    )
-    def test_values(self, p, mean, var):
-        stats = geometric_stats(p)
-        assert stats.expected_trials == pytest.approx(mean)
-        assert stats.variance == pytest.approx(var)
+def success_probability(algorithm: Algorithm, spec) -> float:
+    """Closed-form probability mass of the certified success set: the
+    certified per-run success probability of the work-factor rows."""
+    return float(closed_form_at(spec, algorithm, success_set(spec)).sum())
 
+
+def patch_success_mass(monkeypatch, mass, only=None):
+    """Make the work-factor rows read a success-set mass of ``mass``, for
+    pipeline ``only`` or for every one."""
+    real = lpq.analysis.closed_form_at
+
+    def patched(spec, algorithm, ys):
+        if only not in (None, algorithm):
+            return real(spec, algorithm, ys)
+        return np.full(len(ys), mass / len(ys))
+
+    monkeypatch.setattr(lpq.analysis, "closed_form_at", patched)
+
+
+class TestGeometricStats:
+    # The certified expected trials are the geometric mean 1/p, at the
+    # success-set mass p; a mass outside (0, 1] is no probability.
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
-    def test_rejects_bad_probability(self, p):
-        with pytest.raises(InvalidProbability):
-            geometric_stats(p)
+    def test_rejects_bad_probability(self, p, monkeypatch):
+        patch_success_mass(monkeypatch, p)
+        with pytest.raises(InvalidProbability, match="need 0 < p <= 1"):
+            workfactor_comparison(STRICT_SPECS[1])
 
 
 class TestExpectedTrials:
     @pytest.mark.parametrize("spec", STRICT_SPECS)
     def test_headline_lower_bounds(self, spec):
         n, m = spec.n, spec.m
-        assert expected_trials(Algorithm.QFT, spec).expected_trials >= n / (4 * m)
-        assert expected_trials(Algorithm.QHS, spec).expected_trials >= n / (2 * m)
-
-    @pytest.mark.parametrize("spec", STRICT_SPECS)
-    def test_variance_lower_bounds(self, spec):
-        n, m = spec.n, spec.m
-        qft = expected_trials(Algorithm.QFT, spec)
-        assert qft.variance >= (n / (n - m)) ** 2 * ((n - 2 * m) / (4 * m)) ** 2 - 1e-9
-        qhs = expected_trials(Algorithm.QHS, spec)
-        assert qhs.variance >= (n / (n - m)) ** 2 * ((n - m) ** 2 + m**2) / (4 * m**2) - 1e-9
+        reports = {r.algorithm: r for r in workfactor_comparison(spec)}
+        for alg, bound in ((Algorithm.QFT, n / (4 * m)), (Algorithm.QHS, n / (2 * m))):
+            assert reports[alg].expected_runs >= bound
+            assert reports[alg].certified_expected_trials >= bound
 
     @pytest.mark.parametrize("alg", [Algorithm.QFT, Algorithm.QHS])
     def test_violated_bound_raises(self, alg, monkeypatch):
         # a certified p of 1 would mean one expected trial, below n/(4m)
-        monkeypatch.setattr(lpq.analysis, "success_probability", lambda *_: 1.0)
-        with pytest.raises(BoundViolated, match=alg.value):
-            expected_trials(alg, STRICT_SPECS[1])
+        patch_success_mass(monkeypatch, 1.0, only=alg)
+        with pytest.raises(BoundViolated, match=f"{alg.value} expects 1.0 trials"):
+            workfactor_comparison(STRICT_SPECS[1])
 
 
 class TestPipelineSuccess:
@@ -122,11 +130,38 @@ class TestWorkfactor:
 
     @pytest.mark.parametrize("spec", STRICT_SPECS)
     def test_expected_runs_from_table_zero(self, spec):
-        # Pr(0) comes from the closed form without a table; it must be the
-        # very value the table holds at y = 0
+        # The amplified Pr(0) comes from the closed form without a table; it
+        # must be the very value the table holds at y = 0.  The plain runs
+        # are 1/(1 - Pr(0)) rounded once, which at a power-of-two n, where
+        # the table's Pr(0) is exact, is also 1/(1 - pr0) in floating point.
+        n, m = spec.n, spec.m
+        exact_pr0 = {
+            Algorithm.QFT: Fraction(n - 2 * m, n) ** 2,
+            Algorithm.QHS: 1 - Fraction(2 * m * (n - m), n * n),
+        }
         for rep in workfactor_comparison(spec):
             pr0 = float(closed_form_table(spec, rep.algorithm).pr[0])
-            assert rep.expected_runs == 1.0 / (1.0 - pr0)
+            if rep.algorithm is Algorithm.AMPLIFIED:
+                assert rep.expected_runs == 1.0 / (1.0 - pr0)
+                continue
+            assert rep.expected_runs == float(1 / (1 - exact_pr0[rep.algorithm]))
+            if n & (n - 1) == 0:
+                assert rep.expected_runs == 1.0 / (1.0 - pr0)
+
+    def test_expected_runs_correctly_rounded_past_2e29(self):
+        # Against exact rationals, at n where 1 - Pr(0) cancels most bits of
+        # a rounded Pr(0): every plain figure rounds n^2 / (c m (n - m)) once
+        # and so never breaks the bound n/(c m) it exceeds by n/(n - m).
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            n = int(rng.integers(1 << 14, 1 << 56))
+            m = int(rng.integers(1, 65))
+            spec = build_oracle(n, m, 3, int(rng.integers(0, n - 3 * (m - 1))))
+            for rep in workfactor_comparison(spec):
+                c = {Algorithm.QFT: 4, Algorithm.QHS: 2}.get(rep.algorithm)
+                if c is not None:
+                    assert rep.expected_runs == float(Fraction(n * n, c * m * (n - m))), spec
+                    assert rep.expected_runs >= n / (c * m)
 
     @pytest.mark.parametrize("n", [2, 8, 128, 4096])
     def test_half_marked_takes_one_round(self, n):
@@ -148,8 +183,8 @@ class TestWorkfactor:
             workfactor_comparison(spec)
 
     def test_certified_trials_equal_expected_trials(self):
-        # the one evaluation per pipeline gives, bit for bit, the certified
-        # trial count of expected_trials; p = 1 certifies nothing
+        # the one evaluation per pipeline gives, bit for bit, 1/p at the
+        # reference success probability p; p = 1 certifies nothing
         rng = np.random.default_rng(15)
         specs = [*STRICT_SPECS, build_oracle(1 << 14, 4, 97, 3), build_oracle(1 << 14, 2, 127, 0)]
         while len(specs) < 80:
@@ -161,21 +196,20 @@ class TestWorkfactor:
                 if spec.p == 1:
                     assert rep.certified_expected_trials is None
                 else:
-                    expected = expected_trials(rep.algorithm, spec).expected_trials
+                    expected = 1.0 / success_probability(rep.algorithm, spec)
                     assert rep.certified_expected_trials == expected, (spec, rep.algorithm)
 
     def test_certified_bound_violation_raises(self, monkeypatch):
         # the work-factor rows hold the certified count to the same bound
-        monkeypatch.setattr(lpq.analysis, "closed_form_at", lambda spec, alg, ys: np.append(
-            np.full(len(ys) - 1, 1.0 / (len(ys) - 1)), 0.5))
+        patch_success_mass(monkeypatch, 1.0)
         with pytest.raises(BoundViolated, match="qft expects 1.0 trials"):
             workfactor_comparison(STRICT_SPECS[1])
 
     @pytest.mark.parametrize(
         "n,m,p,error,message",
         [
-            # qft's Pr(0) rounds to 1 here, and 2n(p-1) + p is past int64 too
-            (1 << 62, 1, 2, NonTermination, "qft: Pr(0) = 1"),
+            # Pr(0) is below 1 for every pipeline, but 2n(p-1) + p is past int64
+            (1 << 62, 1, 2, ValidationError, "success set needs products below 2"),
             (1 << 58, 20, 20, ValidationError, "success set needs products below 2"),
             (1 << 62, 4, 4, ValidationError, "closed form needs residue products below 2"),
         ],

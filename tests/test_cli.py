@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import lpq.analysis
 import lpq.closedform
 import lpq.recovery
 from lpq import build_oracle, cli
@@ -244,6 +247,25 @@ class TestTrials:
             assert len(lines) == 5
             assert all(line.split(",")[column] == "" for line in lines[2:])
 
+    def test_runs_below_the_bound_print_fail(self, monkeypatch, capsys):
+        # the verdict holds qft to n/(4m) and qhs to n/(2m): 16 and 32 here
+        real = lpq.analysis.workfactor_comparison
+        monkeypatch.setattr(lpq.analysis, "workfactor_comparison", lambda spec: [
+            dataclasses.replace(rep, expected_runs=20.0) for rep in real(spec)])
+        assert main(["trials", "--n", "256", "--m", "4", "--p", "4", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["workfactor"]
+        assert [r["bound_verdict"] for r in rows] == ["pass", "pass", "FAIL"]
+
+    @pytest.mark.parametrize("n,m", [(10251538783812443, 47), (1 << 57, 4)])
+    def test_no_fail_verdict_past_2e29(self, n, m, tmp_path):
+        # 1 - Pr(0) of qft and qhs is taken without cancellation, so their
+        # expected runs keep the factor n/(n - m) above the proven bound
+        out = tmp_path / "trials.json"
+        argv = ["trials", "--n", n, "--m", m, "--p", 3, "--format", "json", "--out", out]
+        assert main([str(a) for a in argv]) == 0
+        rows = json.loads(out.read_text())["workfactor"]
+        assert [r["bound_verdict"] for r in rows] == ["pass"] * 3
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_period_one_runs_fail_fast(self, fmt, capsys):
         # no candidate period survives verification at p = 1, so no run can
@@ -390,7 +412,7 @@ class TestClosedFormTablesPerInstance:
         assert calls == []
 
     # One success set per instance, and one closed-form evaluation per
-    # pipeline that gives both Pr(0) and the certified probability.
+    # pipeline, at the success set, for the certified probability.
     @pytest.mark.parametrize("p,runs", [(16, None), (16, 40), (97, 40), (1, None)])
     def test_three_evaluations_one_success_set(self, p, runs, monkeypatch, capsys):
         evaluations = _count_closed_form_evaluations(monkeypatch)
@@ -426,6 +448,26 @@ class TestSweep:
         for line in band.strip().splitlines():
             value = float(line.split("=")[-1])
             assert 0.25 <= value <= 4.0
+
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_band_tends_to_headline_constant(self, m, tmp_path, capsys):
+        # expected runs ~ n/(4m) for qft and n/(2m) for qhs, against k + 1 ~
+        # (pi/4) sqrt(n/m) amplified applications, so ratio/sqrt(n/m) tends
+        # to 1/pi and 2/pi, within O(sqrt(m/n))
+        argv = ["sweep", "--m", m, "--p", 3, "--n-min", 256, "--n-max", 1 << 60,
+                "--format", "json", "--out", tmp_path]
+        assert main([str(a) for a in argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 53
+        for line in lines:
+            n = int(line.split()[0].removeprefix("n="))
+            rows = json.loads((tmp_path / f"workfactor_n{n}.json").read_text())["workfactor"]
+            ratio = {r["algorithm"]: r["ratio_vs_amplified"] for r in rows}
+            assert float(line.split("=")[-1]) == ratio["qft"] / math.sqrt(n / m)
+            for alg, target in (("qft", 1 / math.pi), ("qhs", 2 / math.pi)):
+                band = ratio[alg] / math.sqrt(n / m)
+                assert abs(band / target - 1) <= 2 * math.sqrt(m / n), (n, alg)
+            assert all(r["bound_verdict"] == "pass" for r in rows)
 
     def test_past_2e16(self, tmp_path, capsys):
         code = main(
@@ -497,7 +539,30 @@ class TestConfig:
         assert captured.err.startswith(f"error: cannot read config file {path}: ")
         assert captured.err.count("\n") == 1
 
+    def test_key_no_subcommand_takes_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"sed": 5}))
+        argv = ["--config", str(config), "trials", "--n", "256", "--m", "4", "--p", "4",
+                "--runs", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config file {config} has options no subcommand takes: sed\n"
+
+    def test_one_file_serves_trials_and_find_offset(self, tmp_path, capsys):
+        # runs is trials' option and method find-offset's: each ignores the other
+        config = tmp_path / "shared.json"
+        config.write_text(json.dumps(
+            {"n": 16, "m": 3, "p": 4, "s": 1, "seed": 5, "runs": 3, "method": "counting"}
+        ))
+        for flags in (["trials", "--runs", "3"], ["find-offset", "--method", "counting"]):
+            assert main(["--config", str(config), flags[0]]) == 0
+            from_config = capsys.readouterr()
+            assert main([*flags, *SPEC_FLAGS, "--seed", "5"]) == 0
+            assert capsys.readouterr() == from_config
+
     def test_typed_values_apply_and_unknown_keys_are_ignored(self, tmp_path, capsys):
+        # alg and n_min are other subcommands' options, which find-offset ignores
         config = tmp_path / "run.json"
         config.write_text(json.dumps(
             {"n": 16, "m": 3, "p": 4, "s": 1, "seed": 5, "strict": True, "format": "json",

@@ -24,26 +24,60 @@ def test_no_assert_statements():
 
 
 def _exported_unused(sources):
-    """Names the package's __init__ re-exports that no other module reads."""
+    """Names the package's __init__ re-exports that no other module uses.
+
+    Each export resolves to the module __init__ takes it from, and a use
+    counts only in three forms: ``from .mod import name``, a bare load of
+    the name inside ``mod`` itself, or ``mod.name`` where ``mod`` was
+    bound by ``from . import mod``.  Reading an attribute of any other
+    object, such as a field that shares the name, is not a use.
+    """
     init = next(path for path in sources if path.name == "__init__.py")
     exported = {
-        alias.asname or alias.name
+        (node.module, alias.name)
         for node in ast.parse(init.read_text()).body
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
         for alias in node.names
     }
     used = set()
     for path in sources:
         if path == init:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted(exported - used)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        siblings = {  # local name -> module, from `from . import mod`
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((path.stem, node.id))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+            ):
+                used.add((siblings[node.value.id], node.attr))
+    return sorted(name for module, name in exported - used)
 
 
 def test_every_export_has_a_caller_in_the_package():
     # an export that only the tests reach belongs in the tests
     assert _exported_unused(SOURCES) == []
+
+
+def test_export_rule_resolves_names(tmp_path):
+    # f, g and h are used in the three counted forms; k only as a field of
+    # another object, through a non-sibling module and as a bare name
+    # outside its own module, none of which reaches a.k
+    package = {
+        "__init__.py": "from .a import f, g, h, k\n",
+        "a.py": "def f(): pass\ndef g(): pass\ndef h(): pass\ndef k(): pass\nh()\n",
+        "b.py": "import x\nfrom . import a\nfrom .a import g\na.f()\nobj.k\nx.k\nk\n",
+    }
+    for name, text in package.items():
+        (tmp_path / name).write_text(text)
+    assert _exported_unused(sorted(tmp_path.glob("*.py"))) == ["k"]

@@ -13,12 +13,14 @@ for, such as a misspelled one, is a validation error.  Runs are fully
 determined by their options, including the seed, so output files are
 byte-identical across repeats.
 
-Per-frequency tables (spectrum, compare) are emitted in bulk: each float
-column is formatted once per distinct value and each row is one
-%-template over the resulting strings, so a 2^16-row table never goes
-through per-row numpy indexing or the json encoder. The output is
-byte-identical to formatting every value with format(x, ".17g") and
-dumping the whole object with json.dumps(indent=1, sort_keys=True).
+Per-frequency tables (spectrum, compare) are emitted in bulk, with no
+per-row Python template: every cell is built once with the literal text
+that follows it in its row attached, each float column formats each
+distinct value once, and the whole document is one str.join over the
+cells, row by row.  A 2^16-row table never goes through per-row numpy
+indexing or the json encoder.  The output is byte-identical to formatting
+every value with format(x, ".17g") and dumping the whole object with
+json.dumps(indent=1, sort_keys=True).
 
 Exit codes:
 
@@ -41,6 +43,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -62,38 +65,85 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Bulk row emission.  Each float column is formatted through _column and
-# each row is one ``template % row`` over those strings: "%.17g" prints a
-# Python float exactly as format(x, ".17g"), and "%r" prints a finite one
-# exactly as json.dumps does.  A JSON template lays out one element of a
-# top-level "rows" list the way json.dumps(indent=1, sort_keys=True) does
-# (depth 2, keys sorted), so _write_json can splice the rendered rows into a
-# dump of the other fields.
-_CASE_NAMES = np.array(CASE_NAMES)
+# Bulk table emission.  A row template, split at its %(field)s and
+# %(field)d places, gives the text before a row's first cell (the head) and
+# the text after each cell (its suffix).  The last cell's suffix runs on
+# through the row separator into the next row's head, so the rows of a
+# table are exactly its cells with their suffixes, taken row by row.  Cells
+# are built suffix and all: float cells by _column, which formats each
+# distinct value once ("%.17g" prints a Python float exactly as
+# format(x, ".17g"), and "%r" prints a finite one exactly as json.dumps
+# does); case and verdict cells by gathering from a table of names; y cells
+# as one f-string each.  _write_table interleaves the columns by slice
+# assignment and joins the document once, trimming the run-on from the
+# last cell.  A JSON template lays out one element of a top-level "rows"
+# list the way json.dumps(indent=1, sort_keys=True) does (depth 2, keys
+# sorted), so _json_frame can splice the table into a dump of the other
+# fields.  A CSV template's field names, in order, are its header.
+_FIELD = re.compile(r"%\((\w+)\)[sd]")
+_ROW_SEP = {"csv": "\n", "json": ",\n"}
 _FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
-_SPECTRUM_ROW = {
-    "csv": "%d,%s,%s,%s,%s",
-    "json": '  {\n   "abs_deviation": %s,\n   "case": "%s",\n   "pr_closedform": %s,\n'
-    '   "pr_simulated": %s,\n   "y": %d\n  }',
-}
-# compare rows are lists of strings in JSON
-_COMPARE_ROW = {
-    "csv": "%d,%s,%s,%s,%s",
-    "json": '  [\n   "%d",\n   "%s",\n   "%s",\n   "%s",\n   "%s"\n  ]',
-}
 _ROWS_KEY = '\n "rows": []'  # the top-level key: only it sits one space in
 
 
-def _column(values: np.ndarray, fmt: str) -> np.ndarray:
-    """``fmt % x`` for every float64 x in values, as an object array.
+@dataclasses.dataclass(frozen=True)
+class _Layout:
+    """A row template split at its fields: ``head`` comes before a row's
+    first cell and ``suffix[field]`` after that field's cell.  The last
+    field's suffix ends with the row separator and the next row's head,
+    ``trim`` characters that the table's last cell drops."""
+
+    head: str
+    fields: tuple[str, ...]
+    suffix: dict[str, str]
+    trim: int
+
+    @classmethod
+    def parse(cls, template: str, sep: str) -> _Layout:
+        head, *parts = _FIELD.split(template)
+        fields, texts = parts[0::2], parts[1::2]
+        texts[-1] += sep + head
+        return cls(head, tuple(fields), dict(zip(fields, texts)), len(sep) + len(head))
+
+
+def _layouts(**templates: str) -> dict[str, _Layout]:
+    return {fmt: _Layout.parse(template, _ROW_SEP[fmt]) for fmt, template in templates.items()}
+
+
+_SPECTRUM_ROW = _layouts(
+    csv="%(y)d,%(case)s,%(pr_closedform)s,%(pr_simulated)s,%(abs_deviation)s",
+    json='  {\n   "abs_deviation": %(abs_deviation)s,\n   "case": "%(case)s",\n'
+    '   "pr_closedform": %(pr_closedform)s,\n   "pr_simulated": %(pr_simulated)s,\n'
+    '   "y": %(y)d\n  }',
+)
+# compare rows are lists of strings in JSON
+_COMPARE_ROW = _layouts(
+    csv="%(y)d,%(case)s,%(ratio_vs_qft)s,%(ratio_vs_qhs)s,%(verdict)s",
+    json='  [\n   "%(y)d",\n   "%(case)s",\n   "%(ratio_vs_qft)s",\n'
+    '   "%(ratio_vs_qhs)s",\n   "%(verdict)s"\n  ]',
+)
+_VERDICTS = ("excluded", "pass", "FAIL")  # compare's verdict codes 0, 1, 2
+
+
+def _column(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % x`` for every float64 x in values.
 
     Each distinct bit pattern is formatted once: a table's probabilities
     depend on p*y mod n, and its deviations are mostly 0 or a few ulps, so
     a column usually holds far fewer distinct values than rows.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([fmt % x for x in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse]
+    text = np.array(list(map(fmt.__mod__, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _gather(names, suffix: str, codes: np.ndarray) -> list[str]:
+    """``names[code] + suffix`` for every code."""
+    return np.array([name + suffix for name in names], dtype=object)[codes].tolist()
+
+
+def _y_cells(n: int, suffix: str) -> list[str]:
+    return [f"{y}{suffix}" for y in range(n)]
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -103,17 +153,35 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _write_json(out: str | None, obj, rows: list[str] | None = None) -> None:
-    """Write json.dumps(obj, indent=1, sort_keys=True) and a newline.
+def _write_json(out: str | None, obj) -> None:
+    """Write json.dumps(obj, indent=1, sort_keys=True) and a newline."""
+    _write_text(out, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
-    ``rows``, rendered by a JSON row template, become obj's "rows" list;
-    the bytes equal those of dumping the whole object.
-    """
-    text = json.dumps(obj if rows is None else {**obj, "rows": []}, indent=1, sort_keys=True)
-    if rows:
-        head, tail = text.split(_ROWS_KEY)
-        text = "".join((head, '\n "rows": [\n', ",\n".join(rows), "\n ]", tail))
-    _write_text(out, text + "\n")
+
+def _json_frame(obj: dict) -> tuple[str, str]:
+    """The text before and after the rows of obj plus a "rows" list, dumped
+    as _write_json does."""
+    head, tail = json.dumps({**obj, "rows": []}, indent=1, sort_keys=True).split(_ROWS_KEY)
+    return head + '\n "rows": [\n', "\n ]" + tail + "\n"
+
+
+def _csv_frame(layout: _Layout, trailer: list[str]) -> tuple[str, str]:
+    """The text before and after the rows of a CSV table, as _csv_lines lays it out."""
+    return f"# schema=1\n{','.join(layout.fields)}\n", "".join(f"\n{t}" for t in trailer) + "\n"
+
+
+def _write_table(out: str | None, layout: _Layout, columns: dict[str, list[str]],
+                 frame: tuple[str, str]) -> None:
+    """Write the table whose cells ``columns`` holds by field, each cell
+    followed by its suffix, inside the frame's text before and after it."""
+    width = len(layout.fields)
+    pieces = [""] * (width * len(columns[layout.fields[0]]))
+    for i, field in enumerate(layout.fields):
+        pieces[i::width] = columns[field]  # row-major, interleaved in C
+    before, after = frame
+    pieces[0] = before + layout.head + pieces[0]
+    pieces[-1] = pieces[-1][: -layout.trim] + after
+    _write_text(out, "".join(pieces))
 
 
 def _csv_lines(header: list[str], rows: list[str], trailer: list[str] = ()) -> str:
@@ -137,31 +205,32 @@ def cmd_spectrum(args) -> int:
     closed = closedform.closed_form_table(spec, alg, iterations=args.iterations_override)
     simulated = simulator.simulated_table(spec, alg, iterations=args.iterations_override)
     dev = np.abs(closed.pr - simulated.pr)
-    y, case = range(spec.n), _CASE_NAMES[closed.codes].tolist()
-    fmt = _FLOAT_FORMAT[args.format]
-    pr_closed, pr_simulated, deviation = (
-        _column(v, fmt).tolist() for v in (closed.pr, simulated.pr, dev)
-    )
-    template = _SPECTRUM_ROW[args.format]
+    layout = _SPECTRUM_ROW[args.format]
+    suffix, fmt = layout.suffix, _FLOAT_FORMAT[args.format]
+    columns = {
+        "y": _y_cells(spec.n, suffix["y"]),
+        "case": _gather(CASE_NAMES, suffix["case"], closed.codes),
+        **{
+            field: _column(values, fmt + suffix[field])
+            for field, values in (
+                ("pr_closedform", closed.pr),
+                ("pr_simulated", simulated.pr),
+                ("abs_deviation", dev),
+            )
+        },
+    }
     if args.format == "json":
-        rows = [template % row for row in zip(deviation, case, pr_closed, pr_simulated, y)]
-        head = {
-            "schema": 1,
-            "instance": {"n": spec.n, "m": spec.m, "p": spec.p, "s": spec.s},
-            "algorithm": alg.value,
-            "max_abs_deviation": float(dev.max()),
-        }
-        _write_json(args.out, head, rows)
-    else:
-        rows = [template % row for row in zip(y, case, pr_closed, pr_simulated, deviation)]
-        _write_text(
-            args.out,
-            _csv_lines(
-                ["y", "case", "pr_closedform", "pr_simulated", "abs_deviation"],
-                rows,
-                [f"# max_abs_deviation={_fmt(dev.max())}"],
-            ),
+        frame = _json_frame(
+            {
+                "schema": 1,
+                "instance": {"n": spec.n, "m": spec.m, "p": spec.p, "s": spec.s},
+                "algorithm": alg.value,
+                "max_abs_deviation": float(dev.max()),
+            }
         )
+    else:
+        frame = _csv_frame(layout, [f"# max_abs_deviation={_fmt(dev.max())}"])
+    _write_table(args.out, layout, columns, frame)
     return EXIT_OK
 
 
@@ -173,26 +242,28 @@ def cmd_compare(args) -> int:
     }
     succ = recovery.success_set(spec)
     sums = {alg: float(tables[alg].pr[succ].sum()) for alg in Algorithm}
+    layout = _COMPARE_ROW[args.format]
+    suffix = layout.suffix
     # Zero and null frequencies are excluded; every other one gets the two
     # ratios and a verdict.
     codes = tables[Algorithm.QFT].codes
     kept = (codes == CODE_RESONANT) | (codes == CODE_GENERIC)
     amp = tables[Algorithm.AMPLIFIED].pr[kept]
-    cells = np.full((3, spec.n), "excluded", dtype=object)  # vs qft, vs qhs, verdict
+    columns = {"y": _y_cells(spec.n, suffix["y"]), "case": _gather(CASE_NAMES, suffix["case"], codes)}
     ok = np.ones(amp.size, dtype=bool)
-    for i, (alg, b) in enumerate(bounds.items()):
+    for alg, b in bounds.items():
         den = tables[alg].pr[kept]
         if not den.all():
             raise BoundViolated(f"{alg.value} probability 0 at a resonant or generic frequency")
         ratio = amp / den
         ok &= (b.lower - 1e-9 <= ratio) & (ratio <= b.upper + 1e-9)
-        cells[i, kept] = _column(ratio, "%.17g")
-    cells[2, kept] = np.where(ok, "pass", "FAIL")
-    template = _COMPARE_ROW[args.format]
-    rows = [
-        template % row
-        for row in zip(range(spec.n), _CASE_NAMES[codes].tolist(), *cells.tolist())
-    ]
+        field = f"ratio_vs_{alg.value}"
+        cells = np.full(spec.n, _VERDICTS[0] + suffix[field], dtype=object)
+        cells[kept] = _column(ratio, "%.17g" + suffix[field])
+        columns[field] = cells.tolist()
+    verdicts = np.zeros(spec.n, dtype=np.int8)
+    verdicts[kept] = np.where(ok, 1, 2)
+    columns["verdict"] = _gather(_VERDICTS, suffix["verdict"], verdicts)
     summary = {
         "bounds": {
             alg.value: {
@@ -212,13 +283,10 @@ def cmd_compare(args) -> int:
         "all_rows_within_bounds": bool(ok.all()),
     }
     if args.format == "json":
-        _write_json(args.out, {"schema": 1, "summary": summary}, rows)
+        frame = _json_frame({"schema": 1, "summary": summary})
     else:
-        trailer = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
-        _write_text(
-            args.out,
-            _csv_lines(["y", "case", "ratio_vs_qft", "ratio_vs_qhs", "verdict"], rows, trailer),
-        )
+        frame = _csv_frame(layout, [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()])
+    _write_table(args.out, layout, columns, frame)
     return EXIT_OK
 
 

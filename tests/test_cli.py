@@ -134,6 +134,21 @@ class TestRecover:
         assert main(argv + verify) == 2
         assert "y=200 outside 0..63" in capsys.readouterr().err
 
+    def test_y_from_config(self, tmp_path, capsys):
+        config = tmp_path / "y.json"
+        config.write_text(json.dumps({"y": 5, "n": 16}))
+        assert main(["--config", str(config), "recover"]) == 0
+        from_config = capsys.readouterr()
+        assert main(["recover", "--n", "16", "--y", "5"]) == 0
+        assert capsys.readouterr() == from_config
+        assert "# accepted=3" in from_config.out
+
+    def test_missing_y_is_one_error_line(self, capsys):
+        assert main(["recover", "--n", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: missing required option --y\n"
+
 
 class TestFindOffset:
     @pytest.mark.parametrize("method", ["counting", "decreasing"])
@@ -582,9 +597,9 @@ class TestConfig:
 GOLDEN_INSTANCES = {64: (4, 4, 3), 1000: (5, 31, 7), 4099: (3, 64, 2)}
 
 
-def reference_spectrum(spec, alg, fmt):
-    closed = closed_form_table(spec, alg)
-    simulated = simulated_table(spec, alg)
+def reference_spectrum(spec, alg, fmt, iterations=None):
+    closed = closed_form_table(spec, alg, iterations=iterations)
+    simulated = simulated_table(spec, alg, iterations=iterations)
     dev = np.abs(closed.pr - simulated.pr)
     if fmt == "json":
         obj = {
@@ -653,25 +668,68 @@ def reference_compare(spec, fmt):
     return "\n".join(lines) + "\n"
 
 
+def cli_output(tmp_path, fmt, *argv):
+    out = tmp_path / f"out.{fmt}"
+    assert main([*map(str, argv), "--format", fmt, "--out", str(out)]) == 0
+    return out.read_text()
+
+
 @pytest.mark.parametrize("n", sorted(GOLDEN_INSTANCES))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 class TestBulkSerializer:
-    def cli_output(self, tmp_path, fmt, *argv):
-        out = tmp_path / f"out.{fmt}"
-        assert main([*map(str, argv), "--format", fmt, "--out", str(out)]) == 0
-        return out.read_text()
-
     @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
     def test_spectrum_bytes(self, n, fmt, alg, tmp_path):
         m, p, s = GOLDEN_INSTANCES[n]
-        got = self.cli_output(tmp_path, fmt, "spectrum", "--alg", alg,
-                              "--n", n, "--m", m, "--p", p, "--s", s)
+        got = cli_output(tmp_path, fmt, "spectrum", "--alg", alg,
+                         "--n", n, "--m", m, "--p", p, "--s", s)
         assert got == reference_spectrum(build_oracle(n, m, p, s), alg, fmt)
 
     def test_compare_bytes(self, n, fmt, tmp_path):
         m, p, s = GOLDEN_INSTANCES[n]
-        got = self.cli_output(tmp_path, fmt, "compare", "--n", n, "--m", m, "--p", p, "--s", s)
+        got = cli_output(tmp_path, fmt, "compare", "--n", n, "--m", m, "--p", p, "--s", s)
         assert got == reference_compare(build_oracle(n, m, p, s), fmt)
+
+
+# The edges of the bulk join, as (n, m, p, s, strict): a one-row and a
+# two-row table, too small for any strict instance, where the first cell
+# is also in the last row and the trimmed run-on is the whole separator;
+# odd n with p coprime to n, whose closed form mirrors one half; and even
+# p at n = 4096, whose null frequencies fall between generic ones, so
+# excluded compare rows sit among kept ones.  Compare needs 2m <= n.
+EDGE_INSTANCES = [(1, 1, 1, 0, False), (2, 1, 1, 1, False), (1001, 5, 10, 7, True),
+                  (4096, 4, 6, 3, True)]
+
+
+def edge_argv(n, m, p, s, strict):
+    return ["--n", n, "--m", m, "--p", p, "--s", s, "--strict" if strict else "--no-strict"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestBulkSerializerEdges:
+    @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
+    @pytest.mark.parametrize("instance", EDGE_INSTANCES, ids=lambda i: "-".join(map(str, i)))
+    def test_spectrum_bytes(self, instance, fmt, alg, tmp_path):
+        got = cli_output(tmp_path, fmt, "spectrum", "--alg", alg, *edge_argv(*instance))
+        n, m, p, s, strict = instance
+        assert got == reference_spectrum(build_oracle(n, m, p, s, strict=strict), alg, fmt)
+
+    @pytest.mark.parametrize(
+        "instance", [i for i in EDGE_INSTANCES if 2 * i[1] <= i[0]],
+        ids=lambda i: "-".join(map(str, i)),
+    )
+    def test_compare_bytes(self, instance, fmt, tmp_path):
+        got = cli_output(tmp_path, fmt, "compare", *edge_argv(*instance))
+        n, m, p, s, strict = instance
+        assert got == reference_compare(build_oracle(n, m, p, s, strict=strict), fmt)
+
+    @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_spectrum_iterations_override_bytes(self, iterations, fmt, alg, tmp_path):
+        n, (m, p, s) = 1000, GOLDEN_INSTANCES[1000]
+        got = cli_output(tmp_path, fmt, "spectrum", "--alg", alg, "--iterations-override",
+                         iterations, "--n", n, "--m", m, "--p", p, "--s", s)
+        spec = build_oracle(n, m, p, s)
+        assert got == reference_spectrum(spec, alg, fmt, iterations=iterations)
 
 
 class TestParser:

@@ -292,7 +292,7 @@ def cmd_compare(args) -> int:
 
 def cmd_recover(args) -> int:
     spec = _spec_from(args) if args.verify else None
-    _require(args, "n")
+    _require(args, "n", "y")
     n = args.n
     if not 0 <= args.y < n:
         raise ValidationError(f"y={args.y} outside 0..{n - 1}")
@@ -472,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "recover",
         cmd_recover,
         [
-            ("--y", dict(type=int, required=True, help="measured frequency")),
+            ("--y", dict(type=int, default=None, help="measured frequency")),
             (
                 "--verify",
                 dict(action="store_true", default=None,

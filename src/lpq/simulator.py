@@ -110,8 +110,7 @@ class GroverRegister:
     """Amplitudes held as ``sign * base + shift``, with ``total == base.sum()``.
 
     ``base`` is the array passed in, not a copy: it holds the amplitudes
-    again only after :meth:`amplitudes` folds the form back into it.  Real
-    and complex arrays both work.
+    again only after :meth:`amplitudes` folds the form back into it.
     """
 
     __slots__ = ("base", "sign", "shift", "total")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import closed_form_at, closed_form_table
+from .closedform import BOUND_DIVISOR, closed_form_at, closed_form_table, plain_expected_runs
 from .errors import BoundViolated, InvalidProbability, NonTermination, ValidationError
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
@@ -69,15 +69,10 @@ _MC_BATCH_CAP = 1 << 13
 _BUCKETS = 1 << 12
 
 
-# c in n/(c*m), the proven lower bound on the expected runs of the plain
-# pipelines; the amplified one has no such bound.
-_BOUND_DIVISOR = {Algorithm.QFT: 4, Algorithm.QHS: 2}
-
-
 def runs_lower_bound(algorithm: Algorithm, spec: OracleSpec) -> float | None:
     """The proven lower bound n/(c*m) on a plain pipeline's expected runs
     (module docstring), or None for the amplified pipeline."""
-    c = _BOUND_DIVISOR.get(algorithm)
+    c = BOUND_DIVISOR.get(algorithm)
     return None if c is None else spec.n / (c * spec.m)
 
 
@@ -137,18 +132,17 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     reports = []
     for algorithm in Algorithm:
         pr = closed_form_at(spec, algorithm, succ)
-        # runs = scale / hits = 1/(1 - Pr(0))
+        # runs = 1/(1 - Pr(0)), None where Pr(0) = 1
         if algorithm is Algorithm.AMPLIFIED:
             # Pr(0) = cos^2(2k theta) is small wherever k >= 1: no cancellation
-            hits, scale = 1.0 - math.cos(2 * schedule.k * schedule.theta) ** 2, 1
+            hits = 1.0 - math.cos(2 * schedule.k * schedule.theta) ** 2
+            runs = 1.0 / hits if hits else None
         else:
-            # n^2 (1 - Pr(0)) = c*m*(n - m) as an int (module docstring)
-            hits, scale = _BOUND_DIVISOR[algorithm] * m * (n - m), n * n
-        if hits == 0:
+            runs = plain_expected_runs(n, m, algorithm) if m < n else None
+        if runs is None:
             raise NonTermination(
                 f"{algorithm.value}: Pr(0) = 1, so no run measures a nonzero frequency"
             )
-        runs = scale / hits
         certified = _certified_trials(algorithm, spec, float(pr.sum())) if succ.size else None
         if algorithm is Algorithm.AMPLIFIED:
             reports.append(

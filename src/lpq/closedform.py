@@ -28,10 +28,13 @@ mirrored onto the y above n/2.
 The amplified/baseline probability ratio is the same constant at every
 resonant and generic frequency, sandwiched (for 2m <= n) between
 
-    upper = (n/cm) * n/(n-m)        c = 4 for qft, 2 for qhs
+    upper = n^2 / (c*m*(n-m))        c = 4 for qft, 2 for qhs
     lower = upper * (1 - 2m/n)^2
 
-with upper - lower exactly 4/c.
+with upper - lower exactly 4/c.  The upper bound is also the baseline's
+expected runs 1/(1 - Pr(0)), since 1 - Pr(0) = c*m*(n-m)/n^2 for both
+plain pipelines; :func:`plain_expected_runs` is the one implementation of
+it, the int quotient rounded once.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ from .spectrum import Algorithm, ProbabilityTable, case_codes, make_table
 __all__ = ["closed_form_at", "closed_form_table", "RatioBounds", "ratio_bounds"]
 
 _Y_BLOCK = 1 << 16
+
+# c in n/(c*m), the proven lower bound on the expected runs of the plain
+# pipelines, 4 for qft and 2 for qhs; the amplified one has no such bound.
+BOUND_DIVISOR = {Algorithm.QFT: 4, Algorithm.QHS: 2}
 
 
 def _folded_sines(residues: np.ndarray, n: int) -> np.ndarray:
@@ -142,17 +149,21 @@ class RatioBounds:
         return self.upper - self.lower
 
 
+def plain_expected_runs(n: int, m: int, baseline: Algorithm) -> float:
+    """n^2 / (c*m*(n - m)) for 0 < m < n, the int quotient rounded once:
+    the expected runs of a plain pipeline and the upper ratio bound
+    (module docstring).  1 minus a rounded Pr(0) would lose about
+    log2(n/(c*m)) bits."""
+    return n * n / (BOUND_DIVISOR[baseline] * m * (n - m))
+
+
 def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBounds:
     """Bounds on amplified/baseline probability at off-zero frequencies."""
     baseline = Algorithm(baseline)
     if 2 * m > n:
         raise ValidationError(f"ratio bounds need 2*m <= n, got m={m}, n={n}")
-    if baseline is Algorithm.QFT:
-        approx = n / (4 * m)
-    elif baseline is Algorithm.QHS:
-        approx = n / (2 * m)
-    else:
+    if baseline not in BOUND_DIVISOR:
         raise ValidationError("baseline must be qft or qhs")
-    upper = approx * n / (n - m)
+    upper = plain_expected_runs(n, m, baseline)
     lower = upper * (1 - 2 * m / n) ** 2
-    return RatioBounds(lower, upper, approx)
+    return RatioBounds(lower, upper, n / (BOUND_DIVISOR[baseline] * m))

@@ -210,14 +210,9 @@ def cmd_spectrum(args) -> int:
     columns = {
         "y": _y_cells(spec.n, suffix["y"]),
         "case": _gather(CASE_NAMES, suffix["case"], closed.codes),
-        **{
-            field: _column(values, fmt + suffix[field])
-            for field, values in (
-                ("pr_closedform", closed.pr),
-                ("pr_simulated", simulated.pr),
-                ("abs_deviation", dev),
-            )
-        },
+        "pr_closedform": _column(closed.pr, fmt + suffix["pr_closedform"]),
+        "pr_simulated": _column(simulated.pr, fmt + suffix["pr_simulated"]),
+        "abs_deviation": _column(dev, fmt + suffix["abs_deviation"]),
     }
     if args.format == "json":
         frame = _json_frame(
@@ -249,7 +244,10 @@ def cmd_compare(args) -> int:
     codes = tables[Algorithm.QFT].codes
     kept = (codes == CODE_RESONANT) | (codes == CODE_GENERIC)
     amp = tables[Algorithm.AMPLIFIED].pr[kept]
-    columns = {"y": _y_cells(spec.n, suffix["y"]), "case": _gather(CASE_NAMES, suffix["case"], codes)}
+    columns = {
+        "y": _y_cells(spec.n, suffix["y"]),
+        "case": _gather(CASE_NAMES, suffix["case"], codes),
+    }
     ok = np.ones(amp.size, dtype=bool)
     for alg, b in bounds.items():
         den = tables[alg].pr[kept]
@@ -258,7 +256,7 @@ def cmd_compare(args) -> int:
         ratio = amp / den
         ok &= (b.lower - 1e-9 <= ratio) & (ratio <= b.upper + 1e-9)
         field = f"ratio_vs_{alg.value}"
-        cells = np.full(spec.n, _VERDICTS[0] + suffix[field], dtype=object)
+        cells = np.full(spec.n, "excluded" + suffix[field], dtype=object)
         cells[kept] = _column(ratio, "%.17g" + suffix[field])
         columns[field] = cells.tolist()
     verdicts = np.zeros(spec.n, dtype=np.int8)
@@ -285,7 +283,8 @@ def cmd_compare(args) -> int:
     if args.format == "json":
         frame = _json_frame({"schema": 1, "summary": summary})
     else:
-        frame = _csv_frame(layout, [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()])
+        trailer = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
+        frame = _csv_frame(layout, trailer)
     _write_table(args.out, layout, columns, frame)
     return EXIT_OK
 

@@ -319,19 +319,19 @@ class TestRatioBounds:
     @pytest.mark.parametrize("baseline,c", [(Algorithm.QFT, 4), (Algorithm.QHS, 2)])
     def test_upper_is_correctly_rounded_expected_runs(self, baseline, c):
         # one rounding of n^2/(c*m*(n - m)), so it is the same double as
-        # the baseline's expected runs in the work-factor table; (1000, 3)
+        # the baseline's expected runs in the work-factor table; (1001, 3)
         # and (65536, 6) came out one ulp off when rounded three times
         rng = np.random.default_rng(29)
-        pairs = [(1000, 3), (65536, 6)] + [
+        pairs = [(1001, 3), (65536, 6)] + [
             (n, int(rng.integers(1, min(64, n // 2) + 1)))
             for n in map(int, rng.integers(2, 1 << 40, 200))
         ]
         for n, m in pairs:
             upper = ratio_bounds(n, m, baseline).upper
             assert upper == float(Fraction(n * n, c * m * (n - m))), (n, m)
-        spec = build_oracle(1000, 3, 31, 7)
+        spec = build_oracle(1001, 3, 31, 0)
         runs = {r.algorithm: r.expected_runs for r in workfactor_comparison(spec)}
-        assert ratio_bounds(1000, 3, baseline).upper == runs[baseline]
+        assert ratio_bounds(1001, 3, baseline).upper == runs[baseline]
 
     def test_requires_strict_m(self):
         with pytest.raises(ValidationError):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import BOUND_DIVISOR, closed_form_at, closed_form_table, plain_expected_runs
+from .closedform import closed_form_at, closed_form_table, plain_expected_runs, runs_lower_bound
 from .errors import BoundViolated, InvalidProbability, NonTermination, ValidationError
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
@@ -69,13 +69,6 @@ _MC_BATCH_CAP = 1 << 13
 _BUCKETS = 1 << 12
 
 
-def runs_lower_bound(algorithm: Algorithm, spec: OracleSpec) -> float | None:
-    """The proven lower bound n/(c*m) on a plain pipeline's expected runs
-    (module docstring), or None for the amplified pipeline."""
-    c = BOUND_DIVISOR.get(algorithm)
-    return None if c is None else spec.n / (c * spec.m)
-
-
 def _certified_trials(algorithm: Algorithm, spec: OracleSpec, p: float) -> float:
     """Expected trials 1/p at the certified success probability p, held to
     the proven lower bound on the expected runs (BoundViolated)."""
@@ -83,7 +76,7 @@ def _certified_trials(algorithm: Algorithm, spec: OracleSpec, p: float) -> float
         raise InvalidProbability(f"need 0 < p <= 1, got {p}")
     trials = 1.0 / p
     # The certified p never exceeds 1 - Pr(0), so the bound holds a fortiori.
-    bound = runs_lower_bound(algorithm, spec)
+    bound = runs_lower_bound(spec.n, spec.m, algorithm)
     if bound is not None and trials < bound:
         raise BoundViolated(
             f"{algorithm.value} expects {trials} trials, below the proven lower bound {bound}"

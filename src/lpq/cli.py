@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: spectrum, compare, recover, find-offset, trials, sweep.
+Each subcommand takes only the options it reads: every option is declared
+once, in _OPTIONS, and _SUBCOMMANDS names the ones each subcommand takes.
 Options can also come from a JSON config file (flat object keyed like the
 long flags, with underscores: q_max); explicit flags override the file.
 Each value must be what its flag takes: an integer for an integer option,
@@ -79,9 +81,10 @@ def _fmt(x: float) -> str:
 # last cell.  A JSON template lays out one element of a top-level "rows"
 # list the way json.dumps(indent=1, sort_keys=True) does (depth 2, keys
 # sorted), so _json_frame can splice the table into a dump of the other
-# fields.  A CSV template's field names, in order, are its header.
+# fields.  A CSV row is a line, newline included, so CSV rows need no
+# separator; a CSV template's field names, in order, are its header.
 _FIELD = re.compile(r"%\((\w+)\)[sd]")
-_ROW_SEP = {"csv": "\n", "json": ",\n"}
+_ROW_SEP = {"csv": "", "json": ",\n"}
 _FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
 _ROWS_KEY = '\n "rows": []'  # the top-level key: only it sits one space in
 
@@ -111,30 +114,35 @@ def _layouts(**templates: str) -> dict[str, _Layout]:
 
 
 _SPECTRUM_ROW = _layouts(
-    csv="%(y)d,%(case)s,%(pr_closedform)s,%(pr_simulated)s,%(abs_deviation)s",
+    csv="%(y)d,%(case)s,%(pr_closedform)s,%(pr_simulated)s,%(abs_deviation)s\n",
     json='  {\n   "abs_deviation": %(abs_deviation)s,\n   "case": "%(case)s",\n'
     '   "pr_closedform": %(pr_closedform)s,\n   "pr_simulated": %(pr_simulated)s,\n'
     '   "y": %(y)d\n  }',
 )
 # compare rows are lists of strings in JSON
 _COMPARE_ROW = _layouts(
-    csv="%(y)d,%(case)s,%(ratio_vs_qft)s,%(ratio_vs_qhs)s,%(verdict)s",
+    csv="%(y)d,%(case)s,%(ratio_vs_qft)s,%(ratio_vs_qhs)s,%(verdict)s\n",
     json='  [\n   "%(y)d",\n   "%(case)s",\n   "%(ratio_vs_qft)s",\n'
     '   "%(ratio_vs_qhs)s",\n   "%(verdict)s"\n  ]',
 )
 _VERDICTS = ("excluded", "pass", "FAIL")  # compare's verdict codes 0, 1, 2
 
 
-def _column(values: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % x`` for every float64 x in values.
+def _column(values: np.ndarray, fmt: str, suffix: str) -> list[str]:
+    """``fmt % x + suffix`` for every float64 x in values.
 
     Each distinct bit pattern is formatted once: a table's probabilities
     depend on p*y mod n, and its deviations are mostly 0 or a few ulps, so
-    a column usually holds far fewer distinct values than rows.
+    a column usually holds far fewer distinct values than rows.  "%r"
+    cells are built by repr, which is faster than the % operator.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(fmt.__mod__, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    floats = bits.view(np.float64).tolist()
+    if fmt == "%r":
+        text = [repr(x) + suffix for x in floats]
+    else:
+        text = list(map((fmt + suffix).__mod__, floats))
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _gather(names, suffix: str, codes: np.ndarray) -> list[str]:
@@ -165,9 +173,10 @@ def _json_frame(obj: dict) -> tuple[str, str]:
     return head + '\n "rows": [\n', "\n ]" + tail + "\n"
 
 
-def _csv_frame(layout: _Layout, trailer: list[str]) -> tuple[str, str]:
-    """The text before and after the rows of a CSV table, as _csv_lines lays it out."""
-    return f"# schema=1\n{','.join(layout.fields)}\n", "".join(f"\n{t}" for t in trailer) + "\n"
+def _csv_frame(header, trailer=()) -> tuple[str, str]:
+    """The text before and after the rows of a CSV table, which are lines:
+    the schema line and the header before, the trailer lines after."""
+    return f"# schema=1\n{','.join(header)}\n", "".join(f"{line}\n" for line in trailer)
 
 
 def _write_table(out: str | None, layout: _Layout, columns: dict[str, list[str]],
@@ -180,12 +189,8 @@ def _write_table(out: str | None, layout: _Layout, columns: dict[str, list[str]]
         pieces[i::width] = columns[field]  # row-major, interleaved in C
     before, after = frame
     pieces[0] = before + layout.head + pieces[0]
-    pieces[-1] = pieces[-1][: -layout.trim] + after
+    pieces[-1] = pieces[-1][: len(pieces[-1]) - layout.trim] + after
     _write_text(out, "".join(pieces))
-
-
-def _csv_lines(header: list[str], rows: list[str], trailer: list[str] = ()) -> str:
-    return "\n".join(["# schema=1", ",".join(header), *rows, *trailer, ""])
 
 
 def _require(args, *keys) -> None:
@@ -210,9 +215,9 @@ def cmd_spectrum(args) -> int:
     columns = {
         "y": _y_cells(spec.n, suffix["y"]),
         "case": _gather(CASE_NAMES, suffix["case"], closed.codes),
-        "pr_closedform": _column(closed.pr, fmt + suffix["pr_closedform"]),
-        "pr_simulated": _column(simulated.pr, fmt + suffix["pr_simulated"]),
-        "abs_deviation": _column(dev, fmt + suffix["abs_deviation"]),
+        "pr_closedform": _column(closed.pr, fmt, suffix["pr_closedform"]),
+        "pr_simulated": _column(simulated.pr, fmt, suffix["pr_simulated"]),
+        "abs_deviation": _column(dev, fmt, suffix["abs_deviation"]),
     }
     if args.format == "json":
         frame = _json_frame(
@@ -224,7 +229,7 @@ def cmd_spectrum(args) -> int:
             }
         )
     else:
-        frame = _csv_frame(layout, [f"# max_abs_deviation={_fmt(dev.max())}"])
+        frame = _csv_frame(layout.fields, [f"# max_abs_deviation={_fmt(dev.max())}"])
     _write_table(args.out, layout, columns, frame)
     return EXIT_OK
 
@@ -257,7 +262,7 @@ def cmd_compare(args) -> int:
         ok &= (b.lower - 1e-9 <= ratio) & (ratio <= b.upper + 1e-9)
         field = f"ratio_vs_{alg.value}"
         cells = np.full(spec.n, "excluded" + suffix[field], dtype=object)
-        cells[kept] = _column(ratio, "%.17g" + suffix[field])
+        cells[kept] = _column(ratio, "%.17g", suffix[field])
         columns[field] = cells.tolist()
     verdicts = np.zeros(spec.n, dtype=np.int8)
     verdicts[kept] = np.where(ok, 1, 2)
@@ -284,7 +289,7 @@ def cmd_compare(args) -> int:
         frame = _json_frame({"schema": 1, "summary": summary})
     else:
         trailer = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
-        frame = _csv_frame(layout, trailer)
+        frame = _csv_frame(layout.fields, trailer)
     _write_table(args.out, layout, columns, frame)
     return EXIT_OK
 
@@ -304,12 +309,10 @@ def cmd_recover(args) -> int:
     if args.format == "json":
         _write_json(args.out, obj)
     else:
-        rows = [f"{c.d},{c.q}" for c in result.candidates]
-        trailer = [
-            f"# accepted={result.accepted}",
-            f"# status={result.status.value}",
-        ]
-        _write_text(args.out, _csv_lines(["d", "q"], rows, trailer))
+        trailer = [f"# accepted={result.accepted}", f"# status={result.status.value}"]
+        before, after = _csv_frame(["d", "q"], trailer)
+        rows = "".join(f"{c.d},{c.q}\n" for c in result.candidates)
+        _write_text(args.out, before + rows + after)
     if result.status is recovery.RecoveryStatus.NO_CANDIDATE:
         return EXIT_NO_CANDIDATE
     if result.status is recovery.RecoveryStatus.GCD_OBSTRUCTION:
@@ -337,8 +340,9 @@ def cmd_find_offset(args) -> int:
     if args.format == "json":
         _write_json(args.out, obj)
     else:
-        rows = [f"{k},{json.dumps(v)}" for k, v in sorted(obj.items())]
-        _write_text(args.out, _csv_lines(["field", "value"], rows))
+        before, after = _csv_frame(["field", "value"])
+        rows = "".join(f"{k},{json.dumps(v)}\n" for k, v in sorted(obj.items()))
+        _write_text(args.out, before + rows + after)
     return code
 
 
@@ -346,7 +350,7 @@ def _workfactor_rows(spec) -> list[dict]:
     """The work-factor rows: one per pipeline."""
     rows = []
     for rep in analysis.workfactor_comparison(spec):
-        bound = analysis.runs_lower_bound(rep.algorithm, spec)
+        bound = closedform.runs_lower_bound(spec.n, spec.m, rep.algorithm)
         verdict = bound is None or rep.expected_runs >= bound
         rows.append(
             {
@@ -369,7 +373,8 @@ def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
         return _fmt(value) if isinstance(value, float) else str(value)
 
     header = list(rows[0])
-    return _csv_lines(header, [",".join(cell(r[k]) for k in header) for r in rows], trailer)
+    before, after = _csv_frame(header, trailer)
+    return before + "".join(",".join(cell(r[k]) for k in header) + "\n" for r in rows) + after
 
 
 def cmd_trials(args) -> int:

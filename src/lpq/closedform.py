@@ -157,6 +157,14 @@ def plain_expected_runs(n: int, m: int, baseline: Algorithm) -> float:
     return n * n / (BOUND_DIVISOR[baseline] * m * (n - m))
 
 
+def runs_lower_bound(n: int, m: int, algorithm: Algorithm) -> float | None:
+    """n/(c*m), the proven lower bound on a plain pipeline's expected runs
+    and the ratio bounds' approximation, or None for the amplified
+    pipeline, which has no such bound."""
+    c = BOUND_DIVISOR.get(algorithm)
+    return None if c is None else n / (c * m)
+
+
 def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBounds:
     """Bounds on amplified/baseline probability at off-zero frequencies."""
     baseline = Algorithm(baseline)
@@ -166,4 +174,4 @@ def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBo
         raise ValidationError("baseline must be qft or qhs")
     upper = plain_expected_runs(n, m, baseline)
     lower = upper * (1 - 2 * m / n) ** 2
-    return RatioBounds(lower, upper, n / (BOUND_DIVISOR[baseline] * m))
+    return RatioBounds(lower, upper, runs_lower_bound(n, m, baseline))

@@ -417,30 +417,41 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_COMMON = {
+# Every option of every subcommand, by dest: its argparse keywords, with
+# its default if it has one.  The parser adds each option with
+# default=None, so that a config value can fill any option a flag left
+# unset; _apply_config puts the default in after that.
+_OPTIONS = {
     "n": dict(type=int, help="label-space size"),
     "m": dict(type=int, help="marked-set size"),
     "p": dict(type=int, help="period"),
-    "s": dict(type=int, help="offset"),
-    "seed": dict(type=int, help="PRNG seed (default 0)"),
+    "s": dict(type=int, default=0, help="offset"),
+    "seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
     "out": dict(type=str, help="output path (default stdout)"),
-    "format": dict(choices=["csv", "json"], help="output format (default csv)"),
+    "format": dict(choices=["csv", "json"], default="csv", help="output format (default csv)"),
     "q_max": dict(type=int, help="largest candidate period (default isqrt(n))"),
     "iterations_override": dict(type=int, help="override the amplification round count"),
+    "strict": dict(action=argparse.BooleanOptionalAction, default=True),
+    "alg": dict(choices=[a.value for a in Algorithm], default="amplified"),
+    "y": dict(type=int, help="measured frequency"),
+    "verify": dict(action="store_true", default=False, help="check the candidate against the oracle"),
+    "method": dict(choices=["counting", "decreasing"], default="decreasing"),
+    "period": dict(type=int, help="period candidate (default: the true one)"),
+    "runs": dict(type=int, help="Monte-Carlo runs"),
+    "n_min": dict(type=int, default=256),
+    "n_max": dict(type=int, default=16384),
 }
 
-# Defaults live here, not in the parser, so that a config value can fill
-# any option a flag left unset.
-_DEFAULTS = {
-    "s": 0,
-    "seed": 0,
-    "format": "csv",
-    "strict": True,
-    "alg": "amplified",
-    "verify": False,
-    "method": "decreasing",
-    "n_min": 256,
-    "n_max": 16384,
+# Each subcommand's function and the options it reads.  recover reads m,
+# p, s and strict only with --verify.
+_SHARED = {"n", "m", "p", "s", "strict", "out", "format"}  # the instance and the output
+_SUBCOMMANDS = {
+    "spectrum": (cmd_spectrum, _SHARED | {"iterations_override", "alg"}),
+    "compare": (cmd_compare, _SHARED),
+    "recover": (cmd_recover, _SHARED | {"q_max", "y", "verify"}),
+    "find-offset": (cmd_find_offset, _SHARED | {"seed", "method", "period"}),
+    "trials": (cmd_trials, _SHARED | {"seed", "alg", "runs"}),
+    "sweep": (cmd_sweep, _SHARED - {"n"} | {"n_min", "n_max"}),
 }
 
 
@@ -454,61 +465,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=str, help="JSON file with default options")
     sub = parser.add_subparsers(dest="command", required=True)
-    known = set()  # every subcommand's options, by dest
-
-    def add(name, func, extra=()):
+    for name, (_, names) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        options = [
-            sp.add_argument(f"--{key.replace('_', '-')}", default=None, **_COMMON[key])
-            for key in ("n", "m", "p", "s", "seed", "out", "format", "q_max", "iterations_override")
-        ]
-        strict = sp.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
-        options.append(strict)
-        options += [sp.add_argument(flag, **kwargs) for flag, kwargs in extra]
-        # the subcommand's actions, by dest, for checking config values
-        sp.set_defaults(func=func, options={action.dest: action for action in options})
-        known.update(action.dest for action in options)
-        return sp
-
-    add("spectrum", cmd_spectrum, [("--alg", dict(choices=[a.value for a in Algorithm], default=None))])
-    add("compare", cmd_compare)
-    add(
-        "recover",
-        cmd_recover,
-        [
-            ("--y", dict(type=int, default=None, help="measured frequency")),
-            (
-                "--verify",
-                dict(action="store_true", default=None,
-                     help="check the candidate against the oracle"),
-            ),
-        ],
-    )
-    add(
-        "find-offset",
-        cmd_find_offset,
-        [
-            ("--method", dict(choices=["counting", "decreasing"], default=None)),
-            ("--period", dict(type=int, default=None, help="period candidate (default: the true one)")),
-        ],
-    )
-    add(
-        "trials",
-        cmd_trials,
-        [
-            ("--alg", dict(choices=[a.value for a in Algorithm], default=None)),
-            ("--runs", dict(type=int, default=None, help="Monte-Carlo runs")),
-        ],
-    )
-    add(
-        "sweep",
-        cmd_sweep,
-        [
-            ("--n-min", dict(type=int, default=None)),
-            ("--n-max", dict(type=int, default=None)),
-        ],
-    )
-    parser.set_defaults(config_keys=frozenset(known))
+        for key, option in _OPTIONS.items():
+            if key in names:
+                sp.add_argument(f"--{key.replace('_', '-')}", **{**option, "default": None})
     return parser
 
 
@@ -522,46 +483,46 @@ def _read_config(path: str) -> dict:
     return config
 
 
-def _config_value(key: str, value, action: argparse.Action):
-    """``value`` if it is what the flag behind ``action`` takes (module
-    docstring), else ValidationError."""
-    if action.choices is not None:
-        ok, wanted = value in action.choices, f"one of {', '.join(action.choices)}"
-    elif action.type is None:  # a switch: --strict/--no-strict, --verify
+def _check_config_value(key: str, value) -> None:
+    """ValidationError unless ``value`` is what option ``key``'s flag takes
+    (module docstring)."""
+    option = _OPTIONS[key]
+    if "choices" in option:
+        ok, wanted = value in option["choices"], f"one of {', '.join(option['choices'])}"
+    elif "type" not in option:  # a switch: --strict/--no-strict, --verify
         ok, wanted = isinstance(value, bool), "true or false"
     else:  # bool is an int subclass, so compare the exact type
-        ok = type(value) is action.type
-        wanted = {int: "an integer", str: "a string"}[action.type]
+        ok = type(value) is option["type"]
+        wanted = {int: "an integer", str: "a string"}[option["type"]]
     if not ok:
         raise ValidationError(f"config option {key} must be {wanted}, got {json.dumps(value)}")
-    return value
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config(args: argparse.Namespace, names) -> None:
+    """Fill the options in ``names`` that no flag set from the config file,
+    else from their defaults."""
     config = _read_config(args.config) if args.config else {}
-    unknown = sorted(config.keys() - args.config_keys)
+    unknown = sorted(config.keys() - _OPTIONS.keys())
     if unknown:
         raise ValidationError(
             f"config file {args.config} has options no subcommand takes: {', '.join(unknown)}"
         )
-    for key, action in args.options.items():
-        if key in config:
-            value = _config_value(key, config[key], action)
+    for key, option in _OPTIONS.items():
+        if key in names:
+            if key in config:
+                _check_config_value(key, config[key])
             if getattr(args, key) is None:
-                setattr(args, key, value)
-        if getattr(args, key) is None and key in _DEFAULTS:
-            setattr(args, key, _DEFAULTS[key])
-    return args
+                setattr(args, key, config.get(key, option.get("default")))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    func, names = _SUBCOMMANDS[args.command]
     try:
-        args = _apply_config(args)
-        if args.seed < 0:
+        _apply_config(args, names)
+        if "seed" in names and args.seed < 0:
             raise ValidationError(f"need seed >= 0, got {args.seed}")
-        return args.func(args)
+        return func(args)
     except LpqError as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, ValidationError):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -576,6 +577,16 @@ class TestConfig:
             assert main([*flags, *SPEC_FLAGS, "--seed", "5"]) == 0
             assert capsys.readouterr() == from_config
 
+    def test_seed_is_ignored_by_a_subcommand_without_one(self, tmp_path, capsys):
+        # spectrum takes no seed, so a bad one in a shared file is another
+        # subcommand's key and is not checked
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -1, **dict(zip("nmps", (16, 3, 4, 1)))}))
+        assert main(["--config", str(config), "spectrum"]) == 0
+        from_config = capsys.readouterr()
+        assert main(["spectrum", *SPEC_FLAGS]) == 0
+        assert capsys.readouterr() == from_config
+
     def test_typed_values_apply_and_unknown_keys_are_ignored(self, tmp_path, capsys):
         # alg and n_min are other subcommands' options, which find-offset ignores
         config = tmp_path / "run.json"
@@ -732,7 +743,71 @@ class TestBulkSerializerEdges:
         assert got == reference_spectrum(spec, alg, fmt, iterations=iterations)
 
 
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the names read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+# Runs that between them read every option their subcommand reads: recover
+# reads the instance only with --verify, and trials the seed only with --runs.
+READING_RUNS = {
+    "spectrum": [["spectrum", *SPEC_FLAGS]],
+    "compare": [["compare", *SPEC_FLAGS]],
+    "recover": [["recover", "--n", "16", "--y", "4"], ["recover", "--verify", "--y", "4", *SPEC_FLAGS]],
+    "find-offset": [["find-offset", *SPEC_FLAGS]],
+    "trials": [["trials", *SPEC_FLAGS, "--runs", "2"]],
+    "sweep": [["sweep", "--m", "3", "--p", "4", "--n-max", "512"]],
+}
+
+# (subcommand, flag) pairs that were parsed and then ignored
+REMOVED_OPTIONS = [
+    ("spectrum", "--seed"), ("spectrum", "--q-max"),
+    ("compare", "--seed"), ("compare", "--q-max"), ("compare", "--iterations-override"),
+    ("recover", "--seed"), ("recover", "--iterations-override"),
+    ("find-offset", "--q-max"), ("find-offset", "--iterations-override"),
+    ("trials", "--q-max"), ("trials", "--iterations-override"),
+    ("sweep", "--n"), ("sweep", "--seed"), ("sweep", "--q-max"), ("sweep", "--iterations-override"),
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", sorted(READING_RUNS))
+    def test_every_option_offered_is_read(self, command, tmp_path, capsys):
+        func, names = cli._SUBCOMMANDS[command]
+        read = set()
+        for argv in READING_RUNS[command]:
+            args = cli._build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+            offered = set(vars(args)) - {"command", "config"}
+            assert offered == names
+            cli._apply_config(args, names)
+            recording = RecordingNamespace(**vars(args))
+            assert func(recording) == 0
+            read |= recording._read
+        assert sorted(offered - read) == []
+
+    @pytest.mark.parametrize("command,flag", REMOVED_OPTIONS)
+    def test_removed_option_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*READING_RUNS[command][0], flag, "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if flag == "--n":  # a prefix of sweep's --n-min, --n-max and --no-strict
+            assert captured.err.endswith(
+                "error: ambiguous option: --n could match --no-strict, --n-min, --n-max\n"
+            )
+        else:
+            assert captured.err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+
+    def test_every_option_is_taken_by_a_subcommand(self):
+        # so that a config key outside _OPTIONS is exactly one no subcommand takes
+        taken = set().union(*(names for _, names in cli._SUBCOMMANDS.values()))
+        assert taken == cli._OPTIONS.keys()
+
     def test_python_dash_m_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run([sys.executable, "-m", "lpq", "--help"], env=env,

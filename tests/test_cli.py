@@ -790,9 +790,9 @@ class TestParser:
         assert sorted(offered - read) == []
 
     @pytest.mark.parametrize("command,flag", REMOVED_OPTIONS)
-    def test_removed_option_exits_2(self, command, flag, capsys):
+    def test_removed_option_exits_2(self, command, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([*READING_RUNS[command][0], flag, "3"])
+            main([*READING_RUNS[command][0], "--out", str(tmp_path / "out"), flag, "3"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

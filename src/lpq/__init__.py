@@ -27,7 +27,6 @@ from .errors import (
     PeriodTooLarge,
     ValidationError,
     VerificationFailed,
-    ZeroDenominator,
 )
 from .offset import (
     OffsetSearchResult,
@@ -44,8 +43,6 @@ from .recovery import (
     RecoveryStatus,
     acceptance_window,
     accepted_denominators,
-    continued_fraction,
-    convergents,
     d_to_y,
     recover_period,
     success_set,

@@ -298,8 +298,6 @@ def cmd_recover(args) -> int:
     spec = _spec_from(args) if args.verify else None
     _require(args, "n", "y")
     n = args.n
-    if not 0 <= args.y < n:
-        raise ValidationError(f"y={args.y} outside 0..{n - 1}")
     if spec is None:
         result = recovery.recover_period(args.y, n, args.q_max)
     else:
@@ -427,7 +425,7 @@ _OPTIONS = {
     "p": dict(type=int, help="period"),
     "s": dict(type=int, default=0, help="offset"),
     "seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
-    "out": dict(type=str, help="output path (default stdout)"),
+    "out": dict(type=str, help="output file (default stdout); for sweep, a directory (default .)"),
     "format": dict(choices=["csv", "json"], default="csv", help="output format (default csv)"),
     "q_max": dict(type=int, help="largest candidate period (default isqrt(n))"),
     "iterations_override": dict(type=int, help="override the amplification round count"),
@@ -461,12 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
     leaves it unchanged, since every parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lpq",
+        allow_abbrev=False,
         description="Exact simulation and analysis of period finding on marked arithmetic progressions",
     )
     parser.add_argument("--config", type=str, help="JSON file with default options")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, names) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         for key, option in _OPTIONS.items():
             if key in names:
                 sp.add_argument(f"--{key.replace('_', '-')}", **{**option, "default": None})

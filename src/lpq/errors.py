@@ -29,10 +29,6 @@ class LabelOutOfRange(ValidationError):
     """Oracle queried outside 0..n-1."""
 
 
-class ZeroDenominator(ValidationError):
-    """Continued fraction of x/0 requested."""
-
-
 class InvalidProbability(ValidationError):
     """Probability outside (0, 1]."""
 

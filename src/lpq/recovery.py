@@ -6,6 +6,18 @@ guarantees d/q appears among the convergents of y/n, so the period can be
 read off a denominator.  ``recover_period`` never consults the oracle; the
 caller verifies candidates with the probe tests in :mod:`lpq.offset`.
 
+Remainder identity.  Euclid on the unreduced pair (y, n) divides y by n,
+then n by the remainder, and so on; step k gives a quotient a_k and a
+remainder r_k.  The quotients are those of the reduced fraction, so the
+recurrences d_k = a_k*d_{k-1} + d_{k-2} and q_k = a_k*q_{k-1} + q_{k-2},
+from d_{-2}/q_{-2} = 0/1 and d_{-1}/q_{-1} = 1/0, give the convergents
+d_k/q_k of y/n.  By induction on those recurrences, y*q_k - d_k*n is
+(-1)^k * r_k, so the 1/(2q^2) test |y/n - d_k/q_k| <= 1/(2*q_k^2) reads
+2*q_k*r_k <= n and needs no numerator.  Two loops use it:
+``recover_period`` walks one exact ladder in Python ints, at any n, and
+``accepted_denominators`` walks a batch of ladders in int64, for n below
+2**63.
+
 Residue conventions.  {a}_n denotes the representative of a mod n in the
 half-open window (-n/2, n/2].  The frequency window
 
@@ -27,50 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, ZeroDenominator
+from .errors import ValidationError
 from .oracle import OracleSpec
 
 
 class Convergent(NamedTuple):
     d: int
     q: int
-
-
-def continued_fraction(num: int, den: int) -> tuple[int, ...]:
-    """Partial quotients [a0; a1, a2, ...] of num/den, by Euclid on the
-    reduced fraction.
-
-    Canonical form: the final quotient is >= 2 whenever there is more than
-    one, which makes the expansion unique.
-    """
-    if den == 0:
-        raise ZeroDenominator("continued fraction of x/0")
-    if num < 0 or den < 0:
-        raise ValidationError("continued fraction needs num >= 0, den >= 1")
-    g = math.gcd(num, den) or 1
-    num, den = num // g, den // g
-    quotients = []
-    while den:
-        a, rem = divmod(num, den)
-        quotients.append(a)
-        num, den = den, rem
-    # Euclid on a reduced fraction already ends with a quotient >= 2 unless
-    # the expansion is a single integer, so this is canonical as-is.
-    return tuple(quotients)
-
-
-def convergents(quotients: tuple[int, ...]) -> list[Convergent]:
-    """Convergent ladder d_i/q_i of partial quotients by the standard
-    recurrence; each reduced."""
-    out = []
-    d_prev, d_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    for a in quotients:
-        d, q = a * d_prev + d_prev2, a * q_prev + q_prev2
-        out.append(Convergent(d, q))
-        d_prev2, d_prev = d_prev, d
-        q_prev2, q_prev = q_prev, q
-    return out
 
 
 class RecoveryStatus(str, Enum):
@@ -103,11 +78,9 @@ def accepted_denominators(n: int, ys, q_max: int | None = None) -> np.ndarray:
 
     ``ys`` is a 1-D sequence of frequencies in 0..n-1; entry i is
     ``recover_period(ys[i], n, q_max).accepted``, with 0 where that is
-    None.  Euclid runs on y/n unreduced, which gives the partial quotients
-    of the reduced fraction, fused with the recurrence for the convergent
-    denominators q_k.  The numerators are never needed: by induction on
-    that recurrence, |y*q_k - d_k*n| is the k-th Euclidean remainder r_k,
-    so the 1/(2q^2) test reads q_k*r_k <= n/2.  Every y still on its ladder
+    None.  Euclid on y/n unreduced runs fused with the recurrence for the
+    convergent denominators q_k, and the 1/(2q^2) test reads q_k*r_k <= n/2
+    by the remainder identity (module docstring).  Every y still on its ladder
     advances one convergent per numpy step, in blocks of _Y_BLOCK
     frequencies so the temporaries stay small.
 
@@ -173,26 +146,35 @@ def acceptance_window(n: int, q: int) -> np.ndarray:
 
 
 def recover_period(y: int, n: int, q_max: int | None = None) -> RecoveryResult:
-    """Largest convergent denominator q <= q_max with |y/n - d/q| <= 1/(2q^2).
+    """Largest convergent denominator q in 2..q_max with |y/n - d/q| <= 1/(2q^2).
 
-    q_max defaults to isqrt(n), the largest period the convergence theorem
-    covers.  y = 0 and bare q = 1 candidates carry no period information and
+    One pass of Euclid on (y, n) builds the convergent ladder and tests
+    each step by the remainder identity (module docstring), in Python ints,
+    so n may be any size.  q_max defaults to isqrt(n), the largest period
+    the convergence theorem covers; ``candidates`` holds the whole ladder,
+    up to y/n itself.  y = 0 and q = 1 carry no period information and
     come back as no-candidate.  Smaller-q false positives are possible and
-    must be weeded out by oracle verification downstream.
+    must be weeded out by oracle verification downstream.  A y outside
+    0..n-1 is a ValidationError.
     """
+    if not 0 <= y < n:
+        raise ValidationError(f"y={y} outside 0..{n - 1}")
     if q_max is None:
         q_max = math.isqrt(n)
-    ladder = convergents(continued_fraction(y, n))
-    best = None
-    for c in ladder:
-        if c.q > q_max:
-            break
-        # |y/n - d/q| <= 1/(2 q^2)  <=>  2*q*|y*q - d*n| <= n, exactly
-        if 2 * c.q * abs(y * c.q - c.d * n) <= n:
-            best = c
-    if y == 0 or best is None or best.q == 1:
-        return RecoveryResult(y, ladder, None, RecoveryStatus.NO_CANDIDATE)
-    return RecoveryResult(y, ladder, best.q, RecoveryStatus.RECOVERED)
+    ladder = []
+    accepted = None
+    num, den = y, n
+    d_prev2, d_prev, q_prev2, q_prev = 0, 1, 1, 0
+    while den:
+        a, rem = divmod(num, den)
+        d, q = a * d_prev + d_prev2, a * q_prev + q_prev2
+        ladder.append(Convergent(d, q))
+        if 2 <= q <= q_max and 2 * q * rem <= n:
+            accepted = q
+        num, den = den, rem
+        d_prev2, d_prev, q_prev2, q_prev = d_prev, d, q_prev, q
+    status = RecoveryStatus.NO_CANDIDATE if accepted is None else RecoveryStatus.RECOVERED
+    return RecoveryResult(y, ladder, accepted, status)
 
 
 def d_to_y(d: int, n: int, p: int) -> int:

@@ -796,12 +796,29 @@ class TestParser:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        if flag == "--n":  # a prefix of sweep's --n-min, --n-max and --no-strict
-            assert captured.err.endswith(
-                "error: ambiguous option: --n could match --no-strict, --n-min, --n-max\n"
-            )
-        else:
-            assert captured.err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--n", "16", "--m", "2", "--p", "3", "--iter", "0"],
+         "error: unrecognized arguments: --iter 0\n"),
+        (["recover", "--n", "16", "--y", "5", "--q", "2"], "error: unrecognized arguments: --q 2\n"),
+        # the top parser leaves --conf unparsed and reads its value as the subcommand
+        (["--conf", "lpq.json", "compare", *SPEC_FLAGS], "error: argument command: invalid choice: 'lpq.json'"),
+    ], ids=["spectrum-iter", "recover-q", "top-conf"])
+    def test_prefix_flag_exits_2(self, argv, message, capsys):
+        # a flag is taken only as spelled, never as the prefix of a longer one
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_sweep_out_help_names_a_directory(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "for sweep, a directory (default .)" in " ".join(capsys.readouterr().out.split())
 
     def test_every_option_is_taken_by_a_subcommand(self):
         # so that a config key outside _OPTIONS is exactly one no subcommand takes

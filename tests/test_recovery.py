@@ -10,12 +10,9 @@ from lpq import (
     OracleHandle,
     RecoveryStatus,
     ValidationError,
-    ZeroDenominator,
     acceptance_window,
     accepted_denominators,
     build_oracle,
-    continued_fraction,
-    convergents,
     d_to_y,
     recover_period,
     success_set,
@@ -69,53 +66,91 @@ def cf_value(quotients) -> Fraction:
     return acc
 
 
+def partial_quotients(ladder) -> list[int]:
+    """The a_k of a convergent ladder, read back off d_0 = a_0 and
+    q_k = a_k*q_{k-1} + q_{k-2}, with q_{-1} = 0."""
+    qs = [0] + [c.q for c in ladder]
+    return [ladder[0].d] + [(qs[k + 1] - qs[k - 1]) // qs[k] for k in range(1, len(ladder))]
+
+
+def fractions_below_one(max_n: int):
+    """(y, n) with 0 <= y < n <= max_n: a frequency and its label count."""
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n)))
+
+
+def largest_passing_q(y: int, n: int, q_max: int | None) -> int | None:
+    """The candidate period of y by brute force, with no continued fraction.
+
+    Only the d nearest y*q/n can pass the 1/(2q^2) test for q >= 2, and
+    every reduced d/q that passes is a convergent of y/n (Legendre's
+    theorem), so the candidate is the largest q in 2..q_max whose nearest
+    d is coprime to q and passes, by exact Fraction arithmetic.
+    """
+    x = Fraction(y, n)
+    for q in range(math.isqrt(n) if q_max is None else q_max, 1, -1):
+        d = (2 * y * q + n) // (2 * n)
+        if math.gcd(d, q) == 1 and abs(x - Fraction(d, q)) <= Fraction(1, 2 * q * q):
+            return q
+    return None
+
+
 class TestContinuedFraction:
+    # the expansion recover_period walks, read back off its ladder
+
     def test_5_16(self):
         # Euclid by hand: 16 = 3*5 + 1, 5 = 5*1
-        assert continued_fraction(5, 16) == (0, 3, 5)
+        assert partial_quotients(recover_period(5, 16).candidates) == [0, 3, 5]
 
     def test_zero(self):
-        assert continued_fraction(0, 7) == (0,)
+        assert partial_quotients(recover_period(0, 7).candidates) == [0]
 
     def test_half(self):
-        assert continued_fraction(1, 2) == (0, 2)
+        assert partial_quotients(recover_period(1, 2).candidates) == [0, 2]
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            continued_fraction(1, 0)
+        # n = 0 leaves no frequency in range, y = 0 included
+        for y in (0, 5):
+            with pytest.raises(ValidationError, match=rf"^y={y} outside 0\.\.-1$"):
+                recover_period(y, 0)
 
-    @given(st.integers(0, 10_000), st.integers(1, 10_000))
-    def test_reconstruction(self, num, den):
-        assert cf_value(continued_fraction(num, den)) == Fraction(num, den)
+    @given(fractions_below_one(10_000))
+    def test_reconstruction(self, frequency):
+        y, n = frequency
+        ladder = recover_period(y, n).candidates
+        assert Fraction(*ladder[-1]) == Fraction(y, n)
+        assert cf_value(partial_quotients(ladder)) == Fraction(y, n)
 
-    @given(st.integers(0, 10_000), st.integers(2, 10_000))
-    def test_canonical_final_quotient(self, num, den):
-        quotients = continued_fraction(num, den)
+    @given(fractions_below_one(10_000))
+    def test_canonical_final_quotient(self, frequency):
+        quotients = partial_quotients(recover_period(*frequency).candidates)
         if len(quotients) > 1:
             assert quotients[-1] >= 2
 
 
 class TestConvergents:
     def test_5_16_ladder(self):
-        ladder = convergents(continued_fraction(5, 16))
+        ladder = recover_period(5, 16).candidates
         assert [(c.d, c.q) for c in ladder] == [(0, 1), (1, 3), (5, 16)]
 
     def test_single(self):
-        ladder = convergents(continued_fraction(0, 5))
+        ladder = recover_period(0, 5).candidates
         assert [(c.d, c.q) for c in ladder] == [(0, 1)]
 
     def test_fibonacci_denominators(self):
-        ladder = convergents((0, 1, 1, 1, 1))
-        assert [c.q for c in ladder] == [1, 1, 2, 3, 5]
+        # 5/8 = [0; 1, 1, 1, 2]: ratios of Fibonacci numbers, where the
+        # canonical final quotient 2 steps over 3/5
+        ladder = recover_period(5, 8).candidates
+        assert [(c.d, c.q) for c in ladder] == [(0, 1), (1, 1), (1, 2), (2, 3), (5, 8)]
 
-    @given(st.integers(1, 5000), st.integers(2, 5000))
-    def test_reduced_and_increasing(self, num, den):
-        ladder = convergents(continued_fraction(num, den))
+    @given(fractions_below_one(5000))
+    def test_reduced_and_increasing(self, frequency):
+        y, n = frequency
+        ladder = recover_period(y, n).candidates
         assert all(math.gcd(c.d, c.q) == 1 for c in ladder)
         qs = [c.q for c in ladder]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
         assert all(a < b for a, b in zip(qs[1:], qs[2:]))
-        assert ladder[-1] == (num // math.gcd(num, den), den // math.gcd(num, den))
+        assert ladder[-1] == (y // math.gcd(y, n), n // math.gcd(y, n))
 
 
 class TestRecoverPeriod:
@@ -144,6 +179,31 @@ class TestRecoverPeriod:
                 q = result.accepted
                 d = next(c.d for c in result.candidates if c.q == q)
                 assert abs(Fraction(y, n) - Fraction(d, q)) <= Fraction(1, 2 * q * q)
+
+    @pytest.mark.parametrize("y,n", [(20, 16), (-3, 16)])  # n = 0: test_zero_denominator
+    def test_frequency_out_of_range(self, y, n):
+        with pytest.raises(ValidationError, match=rf"^y={y} outside 0\.\.{n - 1}$"):
+            recover_period(y, n)
+
+    def test_largest_passing_q(self):
+        # against the brute-force reference, which knows no continued fractions
+        for n in range(1, 201):
+            for q_max in (None, 1, 2, 3, n):
+                for y in range(n):
+                    expected = largest_passing_q(y, n, q_max)
+                    assert recover_period(y, n, q_max).accepted == expected, (y, n, q_max)
+
+    @pytest.mark.parametrize("n", [(1 << 64) + 13, (1 << 100) + 7])
+    def test_exact_past_int64(self, n):
+        # y = round(n*d/q) is within 1/(2n) <= 1/(2q^2) of d/q, and the next
+        # convergent's denominator is at least 2n/q - q, far past isqrt(n)
+        for q in (2, 3, 97, 1000, 65537, (1 << 20) - 3, 1 << 20):
+            for d in (1, q // 2 - 1, q - 1):
+                if math.gcd(d, q) == 1:
+                    y = (2 * n * d + q) // (2 * q)
+                    result = recover_period(y, n)
+                    assert result.accepted == q, (n, d, q)
+                    assert (d, q) in result.candidates
 
     def test_fast_path_agrees(self):
         # the vectorized table against the scalar ladder, one y at a time

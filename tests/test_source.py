@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import lpq
+import lpq.errors
 
 SOURCES = sorted(Path(lpq.__file__).parent.glob("*.py"))
 
@@ -81,3 +82,20 @@ def test_export_rule_resolves_names(tmp_path):
     for name, text in package.items():
         (tmp_path / name).write_text(text)
     assert _exported_unused(sorted(tmp_path.glob("*.py"))) == ["k"]
+
+
+def test_every_error_type_is_raised_or_subclassed():
+    # an error type that outlives its last raise site is dead code
+    named = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                named.add(call.id if isinstance(call, ast.Name) else getattr(call, "attr", None))
+            elif isinstance(node, ast.ClassDef):
+                named.update(base.id for base in node.bases if isinstance(base, ast.Name))
+    types = {
+        name for name, value in vars(lpq.errors).items()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == "lpq.errors"
+    }
+    assert sorted(types - named) == []

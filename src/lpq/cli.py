@@ -16,13 +16,14 @@ determined by their options, including the seed, so output files are
 byte-identical across repeats.
 
 Per-frequency tables (spectrum, compare) are emitted in bulk, with no
-per-row Python template: every cell is built once with the literal text
-that follows it in its row attached, each float column formats each
-distinct value once, and the whole document is one str.join over the
-cells, row by row.  A 2^16-row table never goes through per-row numpy
-indexing or the json encoder.  The output is byte-identical to formatting
-every value with format(x, ".17g") and dumping the whole object with
-json.dumps(indent=1, sort_keys=True).
+per-row Python template and no str made per row: every cell is built with
+the literal text that follows it in its row attached, each column formats
+each distinct value once, rows above n/2 reuse the cells of their mirror
+rows, y cells are two pieces shared between rows, and the whole document
+is one str.join over the pieces, row by row.  A 2^16-row table never goes
+through per-row numpy indexing or the json encoder.  The output is
+byte-identical to formatting every value with format(x, ".17g") and
+dumping the whole object with json.dumps(indent=1, sort_keys=True).
 
 Exit codes:
 
@@ -72,13 +73,17 @@ def _fmt(x: float) -> str:
 # the text after each cell (its suffix).  The last cell's suffix runs on
 # through the row separator into the next row's head, so the rows of a
 # table are exactly its cells with their suffixes, taken row by row.  Cells
-# are built suffix and all: float cells by _column, which formats each
-# distinct value once ("%.17g" prints a Python float exactly as
-# format(x, ".17g"), and "%r" prints a finite one exactly as json.dumps
-# does); case and verdict cells by gathering from a table of names; y cells
-# as one f-string each.  _write_table interleaves the columns by slice
+# are built suffix and all, for rows y = 0..n//2 only: every table is
+# mirror-symmetric (ProbabilityTable), so _write_table fills the rows above
+# from these by reversed slicing.  Float cells come from _distinct, which
+# formats each distinct value once ("%.17g" prints a Python float exactly
+# as format(x, ".17g"), and "%r" prints a finite one exactly as json.dumps
+# does), and every column is one _gather from its distinct cells.  A y cell
+# is two pieces made once per table and repeated by list repetition:
+# y // 1000, empty below 1000, then the last three digits and the suffix,
+# zero-padded from 1000 up.  _write_table interleaves the pieces by slice
 # assignment and joins the document once, trimming the run-on from the
-# last cell.  A JSON template lays out one element of a top-level "rows"
+# last piece.  A JSON template lays out one element of a top-level "rows"
 # list the way json.dumps(indent=1, sort_keys=True) does (depth 2, keys
 # sorted), so _json_frame can splice the table into a dump of the other
 # fields.  A CSV row is a line, newline included, so CSV rows need no
@@ -128,8 +133,9 @@ _COMPARE_ROW = _layouts(
 _VERDICTS = ("excluded", "pass", "FAIL")  # compare's verdict codes 0, 1, 2
 
 
-def _column(values: np.ndarray, fmt: str, suffix: str) -> list[str]:
-    """``fmt % x + suffix`` for every float64 x in values.
+def _distinct(values: np.ndarray, fmt: str, suffix: str) -> tuple[list[str], np.ndarray]:
+    """``fmt % x + suffix`` for each distinct float64 x in values, and the
+    index of every value's cell among them.
 
     Each distinct bit pattern is formatted once: a table's probabilities
     depend on p*y mod n, and its deviations are mostly 0 or a few ulps, so
@@ -139,19 +145,35 @@ def _column(values: np.ndarray, fmt: str, suffix: str) -> list[str]:
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     floats = bits.view(np.float64).tolist()
     if fmt == "%r":
-        text = [repr(x) + suffix for x in floats]
-    else:
-        text = list(map((fmt + suffix).__mod__, floats))
-    return np.array(text, dtype=object)[inverse].tolist()
+        return [repr(x) + suffix for x in floats], inverse
+    return list(map((fmt + suffix).__mod__, floats)), inverse
 
 
-def _gather(names, suffix: str, codes: np.ndarray) -> list[str]:
+def _gather(cells: list[str], index: np.ndarray) -> list[str]:
+    """``cells[i]`` for every i in index."""
+    return np.array(cells, dtype=object)[index].tolist()
+
+
+def _column(values: np.ndarray, fmt: str, suffix: str) -> list[str]:
+    """``fmt % x + suffix`` for every float64 x in values."""
+    return _gather(*_distinct(values, fmt, suffix))
+
+
+def _names(names, suffix: str, codes: np.ndarray) -> list[str]:
     """``names[code] + suffix`` for every code."""
-    return np.array([name + suffix for name in names], dtype=object)[codes].tolist()
+    return _gather([name + suffix for name in names], codes)
 
 
-def _y_cells(n: int, suffix: str) -> list[str]:
-    return [f"{y}{suffix}" for y in range(n)]
+def _y_pieces(n: int, suffix: str) -> tuple[list[str], list[str]]:
+    """The two pieces of the y cells of rows 0..n-1 (bulk emission comment)."""
+    low = [f"{y}{suffix}" for y in range(min(n, 1000))]
+    blocks = (n - 1) // 1000  # full or partial thousands past the first
+    thousands = [""] * len(low)
+    for t in range(1, blocks + 1):
+        thousands += [str(t)] * 1000
+    digits = low + [f"{y:03d}{suffix}" for y in range(1000)] * blocks
+    del thousands[n:], digits[n:]
+    return thousands, digits
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -179,14 +201,26 @@ def _csv_frame(header, trailer=()) -> tuple[str, str]:
     return f"# schema=1\n{','.join(header)}\n", "".join(f"{line}\n" for line in trailer)
 
 
-def _write_table(out: str | None, layout: _Layout, columns: dict[str, list[str]],
+def _write_table(out: str | None, layout: _Layout, n: int, columns: dict[str, list[str]],
                  frame: tuple[str, str]) -> None:
-    """Write the table whose cells ``columns`` holds by field, each cell
-    followed by its suffix, inside the frame's text before and after it."""
-    width = len(layout.fields)
-    pieces = [""] * (width * len(columns[layout.fields[0]]))
-    for i, field in enumerate(layout.fields):
-        pieces[i::width] = columns[field]  # row-major, interleaved in C
+    """Write the n-row table inside the frame's text before and after it.
+
+    ``columns`` holds by field, each cell followed by its suffix, the cells
+    of rows y = 0..n//2 of every field but y; row n - y repeats row y.
+    """
+    width = len(layout.fields) + 1  # a y cell is two pieces
+    h = n // 2 + 1
+    pieces = [""] * (width * n)
+    i = 0
+    for field in layout.fields:  # row-major, interleaved in C
+        if field == "y":
+            pieces[i::width], pieces[i + 1 :: width] = _y_pieces(n, layout.suffix["y"])
+            i += 1
+        else:
+            half = columns[field]
+            pieces[i : h * width : width] = half
+            pieces[(n - 1) * width + i : (h - 1) * width + i : -width] = half[1 : n - h + 1]
+        i += 1
     before, after = frame
     pieces[0] = before + layout.head + pieces[0]
     pieces[-1] = pieces[-1][: len(pieces[-1]) - layout.trim] + after
@@ -209,14 +243,14 @@ def cmd_spectrum(args) -> int:
     alg = Algorithm(args.alg)
     closed = closedform.closed_form_table(spec, alg, iterations=args.iterations_override)
     simulated = simulator.simulated_table(spec, alg, iterations=args.iterations_override)
-    dev = np.abs(closed.pr - simulated.pr)
+    h = spec.n // 2 + 1  # the rows _write_table takes
+    dev = np.abs(closed.pr[:h] - simulated.pr[:h])
     layout = _SPECTRUM_ROW[args.format]
     suffix, fmt = layout.suffix, _FLOAT_FORMAT[args.format]
     columns = {
-        "y": _y_cells(spec.n, suffix["y"]),
-        "case": _gather(CASE_NAMES, suffix["case"], closed.codes),
-        "pr_closedform": _column(closed.pr, fmt, suffix["pr_closedform"]),
-        "pr_simulated": _column(simulated.pr, fmt, suffix["pr_simulated"]),
+        "case": _names(CASE_NAMES, suffix["case"], closed.codes[:h]),
+        "pr_closedform": _column(closed.pr[:h], fmt, suffix["pr_closedform"]),
+        "pr_simulated": _column(simulated.pr[:h], fmt, suffix["pr_simulated"]),
         "abs_deviation": _column(dev, fmt, suffix["abs_deviation"]),
     }
     if args.format == "json":
@@ -230,7 +264,7 @@ def cmd_spectrum(args) -> int:
         )
     else:
         frame = _csv_frame(layout.fields, [f"# max_abs_deviation={_fmt(dev.max())}"])
-    _write_table(args.out, layout, columns, frame)
+    _write_table(args.out, layout, spec.n, columns, frame)
     return EXIT_OK
 
 
@@ -245,28 +279,27 @@ def cmd_compare(args) -> int:
     layout = _COMPARE_ROW[args.format]
     suffix = layout.suffix
     # Zero and null frequencies are excluded; every other one gets the two
-    # ratios and a verdict.
-    codes = tables[Algorithm.QFT].codes
+    # ratios and a verdict.  Rows y = 0..n//2 hold every value of the table.
+    h = spec.n // 2 + 1
+    codes = tables[Algorithm.QFT].codes[:h]
     kept = (codes == CODE_RESONANT) | (codes == CODE_GENERIC)
-    amp = tables[Algorithm.AMPLIFIED].pr[kept]
-    columns = {
-        "y": _y_cells(spec.n, suffix["y"]),
-        "case": _gather(CASE_NAMES, suffix["case"], codes),
-    }
+    amp = tables[Algorithm.AMPLIFIED].pr[:h][kept]
+    columns = {"case": _names(CASE_NAMES, suffix["case"], codes)}
     ok = np.ones(amp.size, dtype=bool)
     for alg, b in bounds.items():
-        den = tables[alg].pr[kept]
+        den = tables[alg].pr[:h][kept]
         if not den.all():
             raise BoundViolated(f"{alg.value} probability 0 at a resonant or generic frequency")
         ratio = amp / den
-        ok &= (b.lower - 1e-9 <= ratio) & (ratio <= b.upper + 1e-9)
+        ok &= b.admits(ratio)
         field = f"ratio_vs_{alg.value}"
-        cells = np.full(spec.n, "excluded" + suffix[field], dtype=object)
-        cells[kept] = _column(ratio, "%.17g", suffix[field])
-        columns[field] = cells.tolist()
-    verdicts = np.zeros(spec.n, dtype=np.int8)
+        cells, inverse = _distinct(ratio, "%.17g", suffix[field])
+        index = np.full(h, len(cells))  # the excluded cell, after the distinct ratios
+        index[kept] = inverse
+        columns[field] = _gather([*cells, "excluded" + suffix[field]], index)
+    verdicts = np.zeros(h, dtype=np.int8)
     verdicts[kept] = np.where(ok, 1, 2)
-    columns["verdict"] = _gather(_VERDICTS, suffix["verdict"], verdicts)
+    columns["verdict"] = _names(_VERDICTS, suffix["verdict"], verdicts)
     summary = {
         "bounds": {
             alg.value: {
@@ -290,7 +323,7 @@ def cmd_compare(args) -> int:
     else:
         trailer = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
         frame = _csv_frame(layout.fields, trailer)
-    _write_table(args.out, layout, columns, frame)
+    _write_table(args.out, layout, spec.n, columns, frame)
     return EXIT_OK
 
 
@@ -454,9 +487,10 @@ _SUBCOMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused; parsing
-    leaves it unchanged, since every parse fills a fresh namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's parser by name, built on
+    first use and then reused; parsing leaves them unchanged, since every
+    parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lpq",
         allow_abbrev=False,
@@ -469,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, option in _OPTIONS.items():
             if key in names:
                 sp.add_argument(f"--{key.replace('_', '-')}", **{**option, "default": None})
-    return parser
+    return parser, sub.choices
 
 
 def _read_config(path: str) -> dict:
@@ -515,7 +549,10 @@ def _apply_config(args: argparse.Namespace, names) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # under the subcommand's usage line, which lists its flags
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     func, names = _SUBCOMMANDS[args.command]
     try:
         _apply_config(args, names)

@@ -57,6 +57,11 @@ _Y_BLOCK = 1 << 16
 # pipelines, 4 for qft and 2 for qhs; the amplified one has no such bound.
 BOUND_DIVISOR = {Algorithm.QFT: 4, Algorithm.QHS: 2}
 
+# The relative slack of RatioBounds.admits: a ratio of two computed
+# probabilities, each a few roundings from exact, sits a few ulps from its
+# true value, which the bounds hold.
+RATIO_SLACK = 8 * np.finfo(np.float64).eps
+
 
 def _folded_sines(residues: np.ndarray, n: int) -> np.ndarray:
     """|sin(pi*r/n)| for residues r in 0..n-1, from the representative in [0, n/2]."""
@@ -147,6 +152,12 @@ class RatioBounds:
     def gap(self) -> float:
         """upper - lower; identically 1 against qft and 2 against qhs."""
         return self.upper - self.lower
+
+    def admits(self, ratio: np.ndarray) -> np.ndarray:
+        """Whether each computed ratio lies in [lower, upper], give or take
+        RATIO_SLACK times the bound, 8 to 16 ulps of it.  The ratio is
+        about n/(c*m), so an absolute slack shrinks to an ulp as n grows."""
+        return (self.lower * (1 - RATIO_SLACK) <= ratio) & (ratio <= self.upper * (1 + RATIO_SLACK))
 
 
 def plain_expected_runs(n: int, m: int, baseline: Algorithm) -> float:

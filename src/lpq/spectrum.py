@@ -55,7 +55,14 @@ def case_codes(n: int, m: int, p: int) -> np.ndarray:
 
 @dataclass
 class ProbabilityTable:
-    """Per-frequency measurement probabilities with case annotations."""
+    """Per-frequency measurement probabilities with case annotations.
+
+    Every table is mirror-symmetric bit for bit: ``pr[n - y] == pr[y]`` and
+    ``codes[n - y] == codes[y]`` for y in 1..n-1, since every builder
+    copies the rows above n/2 from the rows below (or tiles one period,
+    whose residues p*y and -p*y fold to the same sines).  The CLI relies on
+    this to format each table's rows y = 0..n//2 only.
+    """
 
     pr: np.ndarray
     codes: np.ndarray

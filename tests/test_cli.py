@@ -604,8 +604,11 @@ class TestConfig:
 
 # Serializer goldens: the CLI's bulk output against the same tables
 # serialized row by row, with format(x, ".17g") for CSV cells and one
-# json.dumps of the whole object for JSON.
-GOLDEN_INSTANCES = {64: (4, 4, 3), 1000: (5, 31, 7), 4099: (3, 64, 2)}
+# json.dumps of the whole object for JSON.  Past 10,000 rows the thousands
+# piece of a y cell has two digits.
+GOLDEN_INSTANCES = {64: (4, 4, 3), 1000: (5, 31, 7), 4099: (3, 64, 2), 10007: (5, 97, 3)}
+# A ratio passes within 8 eps of each bound, relative, as RatioBounds.admits.
+RATIO_SLACK = 8 * sys.float_info.epsilon
 
 
 def reference_spectrum(spec, alg, fmt, iterations=None):
@@ -655,7 +658,7 @@ def reference_compare(spec, fmt):
         for alg, b in bounds.items():
             ratio = amp / float(tables[alg].pr[y])
             cells.append(format(ratio, ".17g"))
-            ok &= b.lower - 1e-9 <= ratio <= b.upper + 1e-9
+            ok &= b.lower * (1 - RATIO_SLACK) <= ratio <= b.upper * (1 + RATIO_SLACK)
         verdicts.append(ok)
         rows.append([str(y), case, *cells, "pass" if ok else "FAIL"])
     summary = {
@@ -699,6 +702,17 @@ class TestBulkSerializer:
         m, p, s = GOLDEN_INSTANCES[n]
         got = cli_output(tmp_path, fmt, "compare", "--n", n, "--m", m, "--p", p, "--s", s)
         assert got == reference_compare(build_oracle(n, m, p, s), fmt)
+
+
+class TestBulkSerializerAt2e16:
+    def test_spectrum_and_compare_bytes(self, tmp_path):
+        # odd p coprime to n: about n/2 distinct probabilities
+        n, m, p, s = 1 << 16, 4, 255, 17
+        flags = ["--n", n, "--m", m, "--p", p, "--s", s]
+        got = cli_output(tmp_path, "csv", "spectrum", *flags)
+        assert got == reference_spectrum(build_oracle(n, m, p, s), "amplified", "csv")
+        got = cli_output(tmp_path, "csv", "compare", *flags)
+        assert got == reference_compare(build_oracle(n, m, p, s), "csv")
 
 
 # The edges of the bulk join, as (n, m, p, s, strict): a one-row and a
@@ -780,7 +794,7 @@ class TestParser:
         func, names = cli._SUBCOMMANDS[command]
         read = set()
         for argv in READING_RUNS[command]:
-            args = cli._build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+            args = cli._build_parser()[0].parse_args([*argv, "--out", str(tmp_path / "out")])
             offered = set(vars(args)) - {"command", "config"}
             assert offered == names
             cli._apply_config(args, names)
@@ -813,6 +827,18 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("command", sorted(READING_RUNS))
+    def test_unknown_flag_under_subcommand_usage(self, command, tmp_path, capsys):
+        # the usage line that lists the subcommand's own flags
+        with pytest.raises(SystemExit) as exc:
+            main([*READING_RUNS[command][0], "--out", str(tmp_path / "out"), "--bogus", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: lpq {command} [-h]")
+        assert "--out OUT" in captured.err
+        assert captured.err.endswith(f"lpq {command}: error: unrecognized arguments: --bogus 1\n")
 
     def test_sweep_out_help_names_a_directory(self, capsys):
         with pytest.raises(SystemExit) as exc:

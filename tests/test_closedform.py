@@ -337,6 +337,50 @@ class TestRatioBounds:
         with pytest.raises(ValidationError):
             ratio_bounds(8, 5)
 
+    @pytest.mark.parametrize("n", [1 << 24, 1 << 40])
+    @pytest.mark.parametrize("baseline", [Algorithm.QFT, Algorithm.QHS])
+    def test_admits_ulps_around_each_bound(self, n, baseline):
+        # At m = 1 the ratio is about n/(c*m), whose ulp is 9.3e-10 at 2^24
+        # and 6.1e-5 at 2^40, so an absolute slack of 1e-9 is at most one
+        # ulp there.  The slack is 8 eps of the bound, 8 to 16 ulps, and
+        # an ulp below a power of two is half the one above it.
+        bounds = ratio_bounds(n, 1, baseline)
+
+        def ulps(x, k):
+            for _ in range(abs(k)):
+                x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+            return x
+
+        for bound, outward in ((bounds.lower, -1), (bounds.upper, 1)):
+            admitted = [ulps(bound, outward * k) for k in (0, 1, 8)]
+            admitted += [ulps(bound, -outward * k) for k in (1, 8, 64)]
+            assert bounds.admits(np.array(admitted)).all()
+            rejected = [ulps(bound, outward * k) for k in (33, 64)]
+            assert not bounds.admits(np.array(rejected)).any()
+        beyond = ulps(bounds.upper, 2)
+        assert beyond > bounds.upper + 1e-9  # FAIL under the absolute slack
+        assert bounds.admits(beyond)
+
+
+# (n, m, p, s, strict): even and odd n, with gcd(n, p) = 1 and > 1, and the
+# one-, two- and three-row tables
+MIRROR_INSTANCES = [(64, 4, 4, 3, True), (1000, 5, 31, 7, True), (1001, 5, 10, 7, True),
+                    (999, 3, 27, 1, True), (4096, 4, 6, 3, True), (4097, 6, 17, 5, True),
+                    (1, 1, 1, 0, False), (2, 1, 1, 1, False), (3, 1, 1, 0, False)]
+
+
+@pytest.mark.parametrize("instance", MIRROR_INSTANCES, ids=lambda i: "-".join(map(str, i)))
+@pytest.mark.parametrize("iterations", [None, 0, 3])
+@pytest.mark.parametrize("build", [closed_form_table, simulated_table])
+def test_tables_are_mirror_symmetric(instance, iterations, build):
+    # the CLI formats rows y = 0..n//2 and repeats them above (ProbabilityTable)
+    n, m, p, s, strict = instance
+    spec = build_oracle(n, m, p, s, strict=strict)
+    for alg in Algorithm:
+        table = build(spec, alg, iterations=iterations)
+        assert table.pr[1:].tobytes() == table.pr[:0:-1].tobytes()
+        assert table.codes[1:].tolist() == table.codes[:0:-1].tolist()
+
 
 @settings(max_examples=50)
 @given(st.integers(2, 64), st.integers(0, 1000))

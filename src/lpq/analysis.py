@@ -284,8 +284,8 @@ def _odd_flips(edges: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.ndarra
 def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):
     """Recovery plus oracle verification against the handle's instance.
 
-    A candidate the probes reject comes back with status gcd-obstruction
-    and no accepted period.
+    A candidate the probes reject comes back with status rejected and no
+    accepted period: the probes show that it is not the period, not why.
     """
     spec = handle.spec
     result = recover_period(y, spec.n, q_max)
@@ -294,5 +294,5 @@ def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):
     if test_period_known_s(handle, spec.s, result.accepted, spec.m):
         return result
     result.accepted = None
-    result.status = RecoveryStatus.GCD_OBSTRUCTION
+    result.status = RecoveryStatus.REJECTED
     return result

@@ -346,7 +346,7 @@ def cmd_recover(args) -> int:
         _write_text(args.out, before + rows + after)
     if result.status is recovery.RecoveryStatus.NO_CANDIDATE:
         return EXIT_NO_CANDIDATE
-    if result.status is recovery.RecoveryStatus.GCD_OBSTRUCTION:
+    if result.status is recovery.RecoveryStatus.REJECTED:
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -548,8 +548,24 @@ def _apply_config(args: argparse.Namespace, names) -> None:
                 setattr(args, key, config.get(key, option.get("default")))
 
 
+def _check_leading_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Exit 2 under lpq's usage line at an unknown flag before the
+    subcommand, which argparse would report under the subcommand's usage
+    line, or whose value it would take for the subcommand."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--config":
+            next(tokens, None)
+        elif token in ("-", "--", "-h", "--help") or not token.startswith("-"):
+            return
+        elif not token.startswith("--config="):
+            parser.error(f"unrecognized arguments: {token}")
+
+
 def main(argv=None) -> int:
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    _check_leading_flags(parser, argv)
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # under the subcommand's usage line, which lists its flags
         commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")

@@ -49,8 +49,6 @@ from .oracle import OracleSpec
 from .simulator import grover_schedule
 from .spectrum import Algorithm, ProbabilityTable, case_codes, make_table
 
-__all__ = ["closed_form_at", "closed_form_table", "RatioBounds", "ratio_bounds"]
-
 _Y_BLOCK = 1 << 16
 
 # c in n/(c*m), the proven lower bound on the expected runs of the plain

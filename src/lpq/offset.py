@@ -17,11 +17,13 @@ member x a descent reaches, one probe of x - p decides: marked means x is
 above the offset; unmarked means x is the offset if the pair test accepts
 (x, p), and otherwise that p is wrong (VerificationFailed).
 
-* counting: an idealized counter reports how many of the t probe points
-  g(x) = max(0, x1 - (x+1)*p) are marked.  The counter returns the exact
-  count with probability >= 2/3 and an adversarial near-miss otherwise; a
-  wrong count (or a wrong period) is always caught by the pair test and
-  surfaces as VerificationFailed.  Its cost is charged as
+* counting: an idealized counter reports how many, R, of the t probe
+  points g(x) = max(0, x1 - (x+1)*p) are marked: the exact count with
+  probability >= 2/3, an adversarial near-miss otherwise.  The candidate
+  is x1 - R*p, or label 0 below that: the points past the positive rungs
+  are label 0, marked only at s = 0, so only there can an exact R pass
+  them.  At s > 0 a wrong count (at any s a wrong period) is caught by the
+  pair test and surfaces as VerificationFailed.  Its cost is charged as
   sqrt((R+1)(t-R+1)) oracle applications.
 
 * decreasing: amplify the t-point register on the marked g-image, measure
@@ -65,8 +67,9 @@ def test_period_known_s(handle: OracleHandle, s: int, p1: int, m: int) -> bool:
 def amplified_measure_member(handle: OracleHandle, seed) -> int:
     """Measure the register after the full amplification schedule.
 
-    Samples the exact two-level distribution (a_k^2 on each member, b_k^2
-    off); lands on a member with probability sin^2((2k+1) theta) >= 1 - m/n.
+    Samples the exact two-level distribution (a_k^2 on each member, the
+    rest evenly off it); lands on a member with probability
+    sin^2((2k+1) theta) >= 1 - m/n.
     The caller still checks membership through the oracle.
     """
     spec = handle.spec
@@ -172,7 +175,7 @@ def _count_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchR
         return
     t = _pow2_at_least(m)
     reported = _idealized_count(sum(map(handle, g_ladder(x1, p, t))), t, rng)
-    candidate = x1 - reported * p
+    candidate = max(x1 - reported * p, 0)
     result.counting_cost = math.sqrt((reported + 1) * (t - reported + 1))
     result.iterations = 1
     if not test_period_known_s(handle, candidate, p, m):
@@ -213,9 +216,9 @@ def find_offset_counting(
     """Offset via one idealized count of the marked probe ladder.
 
     Raises VerificationFailed when the pair test rejects the candidate,
-    which happens exactly when p is wrong or the counter lied; the caller
-    should rerun period finding.  Raises ValidationError for p < 1 or an
-    x_start that is not a member.
+    exactly when p is wrong or the counter lied at s > 0; the caller should
+    rerun period finding.  Raises ValidationError for p < 1 or an x_start
+    that is not a member.
     """
     return _search("counting", _count_down, handle, p, m, seed, x_start)
 

@@ -41,10 +41,6 @@ class OracleSpec:
     p: int
     s: int
 
-    def members(self) -> list[int]:
-        """The marked labels, ascending."""
-        return [self.s + r * self.p for r in range(self.m)]
-
 
 def build_oracle(n: int, m: int, p: int, s: int, strict: bool = True) -> OracleSpec:
     """Validate (n, m, p, s) and return the spec.

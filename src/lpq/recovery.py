@@ -51,7 +51,7 @@ class Convergent(NamedTuple):
 class RecoveryStatus(str, Enum):
     RECOVERED = "recovered"
     NO_CANDIDATE = "no-candidate"
-    GCD_OBSTRUCTION = "gcd-obstruction"
+    REJECTED = "rejected"
 
 
 @dataclass

@@ -34,7 +34,6 @@ fresh array and leaves its inputs alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +41,6 @@ import numpy as np
 from .errors import DegenerateInstance, ValidationError
 from .oracle import OracleSpec
 from .spectrum import Algorithm, ProbabilityTable, case_codes, make_table
-
-SOFT_N_LIMIT = 1 << 16  # full-spectrum size past which a simulation warns
-
-
-def _check_desk_scale(n: int) -> None:
-    if n > SOFT_N_LIMIT:
-        warnings.warn(
-            f"n={n} exceeds the soft full-spectrum ceiling {SOFT_N_LIMIT}; "
-            "expect long runtimes and reduced accuracy margins",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
 
 def marked_mask(spec: OracleSpec) -> np.ndarray:
     """Boolean indicator of the marked set over 0..n-1."""
@@ -66,21 +52,17 @@ def marked_mask(spec: OracleSpec) -> np.ndarray:
 def uniform_state(n: int) -> np.ndarray:
     if n < 1:
         raise DegenerateInstance(f"need n >= 1, got {n}")
-    _check_desk_scale(n)
     return np.full(n, 1.0 / math.sqrt(n))
 
 
 @dataclass(frozen=True)
 class GroverSchedule:
-    """Amplification geometry: rotation angle, round count, and the two
-    amplitude levels the state reaches after k rounds."""
+    """Amplification geometry: rotation angle, round count, and the
+    amplitude each marked label holds after k rounds."""
 
-    n: int
-    m: int
     theta: float
     k: int
     a_k: float
-    b_k: float
 
 
 def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSchedule:
@@ -101,9 +83,7 @@ def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSche
     else:
         theta = math.asin(math.sqrt(m / n))
     k = math.floor(math.pi / (4 * theta)) if iterations is None else int(iterations)
-    a_k = math.sin((2 * k + 1) * theta) / math.sqrt(m)
-    b_k = 0.0 if m == n else math.cos((2 * k + 1) * theta) / math.sqrt(n - m)
-    return GroverSchedule(n, m, theta, k, a_k, b_k)
+    return GroverSchedule(theta, k, math.sin((2 * k + 1) * theta) / math.sqrt(m))
 
 
 class GroverRegister:
@@ -184,7 +164,6 @@ def simulated_table(
     if algorithm is Algorithm.AMPLIFIED:
         register = _amplified_register(spec, iterations)
     else:
-        _check_desk_scale(n)
         mask = marked_mask(spec)
         if algorithm is Algorithm.QFT:
             # One oracle application by phase kickback: amplitude (1-2)/sqrt(n)

@@ -18,6 +18,7 @@ from lpq import build_oracle, grover_schedule
 from lpq.closedform import closed_form_table, ratio_bounds
 from lpq.recovery import success_set
 from lpq.spectrum import CODE_GENERIC, CODE_RESONANT, Algorithm, case_codes
+from reference import unmarked_amplitude
 
 
 def strict_triples(n_max: int, n_min: int = 2):
@@ -50,7 +51,8 @@ def simulate_all_offsets(n: int, m: int, p: int):
     for _ in range(sched.k):
         state = np.where(mask, -state, state)
         state = 2.0 * state.mean(axis=1, keepdims=True) - state
-    two_level_dev = float(np.abs(state - np.where(mask, sched.a_k, sched.b_k)).max())
+    two_level = np.where(mask, sched.a_k, unmarked_amplitude(n, m, sched))
+    two_level_dev = float(np.abs(state - two_level).max())
     amp = np.abs(np.fft.fft(state, axis=1)) ** 2 / n
     qft = np.abs(np.fft.fft((1.0 - 2.0 * mask) / math.sqrt(n), axis=1)) ** 2 / n
     marked = np.abs(np.fft.fft(mask.astype(float), axis=1)) ** 2

@@ -29,6 +29,17 @@ SPEC_FLAGS = ["--n", "16", "--m", "3", "--p", "4", "--s", "1"]
 
 
 class TestSpectrum:
+    def test_past_2e16_writes_nothing_to_stderr(self, tmp_path):
+        # a process of its own, so stderr is what a shell would see
+        out, n = tmp_path / "table.csv", (1 << 16) + 1
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = ["spectrum", "--n", str(n), "--m", "4", "--p", "16", "--s", "3",
+                "--alg", "qft", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "lpq", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert out.read_text().count("\n") == 2 + n + 1  # schema, header, rows, trailer
+
     def test_csv_table(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = main(["spectrum", *SPEC_FLAGS, "--alg", "qft", "--out", str(out)])
@@ -124,7 +135,18 @@ class TestRecover:
 
     def test_false_candidate_rejected_by_verify(self, capsys):
         assert main(["recover", *SPEC_FLAGS, "--y", "5", "--verify"]) == 4
-        assert "gcd-obstruction" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-2:] == ["# accepted=None", "# status=rejected"]
+
+    def test_rejected_candidate_that_does_not_divide_the_period(self, capsys):
+        # 3 does not divide 5: the probes show a wrong candidate, not a common factor
+        argv = ["recover", "--n", "64", "--y", "21", "--m", "4", "--p", "5", "--s", "1", "--verify"]
+        assert main(argv) == 4
+        assert capsys.readouterr() == (
+            "# schema=1\nd,q\n0,1\n1,3\n21,64\n# accepted=None\n# status=rejected\n", ""
+        )
+        assert main(argv + ["--format", "json"]) == 4
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["accepted"], obj["status"]) == (None, "rejected")
 
     def test_verified_accept(self, capsys):
         assert main(["recover", *SPEC_FLAGS, "--y", "4", "--verify"]) == 0
@@ -192,7 +214,7 @@ class TestFindOffset:
         )
         assert code == 4
         out = capsys.readouterr().out
-        error = "pair (s=-1, p=4) rejected by probes (count=4)"
+        error = "pair (s=0, p=4) rejected by probes (count=4)"
         if fmt == "json":
             assert json.loads(out) == {"error": error, "period_candidate": 4, "schema": 1}
         else:
@@ -816,8 +838,7 @@ class TestParser:
         (["spectrum", "--n", "16", "--m", "2", "--p", "3", "--iter", "0"],
          "error: unrecognized arguments: --iter 0\n"),
         (["recover", "--n", "16", "--y", "5", "--q", "2"], "error: unrecognized arguments: --q 2\n"),
-        # the top parser leaves --conf unparsed and reads its value as the subcommand
-        (["--conf", "lpq.json", "compare", *SPEC_FLAGS], "error: argument command: invalid choice: 'lpq.json'"),
+        (["--conf", "lpq.json", "compare", *SPEC_FLAGS], "lpq: error: unrecognized arguments: --conf\n"),
     ], ids=["spectrum-iter", "recover-q", "top-conf"])
     def test_prefix_flag_exits_2(self, argv, message, capsys):
         # a flag is taken only as spelled, never as the prefix of a longer one
@@ -839,6 +860,28 @@ class TestParser:
         assert captured.err.startswith(f"usage: lpq {command} [-h]")
         assert "--out OUT" in captured.err
         assert captured.err.endswith(f"lpq {command}: error: unrecognized arguments: --bogus 1\n")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--conf", "cfg.json", "spectrum", "--n", "16", "--m", "2", "--p", "3"], "--conf"),
+        (["--bogus", "spectrum", "--n", "16", "--m", "2", "--p", "3"], "--bogus"),
+        (["--config", "cfg.json", "--bogus", "spectrum", "--n", "16", "--m", "2", "--p", "3"], "--bogus"),
+        (["--bogus"], "--bogus"),
+    ], ids=["conf-value", "before-subcommand", "after-config", "alone"])
+    def test_unknown_flag_before_subcommand_under_lpq_usage(self, argv, flag, capsys):
+        # not its value taken for the subcommand, nor the subcommand's usage line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: lpq [-h] [--config CONFIG]\n")
+        assert captured.err.endswith(f"\nlpq: error: unrecognized arguments: {flag}\n")
+
+    def test_config_with_equals_sign_is_not_an_unknown_flag(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"p": 3}')
+        assert main([f"--config={path}", "spectrum", "--n", "16", "--m", "2"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_sweep_out_help_names_a_directory(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,6 +22,7 @@ from lpq import (
 from lpq import test_period_known_s as period_probe
 from lpq.offset import _unmarked_label
 from lpq.oracle import OracleSpec
+from reference import members
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -98,20 +99,20 @@ class TestAmplifiedMeasurement:
         # m/n = 1/4 amplifies to probability 1 on the marked set
         spec = build_oracle(16, 4, 4, 1, strict=False)
         h = OracleHandle(spec)
-        members = set(spec.members())
+        marked = set(members(spec))
         sched = grover_schedule(16, 4)
         assert math.sin((2 * sched.k + 1) * sched.theta) ** 2 == pytest.approx(1.0, abs=1e-12)
         for seed in range(200):
-            assert amplified_measure_member(h, seed) in members
+            assert amplified_measure_member(h, seed) in marked
 
     def test_membership_frequency_three_sigma(self):
         spec = build_oracle(64, 3, 8, 2)
         h = OracleHandle(spec)
-        members = set(spec.members())
+        marked = set(members(spec))
         sched = grover_schedule(64, 3)
         good = math.sin((2 * sched.k + 1) * sched.theta) ** 2  # marked mass after k rounds
         draws = 10_000
-        hits = sum(amplified_measure_member(h, seed) in members for seed in range(draws))
+        hits = sum(amplified_measure_member(h, seed) in marked for seed in range(draws))
         sigma = math.sqrt(good * (1 - good) / draws)
         assert abs(hits / draws - good) <= 3 * sigma
 
@@ -123,7 +124,7 @@ class TestAmplifiedMeasurement:
                 for m in range(1, (n - 1) // p + 2):
                     for s in range(n - (m - 1) * p):
                         spec = OracleSpec(n, m, p, s)
-                        marked = set(spec.members())
+                        marked = set(members(spec))
                         unmarked = [x for x in range(n) if x not in marked]
                         got = [_unmarked_label(spec, i) for i in range(n - m)]
                         assert got == unmarked, spec
@@ -134,7 +135,7 @@ class TestAmplifiedMeasurement:
         spec = build_oracle(16, 8, 2, 1)
         h = OracleHandle(spec)
         good = spec.m * grover_schedule(spec.n, spec.m).a_k ** 2
-        unmarked = sorted(set(range(spec.n)) - set(spec.members()))
+        unmarked = sorted(set(range(spec.n)) - set(members(spec)))
         off = 0
         for seed in range(400):
             rng = np.random.default_rng(seed)
@@ -207,6 +208,28 @@ class TestCountingSearch:
     def test_lying_counter_fails_verification(self):
         with pytest.raises(VerificationFailed):
             find_offset_counting(handle163(), 4, 3, seed=_lying_counter_seed(), x_start=9)
+
+    def test_offset_zero_from_a_member_above_it(self):
+        # at s = 0 the padding of the ladder is the marked label 0, so the
+        # exact count is t = 8, past the two rungs 128 and 64: label 0
+        spec = build_oracle(4096, 5, 64, 0)
+        h = OracleHandle(spec)
+        result = find_offset_counting(h, 64, 5, seed=_honest_counter_seed(), x_start=3 * 64)
+        assert (result.offset, result.history) == (0, [192, 0])
+        assert result.counting_cost == pytest.approx(math.sqrt(9 * 1))
+
+    @pytest.mark.parametrize(
+        "spec", [build_oracle(4096, 5, 64, 0), build_oracle(256, 16, 1, 0, strict=False)]
+    )
+    def test_offset_zero_at_every_seed(self, spec):
+        # a near-miss past label 0 names label 0 too, so no count fails here
+        for seed in range(100):
+            result = find_offset_counting(OracleHandle(spec), spec.p, spec.m, seed)
+            assert result.offset == 0
+        for x_start in members(spec)[1:]:
+            for seed in range(8):
+                result = find_offset_counting(OracleHandle(spec), spec.p, spec.m, seed, x_start)
+                assert result.offset == 0
 
     def test_single_member(self):
         spec = build_oracle(10, 1, 1, 7)
@@ -360,8 +383,9 @@ class TestQueryReconcile:
             try:
                 result = search(h, spec.p, spec.m, seed, x_start=x_start)
             except VerificationFailed:
-                # the counting search's counter lies with probability 1/3
-                assert search is find_offset_counting
+                # the counting search's counter lies with probability 1/3,
+                # which the pair test catches unless the offset is label 0
+                assert search is find_offset_counting and spec.s > 0
             else:
                 assert result.offset == spec.s
                 assert result.oracle_queries == counter.calls - before_calls
@@ -398,7 +422,7 @@ _TRANSCRIPTS = [
     (("decreasing", 4096, 9, 60, 77, 0, None), 0, {"counting_cost": 0.0, "history": [317, 197, 137, 77], "iterations": 3, "method": "decreasing", "offset": 77, "oracle_queries": 59, "period_candidate": 60, "schema": 1}),
     (("counting", 1 << 20, 300, 1000, 4321, 0, None), 0, {"counting_cost": 235.457002444183, "history": [157321, 4321], "iterations": 1, "method": "counting", "offset": 4321, "oracle_queries": 517, "period_candidate": 1000, "schema": 1}),
     (("decreasing", 1 << 20, 300, 1000, 4321, 0, None), 0, {"counting_cost": 0.0, "history": [157321, 115321, 95321, 20321, 4321], "iterations": 4, "method": "decreasing", "offset": 4321, "oracle_queries": 2061, "period_candidate": 1000, "schema": 1}),
-    (("counting", 64, 4, 4, 3, 4, None), 4, {"error": "pair (s=-1, p=4) rejected by probes (count=4)", "period_candidate": 4, "schema": 1}),
+    (("counting", 64, 4, 4, 3, 4, None), 4, {"error": "pair (s=0, p=4) rejected by probes (count=4)", "period_candidate": 4, "schema": 1}),
     (("counting", 64, 1, 4, 3, 4, None), 0, {"counting_cost": 0.0, "history": [3], "iterations": 0, "method": "counting", "offset": 3, "oracle_queries": 1, "period_candidate": 4, "schema": 1}),
     (("decreasing", 64, 1, 4, 3, 4, None), 0, {"counting_cost": 0.0, "history": [3], "iterations": 0, "method": "decreasing", "offset": 3, "oracle_queries": 1, "period_candidate": 4, "schema": 1}),
     (("decreasing", 1024, 32, 16, 100, 0, 17), 4, {"error": "pair (s=356, p=17) rejected by probes", "period_candidate": 17, "schema": 1}),

@@ -452,7 +452,8 @@ def test_ratio_of_sums_stays_in_band(pairs):
 def test_verified_recovery_rejects_false_candidate():
     handle = OracleHandle(build_oracle(16, 3, 4, 1))
     result = verified_recovery(handle, 5)
-    assert result.status is RecoveryStatus.GCD_OBSTRUCTION
+    assert result.status is RecoveryStatus.REJECTED
+    assert result.to_json_obj()["status"] == "rejected"
     assert result.accepted is None
     good = verified_recovery(handle, 4)
     assert good.status is RecoveryStatus.RECOVERED and good.accepted == 4

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from lpq import (
 from lpq.closedform import closed_form_table
 from lpq.simulator import _amplified_register
 from lpq.spectrum import CODE_NULL, Algorithm, case_codes, make_table
+from reference import unmarked_amplitude
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -102,7 +102,7 @@ class TestGroverSchedule:
         assert sched.theta == pytest.approx(math.pi / 6, abs=1e-15)
         assert sched.k == 1
         assert sched.a_k == pytest.approx(1.0, abs=1e-12)
-        assert sched.b_k == pytest.approx(0.0, abs=1e-12)
+        assert unmarked_amplitude(4, 1, sched) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_marked(self):
         sched = grover_schedule(7, 7)
@@ -116,12 +116,13 @@ class TestGroverSchedule:
         sched = grover_schedule(16, 3)
         assert sched.k == 1
         assert sched.a_k == pytest.approx(9 / 16, abs=1e-14)
-        assert sched.b_k == pytest.approx(1 / 16, abs=1e-14)
+        assert unmarked_amplitude(16, 3, sched) == pytest.approx(1 / 16, abs=1e-14)
 
     @pytest.mark.parametrize("n,m", [(16, 3), (100, 7), (255, 13), (4096, 4), (9, 4)])
     def test_two_level_normalization(self, n, m):
         sched = grover_schedule(n, m)
-        assert m * sched.a_k**2 + (n - m) * sched.b_k**2 == pytest.approx(1.0, abs=1e-10)
+        b_k = unmarked_amplitude(n, m, sched)
+        assert m * sched.a_k**2 + (n - m) * b_k**2 == pytest.approx(1.0, abs=1e-10)
         assert m * sched.a_k**2 >= 1 - m / n - 1e-12
 
     def test_rejects_empty(self):
@@ -168,7 +169,7 @@ class TestGroverIterate:
             for _ in range(sched.k):
                 register = grover_iterate(register, spec)
                 dense = dense_round(dense, spec)
-            expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
+            expected = np.where(marked_mask(spec), sched.a_k, unmarked_amplitude(spec.n, spec.m, sched))
             state = register.amplitudes()
             assert np.abs(dense - expected).max() < 1e-10
             assert np.abs(state - expected).max() < 1e-10
@@ -201,7 +202,7 @@ class TestGroverIterate:
         sched = grover_schedule(spec.n, spec.m)
         register = _amplified_register(spec)
         assert register.dtype == np.float64
-        expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
+        expected = np.where(marked_mask(spec), sched.a_k, unmarked_amplitude(spec.n, spec.m, sched))
         assert np.abs(register - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [8, 16, 60, 128, 255])
@@ -351,7 +352,7 @@ class TestGeneralUnitary:
     def test_identity_gives_two_level(self):
         sched = grover_schedule(16, 3)
         out = np.eye(16) @ _amplified_register(SPEC163)
-        expected = np.where(marked_mask(SPEC163), sched.a_k**2, sched.b_k**2)
+        expected = np.where(marked_mask(SPEC163), sched.a_k, unmarked_amplitude(16, 3, sched)) ** 2
         assert np.abs(np.abs(out) ** 2 - expected).max() < 1e-12
 
 
@@ -373,35 +374,16 @@ def test_make_table_takes_ownership():
     assert pr[8] == 0.0
 
 
-def test_soft_limit_warning(monkeypatch):
-    text = "n={} exceeds the soft full-spectrum ceiling {}; expect long runtimes and reduced accuracy margins"
-    with pytest.warns(RuntimeWarning, match=f"^{text.format(65537, 65536)}$"):
-        uniform_state((1 << 16) + 1)
-    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 32)
-    with pytest.warns(RuntimeWarning, match=f"^{text.format(64, 32)}$"):
-        uniform_state(64)
-    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        uniform_state(64)  # no warning below the ceiling
-
-
 @pytest.mark.parametrize("alg", list(Algorithm))
-def test_soft_limit_warns_once_per_table(alg, monkeypatch):
-    spec = build_oracle(64, 4, 4, 1)
-    for limit, expected in ((32, 1), (64, 0)):
-        monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", limit)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulated_table(spec, alg)
-        assert [w.category for w in caught] == [RuntimeWarning] * expected
+def test_no_warning_past_2e16(alg, recwarn):
+    simulated_table(build_oracle((1 << 16) + 1, 4, 16, 3), alg)
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("alg", [Algorithm.QFT, Algorithm.QHS])
-def test_tables_normalized_past_2e16(alg, monkeypatch):
+def test_tables_normalized_past_2e16(alg):
     # Generic probabilities here fall far below 1e-12: zeroing by an absolute
     # threshold would erase ~1e-7 of mass and fail normalization.
-    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 1 << 17)
     spec = build_oracle(1 << 17, 4, 16, 3)
     closed = closed_form_table(spec, alg)
     sim = simulated_table(spec, alg)
@@ -415,7 +397,6 @@ def test_tables_normalized_past_2e16(alg, monkeypatch):
 
 def test_amplified_register_at_2e20(monkeypatch):
     # O(m) rounds make the whole k = 402 schedule at 2^20 affordable here.
-    monkeypatch.setattr(lpq.simulator, "SOFT_N_LIMIT", 1 << 20)
     spec = build_oracle(1 << 20, 4, 700, 123)
     sched = grover_schedule(spec.n, spec.m)
     rounds = []
@@ -428,7 +409,7 @@ def test_amplified_register_at_2e20(monkeypatch):
     monkeypatch.setattr(lpq.simulator, "grover_iterate", counting)
     register = _amplified_register(spec)
     assert len(rounds) == sched.k == 402
-    expected = np.where(marked_mask(spec), sched.a_k, sched.b_k)
+    expected = np.where(marked_mask(spec), sched.a_k, unmarked_amplitude(spec.n, spec.m, sched))
     assert np.abs(register - expected).max() < 1e-12
     del register, expected
     sim = simulated_table(spec, Algorithm.AMPLIFIED)

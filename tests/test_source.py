@@ -84,6 +84,60 @@ def test_export_rule_resolves_names(tmp_path):
     assert _exported_unused(sorted(tmp_path.glob("*.py"))) == ["k"]
 
 
+def _methods_unread(sources):
+    """Public methods and properties of the package's classes, as
+    ``Class.name``, whose name no module reads as an attribute.
+
+    A read is any ``obj.name`` load, whatever ``obj`` is, so a name that
+    two classes share counts as read for both; a bare call of the name or a
+    store to ``obj.name`` is not a read.
+    """
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sources]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls.name}.{item.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in read
+    )
+
+
+def test_every_public_method_is_read_in_the_package():
+    # a method that only the tests call belongs in the tests
+    assert _methods_unread(SOURCES) == []
+
+
+def test_method_rule_reads_attributes(tmp_path):
+    # f is read through an instance, g through the class, the property h
+    # by a load; k only by a bare call, p only by a store, and _q and
+    # __len__ are not public
+    package = {
+        "a.py": (
+            "class A:\n"
+            "    def f(self): pass\n"
+            "    @classmethod\n    def g(cls): pass\n"
+            "    @property\n    def h(self): pass\n"
+            "    def k(self): pass\n"
+            "    @property\n    def p(self): pass\n"
+            "    def _q(self): pass\n"
+            "    def __len__(self): return 0\n"
+        ),
+        "b.py": "from .a import A\nA().f()\nA.g()\nx = A().h\nk()\nA().p = 1\n",
+    }
+    for name, text in package.items():
+        (tmp_path / name).write_text(text)
+    assert _methods_unread(sorted(tmp_path.glob("*.py"))) == ["A.k", "A.p"]
+
+
 def test_every_error_type_is_raised_or_subclassed():
     # an error type that outlives its last raise site is dead code
     named = set()

@@ -20,7 +20,12 @@ they answer different questions:
   rounded Pr(0) would lose about log2(n/(c*m)) bits.
 
 Costs are counted in oracle/transform applications: k + 1 per amplified
-run, 1 per plain run.
+run, 1 per plain run, so each pipeline's total is its per-run cost times
+its expected runs.  Off y = 0 the amplified spectrum is a constant multiple
+of each plain one, and recovery and verification depend on y alone, so the
+ratio of two pipelines' exact per-run success probabilities is the ratio
+of their 1 - Pr(0): the y = 0 idealization cancels from the ratio of two
+totals.
 
 Monte-Carlo draws in bulk.  Every candidate period is a q in
 2..isqrt(n), and all of them are verified at once: the three probes of
@@ -106,12 +111,12 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     """Cost table for the three pipelines on one instance.
 
     Expected runs use the y = 0 idealization (see module docstring); the
-    amplified pipeline is charged k + 1 applications for its single run,
-    the others one application per run.  A pipeline with Pr(0) = 1 never
-    measures a nonzero frequency and raises NonTermination: the amplified
-    one past 2m = n, where k = 0, and every one at m = n.  Each pipeline's
-    closed form is evaluated once, at the success set, for the certified
-    probability.
+    amplified pipeline is charged k + 1 applications a run, the others one,
+    and each ratio_vs_amplified is a total over the amplified total.  A
+    pipeline with Pr(0) = 1 never measures a nonzero frequency and raises
+    NonTermination: the amplified one past 2m = n, where k = 0, and every
+    one at m = n.  Each pipeline's closed form is evaluated once, at the
+    success set, for the certified probability.
     """
     n, m = spec.n, spec.m
     schedule = grover_schedule(n, m)
@@ -123,7 +128,7 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     except ValidationError as exc:
         succ, too_large = np.empty(0, dtype=np.int64), exc
     reports = []
-    for algorithm in Algorithm:
+    for algorithm in Algorithm:  # amplified first: the others divide by its total
         pr = closed_form_at(spec, algorithm, succ)
         # runs = 1/(1 - Pr(0)), None where Pr(0) = 1
         if algorithm is Algorithm.AMPLIFIED:
@@ -138,12 +143,13 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
             )
         certified = _certified_trials(algorithm, spec, float(pr.sum())) if succ.size else None
         if algorithm is Algorithm.AMPLIFIED:
+            amplified_total = amplified_cost * runs
             reports.append(
-                WorkfactorReport(algorithm, amplified_cost, runs, amplified_cost, 1.0, certified)
+                WorkfactorReport(algorithm, amplified_cost, runs, amplified_total, 1.0, certified)
             )
         else:
             reports.append(
-                WorkfactorReport(algorithm, 1.0, runs, runs, runs / amplified_cost, certified)
+                WorkfactorReport(algorithm, 1.0, runs, runs, runs / amplified_total, certified)
             )
     if too_large is not None:
         raise too_large

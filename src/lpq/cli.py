@@ -17,13 +17,15 @@ byte-identical across repeats.
 
 Per-frequency tables (spectrum, compare) are emitted in bulk, with no
 per-row Python template and no str made per row: every cell is built with
-the literal text that follows it in its row attached, each column formats
-each distinct value once, rows above n/2 reuse the cells of their mirror
-rows, y cells are two pieces shared between rows, and the whole document
-is one str.join over the pieces, row by row.  A 2^16-row table never goes
-through per-row numpy indexing or the json encoder.  The output is
-byte-identical to formatting every value with format(x, ".17g") and
-dumping the whole object with json.dumps(indent=1, sort_keys=True).
+the literal text that follows it in its row attached, rows above n/2 reuse
+the cells of their mirror rows, y cells are two pieces shared between
+rows, and the whole document is one str.join over the pieces, row by row.
+Float cells are formatted a column at a time in numpy by lpq.floattext,
+which leaves to Python only the values it cannot certify; a column of
+mostly repeated values is formatted once per distinct value.  A 2^16-row
+table never goes through per-row numpy indexing or the json encoder.  The
+output is byte-identical to formatting every value with format(x, ".17g")
+and dumping the whole object with json.dumps(indent=1, sort_keys=True).
 
 Exit codes:
 
@@ -54,6 +56,7 @@ import numpy as np
 
 from . import analysis, closedform, offset, recovery, simulator
 from .errors import BoundViolated, LpqError, NonTermination, ValidationError, VerificationFailed
+from .floattext import float_cells
 from .oracle import OracleHandle, build_oracle
 from .spectrum import CASE_NAMES, CODE_GENERIC, CODE_RESONANT, Algorithm
 
@@ -75,10 +78,12 @@ def _fmt(x: float) -> str:
 # table are exactly its cells with their suffixes, taken row by row.  Cells
 # are built suffix and all, for rows y = 0..n//2 only: every table is
 # mirror-symmetric (ProbabilityTable), so _write_table fills the rows above
-# from these by reversed slicing.  Float cells come from _distinct, which
-# formats each distinct value once ("%.17g" prints a Python float exactly
-# as format(x, ".17g"), and "%r" prints a finite one exactly as json.dumps
-# does), and every column is one _gather from its distinct cells.  A y cell
+# from these by reversed slicing.  Float cells come from float_cells
+# ("%.17g" prints a Python float exactly as format(x, ".17g"), and "%r"
+# prints a finite one exactly as json.dumps does).  _column formats each
+# distinct value once and takes every row's cell with one _gather, except
+# where nearly every value is distinct: the probabilities at p coprime to
+# n.  A y cell
 # is two pieces made once per table and repeated by list repetition:
 # y // 1000, empty below 1000, then the last three digits and the suffix,
 # zero-padded from 1000 up.  _write_table interleaves the pieces by slice
@@ -137,16 +142,13 @@ def _distinct(values: np.ndarray, fmt: str, suffix: str) -> tuple[list[str], np.
     """``fmt % x + suffix`` for each distinct float64 x in values, and the
     index of every value's cell among them.
 
-    Each distinct bit pattern is formatted once: a table's probabilities
-    depend on p*y mod n, and its deviations are mostly 0 or a few ulps, so
-    a column usually holds far fewer distinct values than rows.  "%r"
-    cells are built by repr, which is faster than the % operator.
+    Each distinct bit pattern is formatted once, by float_cells: a table's
+    probabilities depend on p*y mod n, and its deviations are mostly 0 or
+    a few ulps, so a column usually holds far fewer distinct values than
+    rows.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
-    if fmt == "%r":
-        return [repr(x) + suffix for x in floats], inverse
-    return list(map((fmt + suffix).__mod__, floats)), inverse
+    return float_cells(bits.view(np.float64), fmt, suffix).tolist(), inverse
 
 
 def _gather(cells: list[str], index: np.ndarray) -> list[str]:
@@ -154,8 +156,11 @@ def _gather(cells: list[str], index: np.ndarray) -> list[str]:
     return np.array(cells, dtype=object)[index].tolist()
 
 
-def _column(values: np.ndarray, fmt: str, suffix: str) -> list[str]:
-    """``fmt % x + suffix`` for every float64 x in values."""
+def _column(values: np.ndarray, fmt: str, suffix: str, distinct: bool = True) -> list[str]:
+    """``fmt % x + suffix`` for every float64 x in values, each distinct
+    value formatted once unless ``distinct`` is false."""
+    if not distinct:
+        return float_cells(values, fmt, suffix).tolist()
     return _gather(*_distinct(values, fmt, suffix))
 
 
@@ -247,10 +252,14 @@ def cmd_spectrum(args) -> int:
     dev = np.abs(closed.pr[:h] - simulated.pr[:h])
     layout = _SPECTRUM_ROW[args.format]
     suffix, fmt = layout.suffix, _FLOAT_FORMAT[args.format]
+    # At p coprime to n, no two of the rows share p*y mod n up to sign, and
+    # nearly all their probabilities differ: a search for the distinct
+    # ones would cost more than it saves.
+    distinct = math.gcd(spec.p, spec.n) > 1
     columns = {
         "case": _names(CASE_NAMES, suffix["case"], closed.codes[:h]),
-        "pr_closedform": _column(closed.pr[:h], fmt, suffix["pr_closedform"]),
-        "pr_simulated": _column(simulated.pr[:h], fmt, suffix["pr_simulated"]),
+        "pr_closedform": _column(closed.pr[:h], fmt, suffix["pr_closedform"], distinct),
+        "pr_simulated": _column(simulated.pr[:h], fmt, suffix["pr_simulated"], distinct),
         "abs_deviation": _column(dev, fmt, suffix["abs_deviation"]),
     }
     if args.format == "json":

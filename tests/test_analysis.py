@@ -21,6 +21,7 @@ from lpq import (
     ratio_bounds,
     recover_period,
     success_set,
+    verified_recovery,
     workfactor_comparison,
 )
 from lpq.closedform import closed_form_table
@@ -34,6 +35,19 @@ STRICT_SPECS = [
     build_oracle(256, 8, 16, 3),
     build_oracle(250, 50, 5, 0),
     build_oracle(1000, 12, 31, 7),
+]
+
+# Fixed strict instances (n, m, p, s) with n <= 2^10 and m >= 2, where the
+# probes can accept.
+WORKFACTOR_SPECS = [
+    build_oracle(n, m, p, s)
+    for n, m, p, s in [
+        (16, 4, 4, 0), (32, 2, 5, 3), (64, 3, 5, 2), (64, 7, 8, 1), (100, 2, 9, 40),
+        (128, 2, 11, 5), (128, 5, 6, 20), (200, 4, 13, 9), (250, 50, 5, 0), (256, 8, 16, 3),
+        (256, 2, 3, 100), (300, 6, 17, 1), (500, 9, 21, 33), (512, 4, 22, 7), (512, 16, 2, 0),
+        (600, 3, 24, 11), (729, 5, 27, 100), (1000, 12, 31, 7), (1024, 2, 32, 0),
+        (1024, 4, 19, 500), (1024, 32, 10, 2), (1023, 7, 29, 64),
+    ]
 ]
 
 
@@ -120,13 +134,29 @@ class TestWorkfactor:
         reports = {r.algorithm: r for r in workfactor_comparison(spec)}
         amp = reports[Algorithm.AMPLIFIED]
         assert amp.per_run_cost == sched.k + 1
-        assert amp.total_cost == sched.k + 1
+        assert amp.total_cost == (sched.k + 1) * amp.expected_runs
+        assert amp.ratio_vs_amplified == 1.0
         assert amp.per_run_cost <= math.pi / (4 * math.sqrt(4 / 4096)) + 1
         for alg in (Algorithm.QFT, Algorithm.QHS):
             rep = reports[alg]
             assert rep.per_run_cost == 1.0
             assert rep.total_cost == rep.expected_runs
-            assert rep.ratio_vs_amplified == pytest.approx(rep.expected_runs / (sched.k + 1))
+            assert rep.ratio_vs_amplified == rep.expected_runs / amp.total_cost
+
+    @pytest.mark.parametrize("spec", WORKFACTOR_SPECS, ids=str)
+    def test_ratio_is_the_exact_success_ratio(self, spec):
+        # Recovery and verification succeed at the same y for every
+        # pipeline, so the ratio of expected totals is exactly
+        # p_good(amplified) / ((k + 1) p_good(plain)), with p_good the
+        # closed-form mass of the y where a verified recovery succeeds.
+        handle = OracleHandle(spec)
+        good = [verified_recovery(handle, y).accepted is not None for y in range(spec.n)]
+        p_good = {alg: float(closed_form_table(spec, alg).pr[good].sum()) for alg in Algorithm}
+        reports = {r.algorithm: r for r in workfactor_comparison(spec)}
+        k1 = reports[Algorithm.AMPLIFIED].per_run_cost
+        for alg in (Algorithm.QFT, Algorithm.QHS):
+            exact = p_good[Algorithm.AMPLIFIED] / (k1 * p_good[alg])
+            assert reports[alg].ratio_vs_amplified == pytest.approx(exact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec", STRICT_SPECS)
     def test_expected_runs_from_table_zero(self, spec):

@@ -9,7 +9,8 @@ they answer different questions:
 
 * the certified one: the closed-form mass of the success set
   (:func:`lpq.recovery.success_set`), the window around each good
-  multiplier — a provable lower bound on success.
+  multiplier — a provable lower bound on success, empty where no run can
+  pass recovery and the probes: at m = 1, p = 1 or p*p > n.
 * the y = 0 idealization 1 - Pr(0), which counts every nonzero frequency
   as a success.  It upper-bounds the above and the exact per-run success
   probability that Monte-Carlo measures, and it is the quantity behind the
@@ -94,9 +95,8 @@ class WorkfactorReport:
     """Expected cost of solving one instance with one pipeline.
 
     ``certified_expected_trials`` is 1/p at the certified success
-    probability p, the closed-form mass of the success set, or None at
-    period 1, whose success set is empty: no frequency certifies the
-    period.
+    probability p, the closed-form mass of the success set, or None where
+    that set is empty (m = 1, p = 1 or p*p > n): no run can succeed there.
     """
 
     algorithm: Algorithm
@@ -121,8 +121,8 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     n, m = spec.n, spec.m
     schedule = grover_schedule(n, m)
     amplified_cost = schedule.k + 1
-    # A pipeline with Pr(0) = 1 is reported before a success set too large
-    # for int64, so that guard waits until every pipeline is read.
+    # The closed form's guard and a pipeline with Pr(0) = 1 are reported
+    # before a success set too large for int64, so that guard waits.
     try:
         succ, too_large = success_set(spec), None
     except ValidationError as exc:

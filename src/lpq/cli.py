@@ -30,8 +30,10 @@ and dumping the whole object with json.dumps(indent=1, sort_keys=True).
 Exit codes:
 
     0  success
-    1  any other lpq error (a computed figure broke a proven bound)
-    2  validation failure: a bad instance, option or argument
+    1  any other lpq error (a computed figure broke a proven bound), or
+       too little memory for an n-entry table
+    2  validation failure: a bad instance, option or argument, or a table
+       of n >= 2**63 entries
     3  no recovery candidate
     4  verification failed: the oracle probes rejected the candidate, or a
        seeded search gave up (for Monte-Carlo, when no candidate period
@@ -584,7 +586,7 @@ def main(argv=None) -> int:
         if "seed" in names and args.seed < 0:
             raise ValidationError(f"need seed >= 0, got {args.seed}")
         return func(args)
-    except LpqError as exc:
+    except (LpqError, MemoryError) as exc:  # numpy's MemoryError names the array it lacks
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, ValidationError):
             return EXIT_VALIDATION

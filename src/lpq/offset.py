@@ -5,8 +5,8 @@ f(s1 + (m-1)*p1) = 1 then (s1, p1) is the true pair — any smaller p1 misses
 the member next to s, any larger one (or any wrong s1) runs past the top of
 the marked set; p1 < 1 is rejected unqueried.  Probes outside 0..n-1
 evaluate to 0 rather than erroring, which makes the tests total.  For m = 1
-the pair test is vacuous (there is no second member to probe), so the
-search procedures return the single member directly in that case.
+the pair test rejects every candidate (s + p1 is never marked when s is the
+only member), so the search procedures return the single member directly.
 
 Two seeded searches recover the offset from a measured member x1 = s + r*p.
 Both run in one frame: it rejects p < 1 before any query, measures x1 by

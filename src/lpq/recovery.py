@@ -183,31 +183,23 @@ def d_to_y(d: int, n: int, p: int) -> int:
 
 
 def success_set(spec: OracleSpec) -> np.ndarray:
-    """Frequencies from which the period is certified recoverable.
+    """Frequencies at which the period is certified recovered and verified.
 
-    These are the nonzero y in the window -p/2 < {p*y}_n <= p/2 whose
-    multiplier d(y) is coprime to p; there are phi(p) of them for p >= 2
-    (none for p = 1), and they are the same for every algorithm.
-
-    For p <= n the window is the image of d = 0..p-1 under y(d) (module
-    docstring), so the set is y(d) for the d in 1..p-1 coprime to p, in
-    O(p).  Past n that map is no longer one-to-one, and the window is
-    scanned over the n labels instead, which is then the cheaper side.
-    Both run in int64, so ValidationError is raised where the largest
-    value either forms reaches 2**63: 2*n or 2*n*(p-1) + p in y(d), and
-    (n-1)*p in the scan.
+    These are the nonzero y in the window -p/2 < {p*y}_n <= p/2 with d(y)
+    coprime to p, that is y(d) for the d in 1..p-1 coprime to p (module
+    docstring): phi(p) of them, the same for every algorithm.  It is empty,
+    as no run can succeed, at m = 1, p = 1 or p > isqrt(n): recovery returns
+    no q = 1 and no q past isqrt(n), at m >= 2 the probes accept only q = p,
+    and at m = 1 they reject every candidate.  Otherwise every y in it
+    recovers p: d/p passes the 1/(2q^2) test, and a later convergent with
+    p < q' <= isqrt(n) would need 2*q' <= p*q'^2/n + p <= 2*p.
+    y(d) is int64, so ValidationError is raised where 2*n*(p-1) + p reaches
+    2**63.
     """
     n, p = spec.n, spec.p
-    largest = max(2 * n, 2 * n * (p - 1) + p) if p <= n else (n - 1) * p
-    if largest >= 1 << 63:
+    if spec.m < 2 or not 2 <= p <= math.isqrt(n):
+        return np.empty(0, dtype=np.int64)
+    if 2 * n * (p - 1) + p >= 1 << 63:
         raise ValidationError(f"success set needs products below 2**63 (n={n}, p={p})")
-    if p <= n:
-        d = np.arange(1, p, dtype=np.int64)
-        return d_to_y(d[np.gcd(d, p) == 1], n, p)
-    r = np.arange(n, dtype=np.int64)
-    r *= p
-    r %= n
-    r[2 * r > n] -= n
-    y = np.flatnonzero((2 * r > -p) & (2 * r <= p))  # the window, at most p wide
-    d = (p * y - r[y]) // n
-    return y[(y != 0) & (np.gcd(d, p) == 1)]
+    d = np.arange(1, p, dtype=np.int64)
+    return d_to_y(d[np.gcd(d, p) == 1], n, p)

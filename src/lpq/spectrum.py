@@ -44,8 +44,11 @@ def case_codes(n: int, m: int, p: int) -> np.ndarray:
 
     p*y == 0 (mod n) iff n/gcd(n, p) divides y, and m*p*y == 0 (mod n) iff
     n/gcd(n, m*p) divides y; the first stride is a multiple of the second,
-    so two strided writes over a generic fill mark every case.
+    so two strided writes over a generic fill mark every case.  numpy
+    cannot index n >= 2**63 entries, a ValidationError.
     """
+    if n >= 1 << 63:
+        raise ValidationError(f"a table needs n below 2**63 (n={n})")
     codes = np.full(n, CODE_GENERIC, dtype=np.int8)
     codes[:: n // math.gcd(n, m * p)] = CODE_NULL
     codes[:: n // math.gcd(n, p)] = CODE_RESONANT

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -110,12 +111,22 @@ class TestExpectedTrials:
 
 class TestPipelineSuccess:
     def test_sandwiched_between_certified_and_zero_bound(self):
-        for spec in STRICT_SPECS:
-            for alg in Algorithm:
-                certified = success_probability(alg, spec)
-                pipeline = pipeline_success_probability(alg, spec)
-                pr0 = float(closed_form_table(spec, alg).pr[0])
-                assert certified - 1e-12 <= pipeline <= 1 - pr0 + 1e-12
+        # Every valid instance with n <= 20, strict or not, at its first and
+        # last offset, with p up to n + 1: the 1,466 instances include m = 1
+        # and p*p > n, where no run succeeds and nothing may be certified.
+        # The middle term is the mass where a verified recovery succeeds.
+        for n in range(1, 21):
+            for m, p in itertools.product(range(1, n + 1), range(1, n + 2)):
+                last = n - 1 - (m - 1) * p
+                for s in sorted({0, last}) if last >= 0 else ():
+                    spec = build_oracle(n, m, p, s, strict=False)
+                    handle = OracleHandle(spec)
+                    good = [verified_recovery(handle, y).accepted is not None for y in range(n)]
+                    for alg in Algorithm:
+                        certified = success_probability(alg, spec)
+                        pr = closed_form_table(spec, alg).pr
+                        pipeline = float(pr[good].sum())
+                        assert certified - 1e-12 <= pipeline <= 1 - pr[0] + 1e-12, (spec, alg)
 
     @pytest.mark.parametrize("spec", STRICT_SPECS)
     def test_matches_per_frequency_recovery(self, spec):
@@ -214,7 +225,8 @@ class TestWorkfactor:
 
     def test_certified_trials_equal_expected_trials(self):
         # the one evaluation per pipeline gives, bit for bit, 1/p at the
-        # reference success probability p; p = 1 certifies nothing
+        # reference success probability p; an empty success set (p = 1 or
+        # m = 1) certifies nothing
         rng = np.random.default_rng(15)
         specs = [*STRICT_SPECS, build_oracle(1 << 14, 4, 97, 3), build_oracle(1 << 14, 2, 127, 0)]
         while len(specs) < 80:
@@ -223,7 +235,7 @@ class TestWorkfactor:
                 specs.append(spec)
         for spec in specs:
             for rep in workfactor_comparison(spec):
-                if spec.p == 1:
+                if spec.m == 1 or spec.p == 1:
                     assert rep.certified_expected_trials is None
                 else:
                     expected = 1.0 / success_probability(rep.algorithm, spec)
@@ -239,7 +251,6 @@ class TestWorkfactor:
         "n,m,p,error,message",
         [
             # Pr(0) is below 1 for every pipeline, but 2n(p-1) + p is past int64
-            (1 << 62, 1, 2, ValidationError, "success set needs products below 2"),
             (1 << 58, 20, 20, ValidationError, "success set needs products below 2"),
             (1 << 62, 4, 4, ValidationError, "closed form needs residue products below 2"),
         ],
@@ -247,6 +258,13 @@ class TestWorkfactor:
     def test_error_order_past_int64(self, n, m, p, error, message):
         with pytest.raises(error, match=re.escape(message)):
             workfactor_comparison(build_oracle(n, m, p, 0))
+
+    @pytest.mark.parametrize("n,m,p", [(1 << 62, 1, 2), (1 << 62, 2, 1), (1 << 41, 2, (1 << 21) + 1)])
+    def test_empty_success_set_past_int64_certifies_nothing(self, n, m, p):
+        # 2n(p-1) + p, or 2n at p = 1, reaches 2**63, but no run succeeds at
+        # m = 1, p = 1 or p*p > n: the set is empty and no product is formed
+        reports = workfactor_comparison(build_oracle(n, m, p, 0, strict=False))
+        assert [r.certified_expected_trials for r in reports] == [None] * 3
 
     def test_ratio_monotone_in_n(self):
         ratios = []

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -357,14 +358,45 @@ def test_negative_seed_is_validation_error(cmd, via, tmp_path, capsys):
     assert captured.err == "error: need seed >= 0, got -3\n"
 
 
-@pytest.mark.parametrize("cmd", ["trials", "compare"])
+@pytest.mark.parametrize("cmd", ["trials"])
 def test_success_set_overflow_is_validation_error(cmd, capsys):
-    # 15 * 2**65 is past int64: one error line, not an OverflowError
-    argv = [cmd, "--n", "16", "--m", "1", "--p", str(2**65), "--s", "3", "--no-strict"]
+    # 2n(p - 1) + p = 19 * 2**59 + 20 is past int64: one error line, not an
+    # OverflowError
+    argv = [cmd, "--n", str(2**58), "--m", "20", "--p", "20"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: success set needs products below 2**63 (n=16, p={2**65})\n"
+    assert captured.err == f"error: success set needs products below 2**63 (n={2**58}, p=20)\n"
+
+
+@pytest.mark.parametrize("cmd", ["spectrum", "compare"])
+@pytest.mark.parametrize(
+    "n,code,message",
+    [
+        # 2**48 one-byte case codes are 256 TiB, past any host's address space
+        (2**48, 1, r"Unable to allocate 256.* TiB for an array .* int8"),
+        (2**60, 1, r"Unable to allocate .* for an array .* int8"),
+        (2**63, 2, r"a table needs n below 2\*\*63 \(n=9223372036854775808\)"),
+        (2**64, 2, r"a table needs n below 2\*\*63 \(n=18446744073709551616\)"),
+    ],
+)
+def test_table_past_memory_is_one_error_line(cmd, n, code, message, capsys):
+    assert main([cmd, "--n", str(n), "--m", "2", "--p", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {message}\n", captured.err)
+
+
+@pytest.mark.parametrize("p", [2, 17, 2**65])
+def test_compare_one_member_certifies_nothing(p, capsys):
+    # at m = 1 the probes reject every candidate: no success set, zero
+    # success probability and null summed ratios, with no product formed
+    assert main(["compare", "--n", "16", "--m", "1", "--p", str(p), "--no-strict"]) == 0
+    assert capsys.readouterr().out.splitlines()[-4:-1] == [
+        "# success_set=[]",
+        '# success_probability={"amplified": 0.0, "qft": 0.0, "qhs": 0.0}',
+        '# summed_ratio={"qft": null, "qhs": null}',
+    ]
 
 
 class TestHalfMarked:

@@ -337,6 +337,10 @@ class TestRatioBounds:
         with pytest.raises(ValidationError):
             ratio_bounds(8, 5)
 
+    def test_rejects_amplified_baseline(self):
+        with pytest.raises(ValidationError, match="baseline must be qft or qhs"):
+            ratio_bounds(16, 3, Algorithm.AMPLIFIED)
+
     @pytest.mark.parametrize("n", [1 << 24, 1 << 40])
     @pytest.mark.parametrize("baseline", [Algorithm.QFT, Algorithm.QHS])
     def test_admits_ulps_around_each_bound(self, n, baseline):

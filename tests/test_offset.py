@@ -253,6 +253,31 @@ class _PinnedGenerator(np.random.Generator):
         return 0
 
 
+class _MissingGenerator(np.random.Generator):
+    """Every amplified measurement lands off the marked set or image."""
+
+    def random(self, *args, **kwargs):
+        return 1.0
+
+
+class TestMeasurementGuards:
+    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
+    def test_no_starting_member(self, search):
+        # each of the 16 attempts measures an unmarked label, probed once
+        h = handle163()
+        with pytest.raises(NonTermination, match="no member measured in 16 amplified attempts"):
+            search(h, 4, 3, _MissingGenerator(np.random.PCG64(0)))
+        assert h.query_count == 16
+
+    def test_walk_off_image(self):
+        # the x_start probe, the x - p probe and the 4-point ladder below
+        # x = 9, then 16 misses
+        h = handle163()
+        with pytest.raises(NonTermination, match="16 off-image measurements in a row"):
+            find_offset_decreasing(h, 4, 3, _MissingGenerator(np.random.PCG64(0)), x_start=9)
+        assert h.query_count == 1 + 1 + 4
+
+
 class TestDecreasingSearch:
     @pytest.mark.parametrize("start_r", [1, 2])
     def test_recovers_from_any_member(self, start_r):

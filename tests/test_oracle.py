@@ -38,6 +38,12 @@ def test_overflow_rejected():
         build_oracle(16, 4, 4, 4, strict=False)
 
 
+@pytest.mark.parametrize("s", [-1, 16])
+def test_offset_outside_labels_rejected(s):
+    with pytest.raises(OverflowsLabelSpace, match=f"offset {s} outside 0..15"):
+        build_oracle(16, 1, 1, s)
+
+
 def test_degenerate_rejected():
     with pytest.raises(DegenerateInstance):
         build_oracle(16, 0, 4, 1)

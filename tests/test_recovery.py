@@ -355,43 +355,40 @@ class TestSuccessSet:
         assert (a == b).all()
 
     def test_matches_window_scan(self):
-        # Both paths, y(d) over the coprime d for p <= n and the window scan
-        # past n, against a scan of every y for the window's definition.
-        for n in range(1, 200):
+        # y(d) over the coprime d against a scan of every y for the window's
+        # definition, at every p in 2..isqrt(n), where the set is not empty
+        for n in range(4, 200):
             y = np.arange(n)
-            p = np.arange(1, 2 * n + 3)[:, None]  # one row per period
+            p = np.arange(2, math.isqrt(n) + 1)[:, None]  # one row per period
             r = p * y % n
             r[2 * r > n] -= n
             d = (p * y - r) // n
             keep = (2 * r > -p) & (2 * r <= p) & (y != 0) & (np.gcd(d, p) == 1)
             for row, period in enumerate(p[:, 0].tolist()):
-                got = success_set(OracleSpec(n, 1, period, 0))
+                got = success_set(OracleSpec(n, 2, period, 0))
                 assert got.tolist() == y[keep[row]].tolist(), (n, period)
 
-    @pytest.mark.parametrize(
-        "n,p", [(15, 2**40 + 7), (16, (2**63 - 1) // 15), (1000, 2**53 + 1), (15, 2**62 // 14 - 1)]
-    )
-    def test_scan_matches_python_ints_below_the_bound(self, n, p):
-        # int64 would wrap past 2**63; Python ints never do
-        expected = [
-            y
-            for y in range(1, n)
-            if -p < 2 * smallest_residue(p * y, n) <= p and math.gcd(y_to_d(y, n, p), p) == 1
-        ]
-        assert success_set(OracleSpec(n, 1, p, 0)).tolist() == expected
+    def test_empty_where_no_run_succeeds(self):
+        # m = 1 (the probes reject every candidate), p = 1 and p*p > n (no
+        # candidate q = p): no product is formed, even past int64
+        for n in range(1, 200):
+            for p in range(1, 2 * n + 3):
+                assert success_set(OracleSpec(n, 1, p, 0)).size == 0, (n, p)
+                if p == 1 or p * p > n:
+                    assert success_set(OracleSpec(n, 2, p, 0)).size == 0, (n, p)
+        for n, m, p in [(16, 2, 2**65), (2**62, 2, 1), (2**62, 1, 2), (2**41, 2, 2**21 + 1)]:
+            assert success_set(OracleSpec(n, m, p, 0)).dtype == np.int64
+            assert success_set(OracleSpec(n, m, p, 0)).size == 0
 
     @pytest.mark.parametrize("n,p", [(2**60, 4), (2**62 - 1, 1), (2**59, 7), (2**50, 2**12)])
     def test_multipliers_match_python_ints_below_the_bound(self, n, p):
         expected = [(2 * n * d + p) // (2 * p) for d in range(1, p) if math.gcd(d, p) == 1]
-        assert success_set(OracleSpec(n, 1, p, 0)).tolist() == expected
+        assert success_set(OracleSpec(n, 2, p, 0)).tolist() == expected
 
-    @pytest.mark.parametrize(
-        "n,p",
-        [(15, 2**62 + 3), (16, (2**63 - 1) // 15 + 1), (16, 2**65), (2**62, 1), (2**60, 5), (2**50, 2**12 + 1)],
-    )
+    @pytest.mark.parametrize("n,p", [(2**60, 5), (2**50, 2**12 + 1)])
     def test_rejects_products_past_int64(self, n, p):
         with pytest.raises(ValidationError, match="below 2\\*\\*63"):
-            success_set(OracleSpec(n, 1, p, 0))
+            success_set(OracleSpec(n, 2, p, 0))
 
     def test_every_member_recovers(self):
         for n, m, p, s in [(16, 3, 4, 1), (229, 7, 15, 11), (128, 8, 8, 3)]:

@@ -94,6 +94,11 @@ class TestUniformState:
     def test_real_float64(self):
         assert uniform_state(16).dtype == np.float64
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_label_space(self, n):
+        with pytest.raises(DegenerateInstance, match=f"need n >= 1, got {n}"):
+            uniform_state(n)
+
 
 class TestGroverSchedule:
     def test_single_marked_quarter(self):
@@ -128,6 +133,10 @@ class TestGroverSchedule:
     def test_rejects_empty(self):
         with pytest.raises(DegenerateInstance):
             grover_schedule(8, 0)
+
+    def test_rejects_more_marked_than_labels(self):
+        with pytest.raises(DegenerateInstance, match="need m <= n, got m=9, n=8"):
+            grover_schedule(8, 9)
 
     def test_iteration_override(self):
         sched = grover_schedule(64, 2, iterations=3)
@@ -362,6 +371,20 @@ def test_make_table_rejects_non_finite(bad):
     pr = np.full(64, 1 / 64)
     pr[5] = bad
     with pytest.raises(ValidationError, match="non-finite"):
+        make_table(pr, case_codes(64, 4, 4))
+
+
+def test_make_table_rejects_negative():
+    pr = np.full(64, 1 / 64)
+    pr[5] = -1e-300
+    with pytest.raises(ValidationError, match="negative probability -1e-300"):
+        make_table(pr, case_codes(64, 4, 4))
+
+
+@pytest.mark.parametrize("scale", [0.5, 1 + 1e-8])
+def test_make_table_rejects_unnormalized(scale):
+    pr = np.full(64, scale / 64)
+    with pytest.raises(ValidationError, match="table sums to .*, not 1"):
         make_table(pr, case_codes(64, 4, 4))
 
 

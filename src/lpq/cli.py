@@ -41,6 +41,17 @@ Exit codes:
        when a pipeline's runs all measure y = 0)
 
 Errors print one ``error: ...`` line on stderr, not a traceback.
+
+argv is parsed once.  Only --config, as ``--config F`` or ``--config=F``,
+may come before the subcommand; a scan of those leading flags exits 2 at
+any other flag there, and finds the subcommand, whose own parser then
+reads the rest of argv into a namespace that already holds the command
+and the last --config value.  The top-level parser reads argv only where
+no known subcommand follows the leading flags (help, a missing or unknown
+subcommand, a --config with no value: each ends in help or an error) or
+where a --config value starts with '-', which argparse may read as a
+flag.  Either way the namespace is the one the top-level parser would
+give, and argparse writes every usage and error message.
 """
 
 from __future__ import annotations
@@ -376,7 +387,7 @@ def cmd_find_offset(args) -> int:
     except VerificationFailed as exc:
         obj, code = {"error": str(exc)}, EXIT_VERIFICATION
     else:
-        obj, code = dataclasses.asdict(result), EXIT_OK
+        obj, code = dict(vars(result)), EXIT_OK  # its fields: no deep copy
     obj["schema"] = 1
     obj["period_candidate"] = period
     if args.format == "json":
@@ -559,27 +570,49 @@ def _apply_config(args: argparse.Namespace, names) -> None:
                 setattr(args, key, config.get(key, option.get("default")))
 
 
-def _check_leading_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Exit 2 under lpq's usage line at an unknown flag before the
-    subcommand, which argparse would report under the subcommand's usage
-    line, or whose value it would take for the subcommand."""
-    tokens = iter(argv)
-    for token in tokens:
+def _check_leading_flags(
+    parser: argparse.ArgumentParser, argv: list[str]
+) -> tuple[int | None, str | None]:
+    """The index of the first token past the leading --config flags and the
+    last --config value, or (None, None) where a value starts with '-' (an
+    option or a negative number: argparse decides) or no token is left.
+
+    Exit 2 under lpq's usage line at an unknown flag before the subcommand,
+    which argparse would report under the subcommand's usage line, or whose
+    value it would take for the subcommand."""
+    tokens = enumerate(argv)
+    config, plain = None, True
+    for i, token in tokens:
         if token == "--config":
-            next(tokens, None)
+            _, config = next(tokens, (i, ""))  # no value left: the loop ends
+            plain = plain and not config.startswith("-")
+        elif token.startswith("--config="):
+            config = token[len("--config="):]
         elif token in ("-", "--", "-h", "--help") or not token.startswith("-"):
-            return
-        elif not token.startswith("--config="):
+            return (i, config) if plain else (None, None)
+        else:
             parser.error(f"unrecognized arguments: {token}")
+    return None, None
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once, by the subcommand's own parser where the leading
+    flags are followed by a known one (module docstring)."""
+    parser, commands = _build_parser()
+    i, config = _check_leading_flags(parser, argv)
+    command = argv[i] if i is not None else None
+    if command in commands:
+        namespace = argparse.Namespace(config=config, command=command)
+        args, unknown = commands[command].parse_known_args(argv[i + 1 :], namespace)
+    else:  # help, no known subcommand, or a --config value argparse must read
+        args, unknown = parser.parse_known_args(argv)
+    if unknown:  # under the subcommand's usage line, which lists its flags
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    _check_leading_flags(parser, argv)
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:  # under the subcommand's usage line, which lists its flags
-        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     func, names = _SUBCOMMANDS[args.command]
     try:
         _apply_config(args, names)

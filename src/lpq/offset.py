@@ -116,7 +116,7 @@ def _idealized_count(true_count: int, t: int, rng: np.random.Generator) -> int:
         return true_count
     # Adversarial failure: a near-miss, the hardest wrong answer to spot.
     wrong = [c for c in (true_count - 1, true_count + 1) if 0 <= c <= t]
-    return int(rng.choice(wrong))
+    return wrong[int(rng.integers(len(wrong)))]  # rng.choice(wrong)'s draw, without its array
 
 
 @dataclass

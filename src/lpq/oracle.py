@@ -9,8 +9,9 @@ read n, m, p and s off ``handle.spec``.  One query is one label in
 ``OracleHandle.__call__``, which raises on a label outside that range, and
 one per in-range label of ``OracleHandle.query_many``, which reads 0 for
 the others without charging them.  Both test membership by the same
-arithmetic on x - s; the tally has no lock, since nothing in lpq queries
-concurrently.
+arithmetic: s <= x <= s + (m-1)*p, the last member, which the handle
+stores at construction, and (x - s) mod p = 0.  The tally has no lock,
+since nothing in lpq queries concurrently.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class OracleHandle:
     """The oracle as a callable with a query tally.
 
     ``handle(x)`` returns 1 iff x is marked, and bumps ``query_count``:
-    it tests x - s against the stored period and span.  ``query_many``
-    asks a batch of labels at once.
+    it tests x against the stored offset, last member and period.
+    ``query_many`` asks a batch of labels at once.
     """
 
     def __init__(self, spec: OracleSpec):
@@ -78,7 +79,7 @@ class OracleHandle:
         self._n = spec.n
         self._s = spec.s
         self._p = spec.p
-        self._span = (spec.m - 1) * spec.p
+        self._last = spec.s + (spec.m - 1) * spec.p
         self._count = 0
 
     @property
@@ -93,8 +94,7 @@ class OracleHandle:
         if not 0 <= x < self._n:
             raise LabelOutOfRange(f"label {x} outside 0..{self._n - 1}")
         self._count += 1
-        d = x - self._s
-        return 1 if 0 <= d <= self._span and d % self._p == 0 else 0
+        return 1 if self._s <= x <= self._last and (x - self._s) % self._p == 0 else 0
 
     def query_many(self, xs) -> np.ndarray:
         """``handle(x)`` for each label x in the 1-D int64 sequence ``xs``, as
@@ -103,5 +103,7 @@ class OracleHandle:
         xs = np.asarray(xs, dtype=np.int64)
         inside = (xs >= 0) & (xs < self._n)
         self._count += int(np.count_nonzero(inside))
-        d = xs - self._s  # may wrap outside the range, where ``inside`` masks it
-        return (inside & (d >= 0) & (d <= self._span) & (d % self._p == 0)).view(np.int8)
+        # 0 <= s and last <= n - 1, so a marked label is in range; xs - s
+        # wraps only below s, where the first test already fails
+        marked = (xs >= self._s) & (xs <= self._last) & ((xs - self._s) % self._p == 0)
+        return marked.view(np.int8)

@@ -52,15 +52,27 @@ WORKFACTOR_SPECS = [
 ]
 
 
+def probes_accept_each(spec, q: np.ndarray) -> np.ndarray:
+    """Whether the three probes accept (s, q) for each candidate q, by
+    membership arithmetic: q >= 1 and s, s + q and s + (m-1)*q marked."""
+    last = spec.s + (spec.m - 1) * spec.p
+
+    def marked(x):
+        return (spec.s <= x) & (x <= last) & ((x - spec.s) % spec.p == 0)
+
+    return (q >= 1) & marked(spec.s + q) & marked(spec.s + (spec.m - 1) * q)
+
+
 def pipeline_success_probability(algorithm: Algorithm, spec) -> float:
     """Exact per-run success probability of the full decision procedure.
 
     Sums the closed-form probability of every frequency whose recovered
-    candidate is the true period (verification accepts exactly those); the
-    reference that the Monte-Carlo means are held to.
+    candidate the three probes accept; the reference that the Monte-Carlo
+    means are held to.
     """
     table = closed_form_table(spec, Algorithm(algorithm))
-    return float(table.pr[accepted_denominators(spec.n, np.arange(spec.n)) == spec.p].sum())
+    candidates = accepted_denominators(spec.n, np.arange(spec.n))
+    return float(table.pr[probes_accept_each(spec, candidates)].sum())
 
 
 def success_probability(algorithm: Algorithm, spec) -> float:
@@ -127,6 +139,22 @@ class TestPipelineSuccess:
                         pr = closed_form_table(spec, alg).pr
                         pipeline = float(pr[good].sum())
                         assert certified - 1e-12 <= pipeline <= 1 - pr[0] + 1e-12, (spec, alg)
+
+    @pytest.mark.parametrize("spec", [
+        build_oracle(1024, 1, 32, 0), build_oracle(64, 1, 5, 63), build_oracle(16, 1, 4, 7),
+        build_oracle(18, 2, 4, 3), build_oracle(100, 2, 9, 40), build_oracle(64, 7, 8, 1),
+        build_oracle(64, 2, 20, 10, strict=False),
+    ], ids=lambda spec: f"{spec.n}-{spec.m}-{spec.p}-{spec.s}")
+    def test_matches_verified_recovery(self, spec):
+        # the probes reject every candidate at m = 1, where a candidate == p
+        # test would count the y that recover p (6.1e-5 for qft at 1024, 1, 32)
+        handle = OracleHandle(spec)
+        good = [verified_recovery(handle, y).accepted is not None for y in range(spec.n)]
+        for alg in Algorithm:
+            expected = float(closed_form_table(spec, alg).pr[good].sum())
+            assert pipeline_success_probability(alg, spec) == expected
+            if spec.m == 1:
+                assert expected == 0.0
 
     @pytest.mark.parametrize("spec", STRICT_SPECS)
     def test_matches_per_frequency_recovery(self, spec):

@@ -4,12 +4,16 @@ import json
 import math
 import os
 import re
+import string
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpq.analysis
 import lpq.closedform
@@ -842,6 +846,69 @@ REMOVED_OPTIONS = [
 ]
 
 
+# Values argparse cannot take for a flag: it reads a token led by '-' as a
+# flag unless it is a negative number.
+_PLAIN_TEXT = st.text(string.ascii_letters + string.digits + "./_ -", max_size=12).filter(
+    lambda text: not text.startswith("-")
+)
+
+
+def option_tokens(key: str):
+    """The argv tokens of one valid use of option ``key``: its flag and a
+    value of its type, one of its choices or, for a switch, either form."""
+    option, flag = cli._OPTIONS[key], f"--{key.replace('_', '-')}"
+    if option.get("action") is argparse.BooleanOptionalAction:
+        return st.sampled_from([[flag], [f"--no-{flag[2:]}"]])
+    if "action" in option:
+        return st.just([flag])
+    if "choices" in option:
+        values = st.sampled_from(option["choices"])
+    elif option["type"] is int:
+        values = st.integers(-(2**70), 2**70).map(str)
+    else:
+        values = _PLAIN_TEXT
+    return st.tuples(values, st.booleans()).map(
+        lambda v: [f"{flag}={v[0]}"] if v[1] else [flag, v[0]]
+    )
+
+
+@st.composite
+def subcommand_argv(draw, command: str):
+    """argv for ``command``: leading --config flags, in either form, then a
+    subset of its options in any order, each with a valid value."""
+    leading = []
+    for config, equals in draw(st.lists(st.tuples(_PLAIN_TEXT, st.booleans()), max_size=2)):
+        leading += [f"--config={config}"] if equals else ["--config", config]
+    keys = draw(st.lists(st.sampled_from(sorted(cli._SUBCOMMANDS[command][1])), unique=True))
+    return [*leading, command, *(token for key in keys for token in draw(option_tokens(key)))]
+
+
+class TestParsePath:
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_namespace_equals_full_parser(self, command, data):
+        argv = data.draw(subcommand_argv(command))
+        parser = cli._build_parser()[0]
+        expected, unknown = parser.parse_known_args(argv)
+        assert unknown == []
+        with mock.patch.object(parser, "parse_known_args", side_effect=AssertionError(argv)):
+            assert cli._parse_args(argv) == expected
+
+    def test_success_never_runs_the_top_level_parser(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text('{"s": 1}')
+        parser = cli._build_parser()[0]
+        with mock.patch.object(parser, "parse_known_args", side_effect=AssertionError):
+            for command, runs in sorted(READING_RUNS.items()):
+                for argv in runs:
+                    out = ["--out", str(tmp_path / command)]  # sweep's is a directory
+                    assert main([*argv, *out]) == 0, argv
+                    assert main(["--config", str(config), *argv, *out]) == 0, argv
+                    assert main([f"--config={config}", *argv, *out]) == 0, argv
+        assert capsys.readouterr().err == ""
+
+
 class TestParser:
     @pytest.mark.parametrize("command", sorted(READING_RUNS))
     def test_every_option_offered_is_read(self, command, tmp_path, capsys):
@@ -946,6 +1013,7 @@ class TestParser:
         flags = ["--n", "64", "--m", "4", "--p", "4", "--s", "3"]
         calls = [
             ["--config", str(config), "spectrum"],
+            [f"--config={config}", "find-offset", "--seed", "2"],
             ["spectrum", *flags],  # must not inherit qhs/json from the config
             ["compare", *flags, "--format", "json"],
             ["spectrum", "--alg", "bogus", *flags],  # argparse error, exit 2
@@ -967,9 +1035,10 @@ class TestParser:
         for argv in calls:  # each with a parser of its own
             cli._build_parser.cache_clear()
             first.append(call(argv))
-        assert first[3][0] == 2 and "invalid choice" in first[3][2]
+        assert first[4][0] == 2 and "invalid choice" in first[4][2]
         assert '"algorithm": "qhs"' in first[0][1]
-        assert first[1][1].startswith("# schema=1") and ",generic," in first[1][1]
+        assert '"period_candidate": 4' in first[1][1]  # json from the config
+        assert first[2][1].startswith("# schema=1") and ",generic," in first[2][1]
         for order in (range(len(calls)), reversed(range(len(calls)))):
             for i in order:
                 assert call(calls[i]) == first[i]

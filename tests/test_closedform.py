@@ -1,8 +1,10 @@
 import functools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -397,3 +399,77 @@ def test_null_case_is_exact_zero(n, salt):
     null_rows = case_codes(spec.n, m, n) == CODE_NULL
     if null_rows.any():
         assert (table.pr[null_rows] == 0.0).all()
+
+
+EPS = np.finfo(np.float64).eps
+# The worst relative error of closed_form_at against the 50-digit anchor
+# is 4.3 eps for the amplified pipeline and 3.1 eps for qft and qhs on the
+# test's 150 instances, and 5.4 and 3.7 eps over 600 instances (samplers
+# seeded 1, 2, 3 and 24); the test holds it to ANCHOR_EPS.
+ANCHOR_EPS = 8
+
+
+def anchor_pr(n: int, m: int, p: int, y: int, algorithm: Algorithm) -> mpmath.mpf:
+    """The case table of the module docstring evaluated in mpmath at the
+    working precision, with the case taken from exact integer residues."""
+    r = p * y % n
+    rm = r * m % n
+    if r and not rm:
+        return mpmath.mpf(0)  # null
+    if algorithm is Algorithm.AMPLIFIED:
+        theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / n))
+        k = int(mpmath.floor(mpmath.pi / (4 * theta)))
+        assert k == grover_schedule(n, m).k
+        resonant = mpmath.tan(theta) ** 2 * mpmath.sin(2 * k * theta) ** 2
+        zero, factor = mpmath.cos(2 * k * theta) ** 2, resonant / m**2
+    elif algorithm is Algorithm.QFT:
+        zero = (1 - mpmath.mpf(2 * m) / n) ** 2
+        resonant, factor = mpmath.mpf(4 * m * m) / n**2, mpmath.mpf(4) / n**2
+    else:
+        zero = 1 - mpmath.mpf(2 * m * (n - m)) / n**2
+        resonant, factor = mpmath.mpf(2 * m * m) / n**2, mpmath.mpf(2) / n**2
+    if y == 0:
+        return zero
+    if r == 0:
+        return resonant
+    return factor * (mpmath.sin(mpmath.pi * rm / n) / mpmath.sin(mpmath.pi * r / n)) ** 2
+
+
+def anchor_instances(seed: int, count: int):
+    """(n, m, p) with 2m <= n and the marked set inside 0..n-1, n up to
+    2^62, m and p log-uniform, and every residue product below the int64
+    guard of closed_form_at."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1 << 8, 1 << rng.randint(9, 62))
+        m = rng.randint(1, 1 << rng.randint(0, 6))
+        p = rng.randint(1, min(math.isqrt(n), 1 << rng.randint(1, 20)))
+        if 2 * m <= n and (m - 1) * p < n and (n - 1) * max(m, p) < 1 << 63:
+            out.append((n, m, p))
+    return out
+
+
+def test_closed_form_within_eps_of_the_anchor():
+    # 150 instances, y = 0, a resonance where p shares a factor with n, and
+    # 6 uniform y each, for all three pipelines: about 0.4 s.  At y = 0 the
+    # amplified value is cos^2(2k theta) with 2k theta within 2 theta of
+    # pi/2: the angle's rounding, an eps or so of pi/2, leaves cos a few eps
+    # off in absolute terms only, so that value is held to eps*sqrt(Pr).
+    with mpmath.workdps(50):
+        for n, m, p in anchor_instances(24, 150):
+            rng = random.Random(n)
+            ys = [0, *(rng.randrange(n) for _ in range(6))]
+            g = math.gcd(n, p)
+            if g > 1:
+                ys.append(n // g * rng.randint(1, g - 1))
+            spec = build_oracle(n, m, p, 0, strict=False)
+            for alg in Algorithm:
+                for y, got in zip(ys, closed_form_at(spec, alg, ys)):
+                    ref = anchor_pr(n, m, p, y, alg)
+                    if ref == 0:
+                        assert got == 0.0, (n, m, p, y, alg)
+                    elif alg is Algorithm.AMPLIFIED and y == 0:
+                        assert abs(got - ref) <= ANCHOR_EPS * EPS * mpmath.sqrt(ref), (n, m, p)
+                    else:
+                        assert abs(got - ref) <= ANCHOR_EPS * EPS * ref, (n, m, p, y, alg)

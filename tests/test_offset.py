@@ -20,7 +20,7 @@ from lpq import (
     grover_schedule,
 )
 from lpq import test_period_known_s as period_probe
-from lpq.offset import _unmarked_label
+from lpq.offset import _idealized_count, _unmarked_label
 from lpq.oracle import OracleSpec
 from reference import members
 
@@ -241,6 +241,29 @@ class TestCountingSearch:
         h = OracleHandle(spec)
         with pytest.raises(VerificationFailed):
             find_offset_counting(h, 8, 8, seed=_honest_counter_seed(), x_start=3 + 7 * 4)
+
+
+def reference_count(true_count: int, t: int, rng: np.random.Generator) -> int:
+    """The idealized counter with its near-miss drawn by rng.choice: the
+    reference for _idealized_count's draw."""
+    if rng.random() < 2.0 / 3.0:
+        return true_count
+    wrong = [c for c in (true_count - 1, true_count + 1) if 0 <= c <= t]
+    return int(rng.choice(wrong))
+
+
+class TestIdealizedCount:
+    # near-miss lists of length 1 (at 0 and at t) and of length 2
+    @pytest.mark.parametrize("true_count,t", [(0, 8), (8, 8), (3, 8)])
+    def test_same_stream_as_choice(self, true_count, t):
+        missed = 0
+        for seed in range(2000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _idealized_count(true_count, t, rng)
+            assert got == reference_count(true_count, t, ref)
+            assert rng.random() == ref.random()  # the next draw agrees too
+            missed += got != true_count
+        assert 600 < missed < 730  # about a third of the seeds draw a near-miss
 
 
 class _PinnedGenerator(np.random.Generator):

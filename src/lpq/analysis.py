@@ -16,9 +16,8 @@ they answer different questions:
   probability that Monte-Carlo measures, and it is the quantity behind the
   headline E[X] >= n/(c*m) lower bounds, c = 4 for the plain pipeline
   (qft) and 2 for the two-register one (qhs), so the expected runs are
-  built from it.  For those two, 1 - Pr(0) = c*m*(n - m)/n^2, so their
-  runs are the int quotient n^2 / (c*m*(n - m)), rounded once: 1 minus a
-  rounded Pr(0) would lose about log2(n/(c*m)) bits.
+  built from it, by :func:`lpq.closedform.expected_runs` for all three.
+  Each report's bound verdict holds those runs to n/(c*m).
 
 Costs are counted in oracle/transform applications: k + 1 per amplified
 run, 1 per plain run, so each pipeline's total is its per-run cost times
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import closed_form_at, closed_form_table, plain_expected_runs, runs_lower_bound
+from .closedform import closed_form_at, closed_form_table, expected_runs, runs_lower_bound
 from .errors import BoundViolated, InvalidProbability, NonTermination, ValidationError
 from .offset import test_period_known_s
 from .oracle import OracleHandle, OracleSpec
@@ -75,14 +74,13 @@ _MC_BATCH_CAP = 1 << 13
 _BUCKETS = 1 << 12
 
 
-def _certified_trials(algorithm: Algorithm, spec: OracleSpec, p: float) -> float:
+def _certified_trials(algorithm: Algorithm, p: float, bound: float | None) -> float:
     """Expected trials 1/p at the certified success probability p, held to
     the proven lower bound on the expected runs (BoundViolated)."""
     if not 0.0 < p <= 1.0:
         raise InvalidProbability(f"need 0 < p <= 1, got {p}")
     trials = 1.0 / p
     # The certified p never exceeds 1 - Pr(0), so the bound holds a fortiori.
-    bound = runs_lower_bound(spec.n, spec.m, algorithm)
     if bound is not None and trials < bound:
         raise BoundViolated(
             f"{algorithm.value} expects {trials} trials, below the proven lower bound {bound}"
@@ -97,6 +95,8 @@ class WorkfactorReport:
     ``certified_expected_trials`` is 1/p at the certified success
     probability p, the closed-form mass of the success set, or None where
     that set is empty (m = 1, p = 1 or p*p > n): no run can succeed there.
+    ``bound_verdict`` is "FAIL" where ``expected_runs`` falls below the
+    proven lower bound n/(c*m), else "pass".
     """
 
     algorithm: Algorithm
@@ -105,6 +105,7 @@ class WorkfactorReport:
     total_cost: float
     ratio_vs_amplified: float
     certified_expected_trials: float | None
+    bound_verdict: str
 
 
 def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
@@ -119,10 +120,11 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     success set, for the certified probability.
     """
     n, m = spec.n, spec.m
-    schedule = grover_schedule(n, m)
-    amplified_cost = schedule.k + 1
+    amplified_cost = grover_schedule(n, m).k + 1
     # The closed form's guard and a pipeline with Pr(0) = 1 are reported
-    # before a success set too large for int64, so that guard waits.
+    # before a success set too large for int64, so that guard waits.  It
+    # stays a guard: it is also the only bound on the success set's
+    # phi(p)-sized arrays, which past it reach 16 GiB at p = 2^31.
     try:
         succ, too_large = success_set(spec), None
     except ValidationError as exc:
@@ -130,27 +132,23 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     reports = []
     for algorithm in Algorithm:  # amplified first: the others divide by its total
         pr = closed_form_at(spec, algorithm, succ)
-        # runs = 1/(1 - Pr(0)), None where Pr(0) = 1
-        if algorithm is Algorithm.AMPLIFIED:
-            # Pr(0) = cos^2(2k theta) is small wherever k >= 1: no cancellation
-            hits = 1.0 - math.cos(2 * schedule.k * schedule.theta) ** 2
-            runs = 1.0 / hits if hits else None
-        else:
-            runs = plain_expected_runs(n, m, algorithm) if m < n else None
+        runs = expected_runs(n, m, algorithm)
         if runs is None:
             raise NonTermination(
                 f"{algorithm.value}: Pr(0) = 1, so no run measures a nonzero frequency"
             )
-        certified = _certified_trials(algorithm, spec, float(pr.sum())) if succ.size else None
+        bound = runs_lower_bound(n, m, algorithm)
+        certified = _certified_trials(algorithm, float(pr.sum()), bound) if succ.size else None
+        cost = amplified_cost if algorithm is Algorithm.AMPLIFIED else 1.0
+        total = cost * runs
         if algorithm is Algorithm.AMPLIFIED:
-            amplified_total = amplified_cost * runs
-            reports.append(
-                WorkfactorReport(algorithm, amplified_cost, runs, amplified_total, 1.0, certified)
+            amplified_total = total
+        verdict = "pass" if bound is None or runs >= bound else "FAIL"
+        reports.append(
+            WorkfactorReport(
+                algorithm, cost, runs, total, total / amplified_total, certified, verdict
             )
-        else:
-            reports.append(
-                WorkfactorReport(algorithm, 1.0, runs, runs, runs / amplified_total, certified)
-            )
+        )
     if too_large is not None:
         raise too_large
     return reports

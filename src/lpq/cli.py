@@ -400,23 +400,11 @@ def cmd_find_offset(args) -> int:
 
 
 def _workfactor_rows(spec) -> list[dict]:
-    """The work-factor rows: one per pipeline."""
-    rows = []
-    for rep in analysis.workfactor_comparison(spec):
-        bound = closedform.runs_lower_bound(spec.n, spec.m, rep.algorithm)
-        verdict = bound is None or rep.expected_runs >= bound
-        rows.append(
-            {
-                "algorithm": rep.algorithm.value,
-                "per_run_cost": rep.per_run_cost,
-                "expected_runs": rep.expected_runs,
-                "total_cost": rep.total_cost,
-                "ratio_vs_amplified": rep.ratio_vs_amplified,
-                "certified_expected_trials": rep.certified_expected_trials,
-                "bound_verdict": "pass" if verdict else "FAIL",
-            }
-        )
-    return rows
+    """The work-factor rows: one per pipeline, its report's fields in order."""
+    return [
+        {**vars(rep), "algorithm": rep.algorithm.value}
+        for rep in analysis.workfactor_comparison(spec)
+    ]
 
 
 def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
@@ -435,7 +423,7 @@ def cmd_trials(args) -> int:
     alg = Algorithm(args.alg)
     rows = _workfactor_rows(spec)
     payload = {"schema": 1, "workfactor": rows}
-    if args.runs:
+    if args.runs is not None:
         stats = analysis.monte_carlo_trials(alg, spec, args.runs, args.seed)
         payload["monte_carlo"] = {"algorithm": args.alg, **stats.to_json_obj()}
     if args.format == "json":

@@ -33,8 +33,8 @@ resonant and generic frequency, sandwiched (for 2m <= n) between
 
 with upper - lower exactly 4/c.  The upper bound is also the baseline's
 expected runs 1/(1 - Pr(0)), since 1 - Pr(0) = c*m*(n-m)/n^2 for both
-plain pipelines; :func:`plain_expected_runs` is the one implementation of
-it, the int quotient rounded once.
+plain pipelines.  :func:`expected_runs` is the one implementation of
+1/(1 - Pr(0)) for every pipeline, and so of that bound.
 """
 
 from __future__ import annotations
@@ -158,12 +158,22 @@ class RatioBounds:
         return (self.lower * (1 - RATIO_SLACK) <= ratio) & (ratio <= self.upper * (1 + RATIO_SLACK))
 
 
-def plain_expected_runs(n: int, m: int, baseline: Algorithm) -> float:
-    """n^2 / (c*m*(n - m)) for 0 < m < n, the int quotient rounded once:
-    the expected runs of a plain pipeline and the upper ratio bound
-    (module docstring).  1 minus a rounded Pr(0) would lose about
-    log2(n/(c*m)) bits."""
-    return n * n / (BOUND_DIVISOR[baseline] * m * (n - m))
+def expected_runs(n: int, m: int, algorithm: Algorithm) -> float | None:
+    """1/(1 - Pr(0)), a pipeline's expected runs when every nonzero
+    frequency counts as a success, or None where Pr(0) = 1: the amplified
+    pipeline past 2m = n, where k = 0, and every one at m = n.
+
+    Amplified, Pr(0) = cos^2(2k theta) is small wherever k >= 1, so 1
+    minus it cancels nothing.  For qft and qhs it is the int quotient
+    n^2 / (c*m*(n - m)) rounded once, also the upper ratio bound (module
+    docstring): 1 minus a rounded Pr(0) would lose about log2(n/(c*m))
+    bits.
+    """
+    if algorithm is Algorithm.AMPLIFIED:
+        schedule = grover_schedule(n, m)
+        hits = 1.0 - math.cos(2 * schedule.k * schedule.theta) ** 2
+        return 1.0 / hits if hits else None
+    return n * n / (BOUND_DIVISOR[algorithm] * m * (n - m)) if m < n else None
 
 
 def runs_lower_bound(n: int, m: int, algorithm: Algorithm) -> float | None:
@@ -181,6 +191,6 @@ def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBo
         raise ValidationError(f"ratio bounds need 2*m <= n, got m={m}, n={n}")
     if baseline not in BOUND_DIVISOR:
         raise ValidationError("baseline must be qft or qhs")
-    upper = plain_expected_runs(n, m, baseline)
+    upper = expected_runs(n, m, baseline)
     lower = upper * (1 - 2 * m / n) ** 2
     return RatioBounds(lower, upper, runs_lower_bound(n, m, baseline))

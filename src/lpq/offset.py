@@ -64,7 +64,7 @@ def test_period_known_s(handle: OracleHandle, s: int, p1: int, m: int) -> bool:
     return all(b == 1 for b in probes)
 
 
-def amplified_measure_member(handle: OracleHandle, seed) -> int:
+def amplified_measure_member(handle: OracleHandle, rng: np.random.Generator) -> int:
     """Measure the register after the full amplification schedule.
 
     Samples the exact two-level distribution (a_k^2 on each member, the
@@ -73,7 +73,6 @@ def amplified_measure_member(handle: OracleHandle, seed) -> int:
     The caller still checks membership through the oracle.
     """
     spec = handle.spec
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     schedule = grover_schedule(spec.n, spec.m)
     if rng.random() < spec.m * schedule.a_k**2:
         return spec.s + int(rng.integers(spec.m)) * spec.p

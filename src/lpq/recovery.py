@@ -194,7 +194,9 @@ def success_set(spec: OracleSpec) -> np.ndarray:
     recovers p: d/p passes the 1/(2q^2) test, and a later convergent with
     p < q' <= isqrt(n) would need 2*q' <= p*q'^2/n + p <= 2*p.
     y(d) is int64, so ValidationError is raised where 2*n*(p-1) + p reaches
-    2**63.
+    2**63.  That guard also bounds memory: the d array alone takes 8*(p-1)
+    bytes, so without it p = 2^31 at n = 2^62 would ask for 16 GiB, and
+    p = isqrt(n) at n = 2^63 - 1 for 22.6 GiB, where both exit 2 instead.
     """
     n, p = spec.n, spec.p
     if spec.m < 2 or not 2 <= p <= math.isqrt(n):

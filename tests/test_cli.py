@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -31,6 +30,105 @@ def run(tmp_path, *argv):
 
 
 SPEC_FLAGS = ["--n", "16", "--m", "3", "--p", "4", "--s", "1"]
+
+# The full text of work-factor rows: column order, the int amplified cost
+# beside the float plain ones, and empty or null certified cells.
+TRIALS_TEXT = {
+    ((256, 4, 4, 1), "csv"): (
+        "# schema=1\n"
+        "algorithm,per_run_cost,expected_runs,total_cost,ratio_vs_amplified,certified_expected_trials,bound_verdict\n"
+        "amplified,7,1.0044839320744692,7.0313875245212838,1,31.641243860345782,pass\n"
+        "qft,1,16.253968253968253,16.253968253968253,2.3116302717328709,512,pass\n"
+        "qhs,1,32.507936507936506,32.507936507936506,4.6232605434657419,1024,pass\n"
+    ),
+    ((256, 4, 4, 1), "json"): (
+        "{\n"
+        ' "schema": 1,\n'
+        ' "workfactor": [\n'
+        "  {\n"
+        '   "algorithm": "amplified",\n'
+        '   "bound_verdict": "pass",\n'
+        '   "certified_expected_trials": 31.64124386034578,\n'
+        '   "expected_runs": 1.0044839320744692,\n'
+        '   "per_run_cost": 7,\n'
+        '   "ratio_vs_amplified": 1.0,\n'
+        '   "total_cost": 7.031387524521284\n'
+        "  },\n"
+        "  {\n"
+        '   "algorithm": "qft",\n'
+        '   "bound_verdict": "pass",\n'
+        '   "certified_expected_trials": 512.0,\n'
+        '   "expected_runs": 16.253968253968253,\n'
+        '   "per_run_cost": 1.0,\n'
+        '   "ratio_vs_amplified": 2.311630271732871,\n'
+        '   "total_cost": 16.253968253968253\n'
+        "  },\n"
+        "  {\n"
+        '   "algorithm": "qhs",\n'
+        '   "bound_verdict": "pass",\n'
+        '   "certified_expected_trials": 1024.0,\n'
+        '   "expected_runs": 32.507936507936506,\n'
+        '   "per_run_cost": 1.0,\n'
+        '   "ratio_vs_amplified": 4.623260543465742,\n'
+        '   "total_cost": 32.507936507936506\n'
+        "  }\n"
+        " ]\n"
+        "}\n"
+    ),
+    ((1024, 1, 32, 0), "csv"): (
+        "# schema=1\n"
+        "algorithm,per_run_cost,expected_runs,total_cost,ratio_vs_amplified,certified_expected_trials,bound_verdict\n"
+        "amplified,26,1.0000646749733146,26.001681549306181,1,,pass\n"
+        "qft,1,256.25024437927664,256.25024437927664,9.8551412489748884,,pass\n"
+        "qhs,1,512.50048875855327,512.50048875855327,19.710282497949777,,pass\n"
+    ),
+    ((1024, 1, 32, 0), "json"): (
+        "{\n"
+        ' "schema": 1,\n'
+        ' "workfactor": [\n'
+        "  {\n"
+        '   "algorithm": "amplified",\n'
+        '   "bound_verdict": "pass",\n'
+        '   "certified_expected_trials": null,\n'
+        '   "expected_runs": 1.0000646749733146,\n'
+        '   "per_run_cost": 26,\n'
+        '   "ratio_vs_amplified": 1.0,\n'
+        '   "total_cost": 26.00168154930618\n'
+        "  },\n"
+        "  {\n"
+        '   "algorithm": "qft",\n'
+        '   "bound_verdict": "pass",\n'
+        '   "certified_expected_trials": null,\n'
+        '   "expected_runs": 256.25024437927664,\n'
+        '   "per_run_cost": 1.0,\n'
+        '   "ratio_vs_amplified": 9.855141248974888,\n'
+        '   "total_cost": 256.25024437927664\n'
+        "  },\n"
+        "  {\n"
+        '   "algorithm": "qhs",\n'
+        '   "bound_verdict": "pass",\n'
+        '   "certified_expected_trials": null,\n'
+        '   "expected_runs": 512.5004887585533,\n'
+        '   "per_run_cost": 1.0,\n'
+        '   "ratio_vs_amplified": 19.710282497949777,\n'
+        '   "total_cost": 512.5004887585533\n'
+        "  }\n"
+        " ]\n"
+        "}\n"
+    ),
+}
+SWEEP_N512_CSV = (
+    "# schema=1\n"
+    "algorithm,per_run_cost,expected_runs,total_cost,ratio_vs_amplified,certified_expected_trials,bound_verdict\n"
+    "amplified,9,1.0243302942800603,9.218972648520543,1,65.04497368678382,pass\n"
+    "qft,1,32.251968503937007,32.251968503937007,3.4984341242310539,2048,pass\n"
+    "qhs,1,64.503937007874015,64.503937007874015,6.9968682484621079,4096,pass\n"
+)
+SWEEP_BAND = (
+    "n=256 ratio/sqrt(n/m)=0.28895378396660887\n"
+    "n=512 ratio/sqrt(n/m)=0.30922081159727483\n"
+    "n=1024 ratio/sqrt(n/m)=0.30739564302235078\n"
+)
 
 
 class TestSpectrum:
@@ -292,9 +390,7 @@ class TestTrials:
 
     def test_runs_below_the_bound_print_fail(self, monkeypatch, capsys):
         # the verdict holds qft to n/(4m) and qhs to n/(2m): 16 and 32 here
-        real = lpq.analysis.workfactor_comparison
-        monkeypatch.setattr(lpq.analysis, "workfactor_comparison", lambda spec: [
-            dataclasses.replace(rep, expected_runs=20.0) for rep in real(spec)])
+        monkeypatch.setattr(lpq.analysis, "expected_runs", lambda n, m, algorithm: 20.0)
         assert main(["trials", "--n", "256", "--m", "4", "--p", "4", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["workfactor"]
         assert [r["bound_verdict"] for r in rows] == ["pass", "pass", "FAIL"]
@@ -333,12 +429,23 @@ class TestTrials:
         assert captured.err == "error: need runs >= 1, got -1\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_zero_runs_has_no_monte_carlo_block(self, fmt, capsys):
+    def test_zero_runs_exit(self, fmt, capsys):
+        # only an omitted --runs leaves the monte_carlo block out; 0 runs is
+        # refused like -1
         assert main(["trials", *SPEC_FLAGS, "--format", fmt]) == 0
-        without = capsys.readouterr().out
-        assert main(["trials", *SPEC_FLAGS, "--runs", "0", "--format", fmt]) == 0
-        assert capsys.readouterr().out == without
-        assert "monte_carlo" not in without
+        assert "monte_carlo" not in capsys.readouterr().out
+        assert main(["trials", *SPEC_FLAGS, "--runs", "0", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need runs >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "instance,fmt", list(TRIALS_TEXT), ids=[f"{i}-{fmt}" for i, fmt in TRIALS_TEXT]
+    )
+    def test_rows_byte_exact(self, instance, fmt, capsys):
+        flags = [f"--{k}={v}" for k, v in zip("nmps", instance)]
+        assert main(["trials", *flags, "--format", fmt]) == 0
+        assert capsys.readouterr().out == TRIALS_TEXT[instance, fmt]
 
 
 SEEDED = {
@@ -542,6 +649,13 @@ class TestSweep:
                 band = ratio[alg] / math.sqrt(n / m)
                 assert abs(band / target - 1) <= 2 * math.sqrt(m / n), (n, alg)
             assert all(r["bound_verdict"] == "pass" for r in rows)
+
+    def test_file_byte_exact(self, tmp_path, capsys):
+        argv = ["sweep", "--m", "4", "--p", "4", "--s", "1", "--n-min", "256", "--n-max", "1024",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == SWEEP_BAND
+        assert (tmp_path / "workfactor_n512.csv").read_text() == SWEEP_N512_CSV
 
     def test_past_2e16(self, tmp_path, capsys):
         code = main(

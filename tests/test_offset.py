@@ -103,7 +103,7 @@ class TestAmplifiedMeasurement:
         sched = grover_schedule(16, 4)
         assert math.sin((2 * sched.k + 1) * sched.theta) ** 2 == pytest.approx(1.0, abs=1e-12)
         for seed in range(200):
-            assert amplified_measure_member(h, seed) in marked
+            assert amplified_measure_member(h, np.random.default_rng(seed)) in marked
 
     def test_membership_frequency_three_sigma(self):
         spec = build_oracle(64, 3, 8, 2)
@@ -112,7 +112,10 @@ class TestAmplifiedMeasurement:
         sched = grover_schedule(64, 3)
         good = math.sin((2 * sched.k + 1) * sched.theta) ** 2  # marked mass after k rounds
         draws = 10_000
-        hits = sum(amplified_measure_member(h, seed) in marked for seed in range(draws))
+        hits = sum(
+            amplified_measure_member(h, np.random.default_rng(seed)) in marked
+            for seed in range(draws)
+        )
         sigma = math.sqrt(good * (1 - good) / draws)
         assert abs(hits / draws - good) <= 3 * sigma
 
@@ -144,7 +147,7 @@ class TestAmplifiedMeasurement:
             else:
                 expected = unmarked[int(rng.integers(spec.n - spec.m))]
                 off += 1
-            assert amplified_measure_member(h, seed) == expected
+            assert amplified_measure_member(h, np.random.default_rng(seed)) == expected
         assert off > 100
 
 

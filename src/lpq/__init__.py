@@ -34,7 +34,7 @@ from .offset import (
     find_offset_counting,
     find_offset_decreasing,
     g_ladder,
-    test_period_known_s,
+    probes_accept,
 )
 from .oracle import OracleHandle, OracleSpec, build_oracle
 from .recovery import (

@@ -55,7 +55,7 @@ import numpy as np
 
 from .closedform import closed_form_at, closed_form_table, expected_runs, runs_lower_bound
 from .errors import BoundViolated, InvalidProbability, NonTermination, ValidationError
-from .offset import test_period_known_s
+from .offset import probes_accept
 from .oracle import OracleHandle, OracleSpec
 from .recovery import (
     RecoveryStatus,
@@ -69,6 +69,8 @@ from .spectrum import Algorithm
 
 # Largest number of uniforms Monte-Carlo draws at once (64 KiB of doubles).
 _MC_BATCH_CAP = 1 << 13
+# Most trials one Monte-Carlo run may take before it gives up (NonTermination).
+_MAX_TRIALS = 10_000_000
 # Buckets of [0, 1) in the Monte-Carlo lookup.  A power of two, so u * _BUCKETS
 # and its floor are exact for every double u.
 _BUCKETS = 1 << 12
@@ -173,18 +175,12 @@ class EmpiricalTrials:
         }
 
 
-def monte_carlo_trials(
-    algorithm: Algorithm,
-    spec: OracleSpec,
-    runs: int,
-    seed,
-    max_trials: int = 10_000_000,
-) -> EmpiricalTrials:
+def monte_carlo_trials(algorithm: Algorithm, spec: OracleSpec, runs: int, seed) -> EmpiricalTrials:
     """Run the sample -> recover -> verify loop to first success, ``runs`` times.
 
     The true offset is known to the harness only through the verification
     probes.  Deterministic for a fixed seed.  ``runs`` below 1 raises
-    ValidationError.  A run needing more than ``max_trials`` trials, or an
+    ValidationError.  A run needing more than ``_MAX_TRIALS`` trials, or an
     instance where no verified frequency has any probability, raises
     NonTermination.
     """
@@ -199,7 +195,7 @@ def monte_carlo_trials(
     # outside them fails.
     handle = OracleHandle(spec)
     passed = np.zeros(math.isqrt(n) + 1, dtype=bool)
-    # the three probes of test_period_known_s, batched over q: f(s) is the
+    # the three probes of probes_accept, batched over q: f(s) is the
     # same for every q
     if handle(spec.s):
         q = np.arange(2, passed.size, dtype=np.int64)
@@ -246,9 +242,9 @@ def monte_carlo_trials(
         else:
             pending += batch
             longest = 0
-        # a run with max_trials failures behind it would need one trial more
-        if longest > max_trials or (done < runs and pending >= max_trials):
-            raise NonTermination(f"no success within {max_trials} trials")
+        # a run with _MAX_TRIALS failures behind it would need one trial more
+        if longest > _MAX_TRIALS or (done < runs and pending >= _MAX_TRIALS):
+            raise NonTermination(f"no success within {_MAX_TRIALS} trials")
     mean = float(counts.mean())
     variance = float(counts.var(ddof=1)) if runs > 1 else 0.0
     half = 1.96 * math.sqrt(variance / runs) if runs > 1 else 0.0
@@ -295,7 +291,7 @@ def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):
     result = recover_period(y, spec.n, q_max)
     if result.accepted is None:
         return result
-    if test_period_known_s(handle, spec.s, result.accepted, spec.m):
+    if probes_accept(handle, spec.s, result.accepted, spec.m):
         return result
     result.accepted = None
     result.status = RecoveryStatus.REJECTED

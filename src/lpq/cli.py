@@ -32,8 +32,8 @@ Exit codes:
     0  success
     1  any other lpq error (a computed figure broke a proven bound), or
        too little memory for an n-entry table
-    2  validation failure: a bad instance, option or argument, or a table
-       of n >= 2**63 entries
+    2  validation failure: a bad instance, option or argument, a table of
+       n >= 2**63 entries, or an --out that cannot be written
     3  no recovery candidate
     4  verification failed: the oracle probes rejected the candidate, or a
        seeded search gave up (for Monte-Carlo, when no candidate period
@@ -198,7 +198,10 @@ def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _write_json(out: str | None, obj) -> None:
@@ -439,7 +442,10 @@ def cmd_trials(args) -> int:
 def cmd_sweep(args) -> int:
     _require(args, "m", "p")
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_dir}: {exc.strerror}") from None
     n = args.n_min
     band = []
     while n <= args.n_max:

@@ -10,12 +10,12 @@ only member), so the search procedures return the single member directly.
 
 Two seeded searches recover the offset from a measured member x1 = s + r*p.
 Both run in one frame: it rejects p < 1 before any query, measures x1 by
-amplification (or checks a given ``x_start`` with one charged probe;
-LabelOutOfRange, uncharged, outside 0..n-1), returns x1 at once for m = 1,
-and charges every query the search made to ``oracle_queries``.  At each
-member x a descent reaches, one probe of x - p decides: marked means x is
-above the offset; unmarked means x is the offset if the pair test accepts
-(x, p), and otherwise that p is wrong (VerificationFailed).
+amplification, each attempt checked by one charged probe, returns x1 at
+once for m = 1, and charges every query the search made to
+``oracle_queries``.  At each member x a descent reaches, one probe of
+x - p decides: marked means x is above the offset; unmarked means x is
+the offset if the pair test accepts (x, p), and otherwise that p is wrong
+(VerificationFailed).
 
 * counting: an idealized counter reports how many, R, of the t probe
   points g(x) = max(0, x1 - (x+1)*p) are marked: the exact count with
@@ -56,7 +56,7 @@ def _probe(handle: OracleHandle, x: int) -> int:
     return 0
 
 
-def test_period_known_s(handle: OracleHandle, s: int, p1: int, m: int) -> bool:
+def probes_accept(handle: OracleHandle, s: int, p1: int, m: int) -> bool:
     """Three probes decide whether (s, p1) is the true pair; p1 < 1 costs none."""
     if p1 < 1:
         return False
@@ -130,11 +130,7 @@ class OffsetSearchResult:
     counting_cost: float = 0.0
 
 
-def _measure_starting_member(handle, rng, x_start):
-    if x_start is not None:
-        if handle(x_start) != 1:
-            raise ValidationError(f"x_start={x_start} is not a marked label")
-        return x_start
+def _measure_starting_member(handle, rng):
     for _ in range(_MEASURE_RETRIES):
         x1 = amplified_measure_member(handle, rng)
         if handle(x1) == 1:
@@ -147,12 +143,12 @@ def _at_offset(handle: OracleHandle, x: int, p: int, m: int) -> bool:
     that is unmarked, the pair test; VerificationFailed if it rejects."""
     if _probe(handle, x - p):
         return False
-    if test_period_known_s(handle, x, p, m):
+    if probes_accept(handle, x, p, m):
         return True
     raise VerificationFailed(f"pair (s={x}, p={p}) rejected by probes")
 
 
-def _search(method: str, descend, handle: OracleHandle, p: int, m: int, seed, x_start):
+def _search(method: str, descend, handle: OracleHandle, p: int, m: int, seed):
     """The frame both searches share (module docstring);
     ``descend(handle, p, m, rng, result)`` moves ``result`` from the
     starting member down to the offset."""
@@ -160,7 +156,7 @@ def _search(method: str, descend, handle: OracleHandle, p: int, m: int, seed, x_
         raise ValidationError(f"period candidate must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     queries_before = handle.query_count
-    x1 = _measure_starting_member(handle, rng, x_start)
+    x1 = _measure_starting_member(handle, rng)
     result = OffsetSearchResult(method, x1, history=[x1])
     if m > 1:  # at m = 1, x1 is the only member, hence the offset: no pair to test
         descend(handle, p, m, rng, result)
@@ -177,7 +173,7 @@ def _count_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchR
     candidate = max(x1 - reported * p, 0)
     result.counting_cost = math.sqrt((reported + 1) * (t - reported + 1))
     result.iterations = 1
-    if not test_period_known_s(handle, candidate, p, m):
+    if not probes_accept(handle, candidate, p, m):
         raise VerificationFailed(
             f"pair (s={candidate}, p={p}) rejected by probes (count={reported})"
         )
@@ -209,26 +205,20 @@ def _walk_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchRe
     result.offset = x
 
 
-def find_offset_counting(
-    handle: OracleHandle, p: int, m: int, seed, x_start: int | None = None
-) -> OffsetSearchResult:
+def find_offset_counting(handle: OracleHandle, p: int, m: int, seed) -> OffsetSearchResult:
     """Offset via one idealized count of the marked probe ladder.
 
     Raises VerificationFailed when the pair test rejects the candidate,
     exactly when p is wrong or the counter lied at s > 0; the caller should
-    rerun period finding.  Raises ValidationError for p < 1 or an x_start
-    that is not a member.
+    rerun period finding.  Raises ValidationError for p < 1.
     """
-    return _search("counting", _count_down, handle, p, m, seed, x_start)
+    return _search("counting", _count_down, handle, p, m, seed)
 
 
-def find_offset_decreasing(
-    handle: OracleHandle, p: int, m: int, seed, x_start: int | None = None
-) -> OffsetSearchResult:
+def find_offset_decreasing(handle: OracleHandle, p: int, m: int, seed) -> OffsetSearchResult:
     """Offset via a strictly decreasing walk of amplified measurements.
 
     Raises VerificationFailed when p is wrong, NonTermination if the
-    walk exceeds its iteration guard, and ValidationError for p < 1 or an
-    x_start that is not a member.
+    walk exceeds its iteration guard, and ValidationError for p < 1.
     """
-    return _search("decreasing", _walk_down, handle, p, m, seed, x_start)
+    return _search("decreasing", _walk_down, handle, p, m, seed)

@@ -73,11 +73,11 @@ class RecoveryResult:
 _Y_BLOCK = 4096
 
 
-def accepted_denominators(n: int, ys, q_max: int | None = None) -> np.ndarray:
+def accepted_denominators(n: int, ys) -> np.ndarray:
     """The period candidate :func:`recover_period` accepts, for each y in ys.
 
     ``ys`` is a 1-D sequence of frequencies in 0..n-1; entry i is
-    ``recover_period(ys[i], n, q_max).accepted``, with 0 where that is
+    ``recover_period(ys[i], n).accepted``, with 0 where that is
     None.  Euclid on y/n unreduced runs fused with the recurrence for the
     convergent denominators q_k, and the 1/(2q^2) test reads q_k*r_k <= n/2
     by the remainder identity (module docstring).  Every y still on its ladder
@@ -87,11 +87,10 @@ def accepted_denominators(n: int, ys, q_max: int | None = None) -> np.ndarray:
     Each y is folded to min(y, n - y) first; both have the same candidate.
     Any reduced d/q with q >= 2 and |x - d/q| <= 1/(2q^2) is a convergent
     of x (Legendre's theorem, whose proof admits equality once q >= 2), so
-    the candidate is the largest such q <= q_max, and d/q -> (q-d)/q
+    the candidate is the largest such q <= isqrt(n), and d/q -> (q-d)/q
     carries those fractions for x = y/n onto those for 1 - x.
     """
-    if q_max is None:
-        q_max = math.isqrt(n)
+    q_max = math.isqrt(n)
     ys = np.asarray(ys, dtype=np.int64)
     if ys.size and not (0 <= ys.min() and ys.max() < n):
         raise ValidationError(f"frequencies must lie in 0..{n - 1}")

@@ -26,7 +26,7 @@ from lpq import (
     workfactor_comparison,
 )
 from lpq.closedform import closed_form_table
-from lpq.offset import test_period_known_s as probes_accept
+from lpq.offset import probes_accept
 from lpq.recovery import accepted_denominators
 from lpq.simulator import _amplified_register
 from lpq.spectrum import Algorithm
@@ -325,10 +325,11 @@ class TestMonteCarlo:
         stats = monte_carlo_trials(Algorithm.AMPLIFIED, spec, runs=300, seed=5)
         assert stats.mean == pytest.approx(1 / p, abs=4 * math.sqrt((1 - p) / p**2 / 300) + 1e-9)
 
-    def test_trial_guard_raises_non_termination(self):
+    def test_trial_guard_raises_non_termination(self, monkeypatch):
         spec = build_oracle(256, 4, 5, 3)
+        monkeypatch.setattr(lpq.analysis, "_MAX_TRIALS", 2)
         with pytest.raises(NonTermination, match="2 trials"):
-            monte_carlo_trials(Algorithm.QFT, spec, runs=50, seed=7, max_trials=2)
+            monte_carlo_trials(Algorithm.QFT, spec, runs=50, seed=7)
 
     def test_qft_mean_tracks_pipeline_probability(self):
         spec = build_oracle(256, 4, 5, 3)
@@ -377,17 +378,19 @@ class TestMonteCarloReference:
         stats = monte_carlo_trials(alg, spec, runs=runs, seed=seed)
         assert stats.trial_counts.tolist() == reference_trial_counts(alg, spec, runs, seed)
 
-    def test_guard_is_per_run(self):
+    def test_guard_is_per_run(self, monkeypatch):
         # the guard bounds each run, not the total: the longest run of three
         # decides whether the call finishes
         spec = build_oracle(256, 4, 5, 3)
         counts = reference_trial_counts(Algorithm.QFT, spec, 3, 7)
         longest = max(counts)
         assert counts.index(longest) > 0 and sum(counts) > longest
-        stats = monte_carlo_trials(Algorithm.QFT, spec, 3, 7, max_trials=longest)
+        monkeypatch.setattr(lpq.analysis, "_MAX_TRIALS", longest)
+        stats = monte_carlo_trials(Algorithm.QFT, spec, 3, 7)
         assert stats.trial_counts.tolist() == counts
+        monkeypatch.setattr(lpq.analysis, "_MAX_TRIALS", longest - 1)
         with pytest.raises(NonTermination, match=f"{longest - 1} trials"):
-            monte_carlo_trials(Algorithm.QFT, spec, 3, 7, max_trials=longest - 1)
+            monte_carlo_trials(Algorithm.QFT, spec, 3, 7)
 
     def test_no_verified_mass_raises_before_drawing(self):
         # at p = 1 no candidate q >= 2 passes the probes
@@ -435,7 +438,7 @@ def random_instance(rng):
 
 
 class TestMonteCarloDifferential:
-    def test_trial_counts_equal_direct_search(self):
+    def test_trial_counts_equal_direct_search(self, monkeypatch):
         # 360 seeded instances, many of them non-strict; a small guard on
         # some of them exercises the NonTermination paths too
         rng = np.random.default_rng(14)
@@ -447,8 +450,9 @@ class TestMonteCarloDifferential:
             runs, seed = int(rng.integers(1, 30)), int(rng.integers(1 << 31))
             max_trials = int(rng.choice([5, 50, 20_000]))
             expected = direct_trial_counts(alg, spec, runs, seed, max_trials)
+            monkeypatch.setattr(lpq.analysis, "_MAX_TRIALS", max_trials)
             try:
-                got = monte_carlo_trials(alg, spec, runs, seed, max_trials).trial_counts.tolist()
+                got = monte_carlo_trials(alg, spec, runs, seed).trial_counts.tolist()
             except NonTermination as exc:
                 got = str(exc)
             if isinstance(expected, list):

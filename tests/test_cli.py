@@ -510,6 +510,24 @@ def test_compare_one_member_certifies_nothing(p, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,out,reason",
+    [
+        (["spectrum", *SPEC_FLAGS], "missing/x.csv", "No such file or directory"),
+        (["trials", *SPEC_FLAGS], "", "Is a directory"),
+        (["recover", "--n", "64", "--y", "8"], "", "Is a directory"),
+        # a file where sweep's directory should be
+        (["sweep", "--m", "2", "--p", "2"], "file", "File exists"),
+    ],
+    ids=["spectrum-missing-dir", "trials-dir", "recover-dir", "sweep-file"],
+)
+def test_unwritable_out_is_one_error_line(argv, out, reason, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / out)
+    assert main([*argv, "--out", path]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
+
+
 class TestHalfMarked:
     @pytest.mark.parametrize("n,p", [(8, 1), (128, 1), (256, 2)])
     def test_one_round_at_2m_equal_n(self, n, p, tmp_path):

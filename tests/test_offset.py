@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lpq import (
-    LabelOutOfRange,
     NonTermination,
     OracleHandle,
     ValidationError,
@@ -18,8 +17,8 @@ from lpq import (
     find_offset_decreasing,
     g_ladder,
     grover_schedule,
+    probes_accept,
 )
-from lpq import test_period_known_s as period_probe
 from lpq.offset import _idealized_count, _unmarked_label
 from lpq.oracle import OracleSpec
 from reference import members
@@ -31,19 +30,31 @@ def handle163():
     return OracleHandle(SPEC163)
 
 
+@pytest.fixture
+def start_at(monkeypatch):
+    """``start_at(x)`` lands every amplified measurement of the starting
+    member on the label x.  The pinned measurement draws nothing from the
+    search's rng, and the search still checks x with one charged probe."""
+
+    def pin(x):
+        monkeypatch.setattr("lpq.offset.amplified_measure_member", lambda handle, rng: x)
+
+    return pin
+
+
 class TestPeriodProbes:
     def test_true_pair(self):
-        assert period_probe(handle163(), 1, 4, 3)
+        assert probes_accept(handle163(), 1, 4, 3)
 
     def test_too_small(self):
-        assert not period_probe(handle163(), 1, 2, 3)
+        assert not probes_accept(handle163(), 1, 2, 3)
 
     def test_too_large(self):
-        assert not period_probe(handle163(), 1, 6, 3)
+        assert not probes_accept(handle163(), 1, 6, 3)
 
     def test_costs_three_queries(self):
         h = handle163()
-        period_probe(h, 1, 4, 3)
+        probes_accept(h, 1, 4, 3)
         assert h.query_count == 3
 
     def test_exhaustive_small(self):
@@ -51,33 +62,33 @@ class TestPeriodProbes:
         for n, m, p, s in [(64, 4, 8, 3), (100, 5, 9, 2), (121, 3, 11, 7)]:
             h = OracleHandle(build_oracle(n, m, p, s))
             for p1 in range(1, n + 1):
-                assert period_probe(h, s, p1, m) == (p1 == p)
+                assert probes_accept(h, s, p1, m) == (p1 == p)
 
     @pytest.mark.parametrize("p1", [0, -4])
     def test_below_one_rejected_without_query(self, p1):
         # at p1 = 0 all three probes would land on the member s
         h = handle163()
-        assert not period_probe(h, 1, p1, 3)
+        assert not probes_accept(h, 1, p1, 3)
         assert h.query_count == 0
 
 
 class TestPairProbes:
     def test_true_pair(self):
-        assert period_probe(handle163(), 1, 4, 3)
+        assert probes_accept(handle163(), 1, 4, 3)
 
     def test_offset_too_small(self):
-        assert not period_probe(handle163(), 0, 4, 3)
+        assert not probes_accept(handle163(), 0, 4, 3)
 
     def test_offset_shifted_by_period(self):
         # s1 = s + p pushes the last probe past the top of the marked set
-        assert not period_probe(handle163(), 5, 4, 3)
+        assert not probes_accept(handle163(), 5, 4, 3)
 
     def test_out_of_range_probe_is_zero_not_error(self):
-        assert not period_probe(handle163(), 14, 4, 3)
+        assert not probes_accept(handle163(), 14, 4, 3)
 
 
 def _passing_offsets(handle, candidates, p1, m):
-    return [s1 for s1 in candidates if period_probe(handle, s1, p1, m)]
+    return [s1 for s1 in candidates if probes_accept(handle, s1, p1, m)]
 
 
 class TestExhaustOffsets:
@@ -193,45 +204,51 @@ def _honest_counter_seed():
 
 
 class TestCountingSearch:
-    def test_ladder_count_from_9(self):
+    def test_ladder_count_from_9(self, start_at):
         # x1 = 9 = s + 2p: marks at g in {5, 1}, so R = 2 and s = 9 - 2*4
-        result = find_offset_counting(handle163(), 4, 3, seed=_honest_counter_seed(), x_start=9)
+        start_at(9)
+        result = find_offset_counting(handle163(), 4, 3, seed=_honest_counter_seed())
         assert result.offset == 1
         assert result.counting_cost == pytest.approx(math.sqrt(3 * 3))
 
-    def test_start_at_offset_returns_directly(self):
-        result = find_offset_counting(handle163(), 4, 3, seed=0, x_start=1)
+    def test_start_at_offset_returns_directly(self, start_at):
+        start_at(1)
+        result = find_offset_counting(handle163(), 4, 3, seed=0)
         assert result.offset == 1
         assert result.iterations == 0
 
-    def test_wrong_period_fails_verification(self):
+    def test_wrong_period_fails_verification(self, start_at):
+        start_at(9)
         with pytest.raises(VerificationFailed):
-            find_offset_counting(handle163(), 3, 3, seed=_honest_counter_seed(), x_start=9)
+            find_offset_counting(handle163(), 3, 3, seed=_honest_counter_seed())
 
-    def test_lying_counter_fails_verification(self):
+    def test_lying_counter_fails_verification(self, start_at):
+        start_at(9)
         with pytest.raises(VerificationFailed):
-            find_offset_counting(handle163(), 4, 3, seed=_lying_counter_seed(), x_start=9)
+            find_offset_counting(handle163(), 4, 3, seed=_lying_counter_seed())
 
-    def test_offset_zero_from_a_member_above_it(self):
+    def test_offset_zero_from_a_member_above_it(self, start_at):
         # at s = 0 the padding of the ladder is the marked label 0, so the
         # exact count is t = 8, past the two rungs 128 and 64: label 0
         spec = build_oracle(4096, 5, 64, 0)
         h = OracleHandle(spec)
-        result = find_offset_counting(h, 64, 5, seed=_honest_counter_seed(), x_start=3 * 64)
+        start_at(3 * 64)
+        result = find_offset_counting(h, 64, 5, seed=_honest_counter_seed())
         assert (result.offset, result.history) == (0, [192, 0])
         assert result.counting_cost == pytest.approx(math.sqrt(9 * 1))
 
     @pytest.mark.parametrize(
         "spec", [build_oracle(4096, 5, 64, 0), build_oracle(256, 16, 1, 0, strict=False)]
     )
-    def test_offset_zero_at_every_seed(self, spec):
+    def test_offset_zero_at_every_seed(self, spec, start_at):
         # a near-miss past label 0 names label 0 too, so no count fails here
         for seed in range(100):
             result = find_offset_counting(OracleHandle(spec), spec.p, spec.m, seed)
             assert result.offset == 0
-        for x_start in members(spec)[1:]:
+        for start in members(spec)[1:]:
+            start_at(start)
             for seed in range(8):
-                result = find_offset_counting(OracleHandle(spec), spec.p, spec.m, seed, x_start)
+                result = find_offset_counting(OracleHandle(spec), spec.p, spec.m, seed)
                 assert result.offset == 0
 
     def test_single_member(self):
@@ -239,11 +256,12 @@ class TestCountingSearch:
         result = find_offset_counting(OracleHandle(spec), 1, 1, seed=0)
         assert result.offset == 7
 
-    def test_multiple_of_true_period_rejected(self):
+    def test_multiple_of_true_period_rejected(self, start_at):
         spec = build_oracle(256, 8, 4, 3)
         h = OracleHandle(spec)
+        start_at(3 + 7 * 4)
         with pytest.raises(VerificationFailed):
-            find_offset_counting(h, 8, 8, seed=_honest_counter_seed(), x_start=3 + 7 * 4)
+            find_offset_counting(h, 8, 8, seed=_honest_counter_seed())
 
 
 def reference_count(true_count: int, t: int, rng: np.random.Generator) -> int:
@@ -295,19 +313,21 @@ class TestMeasurementGuards:
             search(h, 4, 3, _MissingGenerator(np.random.PCG64(0)))
         assert h.query_count == 16
 
-    def test_walk_off_image(self):
-        # the x_start probe, the x - p probe and the 4-point ladder below
-        # x = 9, then 16 misses
+    def test_walk_off_image(self, start_at):
+        # the starting member's probe, the x - p probe and the 4-point
+        # ladder below x = 9, then 16 misses
         h = handle163()
+        start_at(9)
         with pytest.raises(NonTermination, match="16 off-image measurements in a row"):
-            find_offset_decreasing(h, 4, 3, _MissingGenerator(np.random.PCG64(0)), x_start=9)
+            find_offset_decreasing(h, 4, 3, _MissingGenerator(np.random.PCG64(0)))
         assert h.query_count == 1 + 1 + 4
 
 
 class TestDecreasingSearch:
     @pytest.mark.parametrize("start_r", [1, 2])
-    def test_recovers_from_any_member(self, start_r):
-        result = find_offset_decreasing(handle163(), 4, 3, seed=11, x_start=1 + start_r * 4)
+    def test_recovers_from_any_member(self, start_r, start_at):
+        start_at(1 + start_r * 4)
+        result = find_offset_decreasing(handle163(), 4, 3, seed=11)
         assert result.offset == 1
         assert result.history == sorted(result.history, reverse=True)
         assert len(set(result.history)) == len(result.history)
@@ -339,59 +359,56 @@ class TestDecreasingSearch:
             assert result.oracle_queries == h.query_count
             assert result.oracle_queries <= (result.iterations + 1) * (t + 3) + 16
 
-    def test_iteration_guard_on_degenerate_candidate(self):
+    def test_iteration_guard_on_degenerate_candidate(self, start_at):
         # a measurement pinned to the top rung steps down by one period per
         # round: 1023 steps from 2046 outrun the 64 * 11 = 704 round guard
         spec = build_oracle(4096, 1024, 2, 0)
         h = OracleHandle(spec)
+        start_at(2046)
         with pytest.raises(NonTermination, match="704 rounds"):
-            find_offset_decreasing(h, 2, 1024, _PinnedGenerator(np.random.PCG64(0)), x_start=2046)
-        # the x_start membership probe, then per round: the x - p probe,
+            find_offset_decreasing(h, 2, 1024, _PinnedGenerator(np.random.PCG64(0)))
+        # the starting member's probe, then per round: the x - p probe,
         # 1024 rungs and a confirmation probe, then the last x - p probe
         assert h.query_count == 1 + 704 * (1 + 1024 + 1) + 1
 
 
 class TestPeriodBelowOne:
     """The three-probe argument needs p >= 1; smaller candidates are typed
-    errors before any query."""
+    errors before any query, wherever the measurement would land."""
 
     @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
     @pytest.mark.parametrize("p", [0, -4])
-    @pytest.mark.parametrize("x_start", [None, 9])
-    def test_raises_before_any_query(self, search, p, x_start):
+    @pytest.mark.parametrize("start", [None, 9])
+    def test_raises_before_any_query(self, search, p, start, start_at):
+        if start is not None:
+            start_at(start)
         h = OracleHandle(build_oracle(64, 3, 4, 1))
         with pytest.raises(ValidationError, match="period candidate"):
-            search(h, p, 3, 1, x_start=x_start)
+            search(h, p, 3, 1)
         assert h.query_count == 0
 
 
 class TestStartingMember:
-    """A given x_start is checked before the search uses it: out of range is
-    LabelOutOfRange with no query charged, an unmarked label is a
-    ValidationError after one charged probe."""
+    """Each measured starting member is checked by one charged probe: an
+    unmarked label is measured again, a member starts the search."""
 
     @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
-    @pytest.mark.parametrize("x_start", [100, -3, 16])
-    def test_out_of_range(self, search, x_start):
+    @pytest.mark.parametrize("start", [0, 2, 15])
+    def test_non_member(self, search, start, start_at):
+        # below s, between two members and past the last one
         h = handle163()
-        with pytest.raises(LabelOutOfRange, match=f"label {x_start} outside 0..15"):
-            search(h, 4, 3, 0, x_start=x_start)
-        assert h.query_count == 0
+        start_at(start)
+        with pytest.raises(NonTermination, match="no member measured in 16 amplified attempts"):
+            search(h, 4, 3, 0)
+        assert h.query_count == 16
 
     @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
-    @pytest.mark.parametrize("x_start", [0, 2, 15])
-    def test_non_member(self, search, x_start):
-        h = handle163()
-        with pytest.raises(ValidationError, match=f"x_start={x_start} is not a marked label"):
-            search(h, 4, 3, 0, x_start=x_start)
-        assert h.query_count == 1
-
-    @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
-    def test_member_costs_one_probe(self, search):
+    def test_member_costs_one_probe(self, search, start_at):
         # at s the x - p probe is out of range and free, and the pair test
         # then probes s, s + p and s + 2p
         h = handle163()
-        result = search(h, 4, 3, 0, x_start=1)
+        start_at(1)
+        result = search(h, 4, 3, 0)
         assert result.offset == 1
         assert result.oracle_queries == h.query_count == 1 + 3
 
@@ -416,7 +433,7 @@ class TestQueryReconcile:
 
     @pytest.mark.parametrize("search", [find_offset_counting, find_offset_decreasing])
     @pytest.mark.parametrize(
-        "spec,x_start",
+        "spec,start",
         [
             (build_oracle(1024, 32, 16, 100), None),
             (build_oracle(1024, 32, 16, 100), 100 + 31 * 16),
@@ -426,13 +443,15 @@ class TestQueryReconcile:
             (build_oracle(256, 16, 1, 0, strict=False), 15),
         ],
     )
-    def test_calls_match_reported(self, monkeypatch, search, spec, x_start):
+    def test_calls_match_reported(self, monkeypatch, search, spec, start, start_at):
         counter = _CallCounter(monkeypatch)
+        if start is not None:
+            start_at(start)
         h = OracleHandle(spec)
         for seed in range(8):
             before_calls, before_count = counter.calls, h.query_count
             try:
-                result = search(h, spec.p, spec.m, seed, x_start=x_start)
+                result = search(h, spec.p, spec.m, seed)
             except VerificationFailed:
                 # the counting search's counter lies with probability 1/3,
                 # which the pair test catches unless the offset is label 0
@@ -503,8 +522,9 @@ def test_find_offset_transcripts(case, code, expected, capsys):
         (find_offset_decreasing, {"method": "decreasing", "offset": 100, "history": [596, 212, 100], "iterations": 2, "oracle_queries": 73, "counting_cost": 0.0}),
     ],
 )
-def test_search_transcript_from_x_start(search, expected):
+def test_search_transcript_from_the_top_member(search, expected, start_at):
     h = OracleHandle(build_oracle(1024, 32, 16, 100))
-    result = search(h, 16, 32, 1, x_start=100 + 31 * 16)
+    start_at(100 + 31 * 16)
+    result = search(h, 16, 32, 1)
     assert dataclasses.asdict(result) == expected
     assert h.query_count == expected["oracle_queries"]

@@ -78,20 +78,21 @@ def fractions_below_one(max_n: int):
     return st.integers(1, max_n).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n)))
 
 
-def largest_passing_q(y: int, n: int, q_max: int | None) -> int | None:
-    """The candidate period of y by brute force, with no continued fraction.
+def largest_passing_q(n: int, q_max: int) -> list[int | None]:
+    """The candidate period of every y in 0..n-1 by brute force, with no
+    continued fraction.
 
     Only the d nearest y*q/n can pass the 1/(2q^2) test for q >= 2, and
     every reduced d/q that passes is a convergent of y/n (Legendre's
     theorem), so the candidate is the largest q in 2..q_max whose nearest
-    d is coprime to q and passes, by exact Fraction arithmetic.
+    d is coprime to q and passes, 2*q*|y*q - d*n| <= n in exact integers.
     """
-    x = Fraction(y, n)
-    for q in range(math.isqrt(n) if q_max is None else q_max, 1, -1):
-        d = (2 * y * q + n) // (2 * n)
-        if math.gcd(d, q) == 1 and abs(x - Fraction(d, q)) <= Fraction(1, 2 * q * q):
-            return q
-    return None
+    y = np.arange(n)[:, None]
+    q = np.arange(2, q_max + 1)
+    d = (2 * y * q + n) // (2 * n)
+    passing = (np.gcd(d, q) == 1) & (2 * q * np.abs(y * q - d * n) <= n)
+    best = np.where(passing, q, 0).max(axis=1, initial=0)
+    return [int(c) or None for c in best]
 
 
 class TestContinuedFraction:
@@ -189,9 +190,9 @@ class TestRecoverPeriod:
         # against the brute-force reference, which knows no continued fractions
         for n in range(1, 201):
             for q_max in (None, 1, 2, 3, n):
-                for y in range(n):
-                    expected = largest_passing_q(y, n, q_max)
-                    assert recover_period(y, n, q_max).accepted == expected, (y, n, q_max)
+                expected = largest_passing_q(n, math.isqrt(n) if q_max is None else q_max)
+                got = [recover_period(y, n, q_max).accepted for y in range(n)]
+                assert got == expected, (n, q_max)
 
     @pytest.mark.parametrize("n", [(1 << 64) + 13, (1 << 100) + 7])
     def test_exact_past_int64(self, n):
@@ -207,11 +208,10 @@ class TestRecoverPeriod:
 
     def test_fast_path_agrees(self):
         # the vectorized table against the scalar ladder, one y at a time
-        cases = [(n, None) for n in [*range(1, 160), 4096, 4099, 65536]] + [(4099, 100)]
-        for n, q_max in cases:
-            table = accepted_denominators(n, np.arange(n), q_max)
-            expected = [recover_period(y, n, q_max).accepted or 0 for y in range(n)]
-            assert table.tolist() == expected, (n, q_max)
+        for n in [*range(1, 160), 4096, 4099, 65536]:
+            table = accepted_denominators(n, np.arange(n))
+            expected = [recover_period(y, n).accepted or 0 for y in range(n)]
+            assert table.tolist() == expected, n
 
     @pytest.mark.parametrize("n", [2, 17, 160, 4099, 65536, (1 << 20) + 7])
     def test_subset_ladder_agrees(self, n):
@@ -219,10 +219,9 @@ class TestRecoverPeriod:
         rng = np.random.default_rng(n)
         ys = np.concatenate([[0, n - 1, n // 2, (n + 1) // 2], rng.integers(0, n, 300)])
         ys = np.concatenate([ys, ys[::7]])
-        for q_max in (None, 3, math.isqrt(n) // 2):
-            got = accepted_denominators(n, ys, q_max)
-            expected = [recover_period(int(y), n, q_max).accepted or 0 for y in ys]
-            assert got.tolist() == expected, (n, q_max)
+        got = accepted_denominators(n, ys)
+        expected = [recover_period(int(y), n).accepted or 0 for y in ys]
+        assert got.tolist() == expected
 
     def test_subset_ladder_edge_cases(self):
         assert accepted_denominators(64, []).tolist() == []
@@ -459,7 +458,7 @@ def test_verified_recovery_rejects_false_candidate():
 def test_recovery_on_aperiodic_set_is_graceful():
     # arbitrary subsets have no period; whatever recovery proposes must be
     # rejected by the probes rather than crash anything
-    from lpq import test_period_known_s
+    from lpq import probes_accept
 
     class SubsetOracle:
         """A 0/1 oracle for a subset with no period, with a query tally."""
@@ -477,6 +476,6 @@ def test_recovery_on_aperiodic_set_is_graceful():
         result = recover_period(y, 64)
         if result.accepted is not None:
             proposals += 1
-            assert not test_period_known_s(handle, 3, result.accepted, 4)
+            assert not probes_accept(handle, 3, result.accepted, 4)
     assert proposals > 0
     assert handle.query_count == 3 * proposals

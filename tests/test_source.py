@@ -7,6 +7,7 @@ import lpq
 import lpq.errors
 
 SOURCES = sorted(Path(lpq.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
 
 
 def test_sources_found():
@@ -153,3 +154,105 @@ def test_every_error_type_is_raised_or_subclassed():
         if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == "lpq.errors"
     }
     assert sorted(types - named) == []
+
+
+def _module_level_names(tree):
+    """The names a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
+def test_no_module_level_name_starts_with_test():
+    # pytest collects a test* function as a test in every test module that
+    # imports it
+    found = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in _module_level_names(ast.parse(path.read_text(), filename=str(path)))
+        if name.startswith("test")
+    ]
+    assert found == []
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at ``position`` among
+    the positional ones if it has one; ``*args`` or ``**kwargs`` may."""
+    return (
+        any(isinstance(arg, ast.Starred) for arg in call.args)
+        or any(keyword.arg in (None, name) for keyword in call.keywords)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def _defaulted_unpassed(defining, calling):
+    """Defaulted parameters of the functions in ``defining`` that no call in
+    ``calling`` passes, as ``module.function(parameter)``.
+
+    A call counts where its callee's bare or attribute name is the
+    function's name.  A method's positions are counted after self or cls,
+    unless it is a staticmethod.
+    """
+    calls = {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path in defining:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [
+                arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+            ]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+            if id(func) in methods and not static:
+                positional = positional[1:]
+            for name in defaulted:
+                position = positional.index(name) if name in positional else None
+                passed = (_passes(call, name, position) for call in calls.get(func.name, []))
+                if not any(passed):
+                    found.append(f"{path.stem}.{func.name}({name})")
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a constant, and a parameter that
+    # only the tests pass belongs in the tests
+    assert _defaulted_unpassed(SOURCES, SOURCES + BENCH) == []
+
+
+def test_defaulted_rule_finds_unpassed(tmp_path):
+    # f's b is passed by position, c by keyword and d through **kwargs; the
+    # method's x by position after self and y through *args; g's e is passed
+    # only by a call of another name, and the staticmethod's z only at the
+    # position self would take
+    package = {
+        "a.py": (
+            "def f(a, b=1, *, c=2, d=3): pass\n"
+            "def g(e=0): pass\n"
+            "class A:\n"
+            "    def m(self, x=0, y=0): pass\n"
+            "    @staticmethod\n    def s(w, z=0): pass\n"
+        ),
+        "b.py": "f(1, 2)\nf(1, c=3)\nf(1, **kw)\nA().m(1)\nA().m(*xs)\nh(1)\nA.s(1)\n",
+    }
+    for name, text in package.items():
+        (tmp_path / name).write_text(text)
+    sources = sorted(tmp_path.glob("*.py"))
+    assert _defaulted_unpassed(sources, sources) == ["a.g(e)", "a.s(z)"]

@@ -18,14 +18,22 @@ byte-identical across repeats.
 Per-frequency tables (spectrum, compare) are emitted in bulk, with no
 per-row Python template and no str made per row: every cell is built with
 the literal text that follows it in its row attached, rows above n/2 reuse
-the cells of their mirror rows, y cells are two pieces shared between
-rows, and the whole document is one str.join over the pieces, row by row.
-Float cells are formatted a column at a time in numpy by lpq.floattext,
-which leaves to Python only the values it cannot certify; a column of
-mostly repeated values is formatted once per distinct value.  A 2^16-row
-table never goes through per-row numpy indexing or the json encoder.  The
-output is byte-identical to formatting every value with format(x, ".17g")
-and dumping the whole object with json.dumps(indent=1, sort_keys=True).
+the cells of their mirror rows, and y cells are two pieces shared between
+rows.  A table is formatted, joined and written in blocks of rows, each
+one str.join over its pieces, row by row, so the text held at once is one
+block's whatever n; --out is opened once and receives every block.  A
+text stream with no byte buffer beneath it, such as an io.StringIO, gets
+the whole table as one block and one write instead, since each later write
+would copy all it holds.  Float cells are formatted in numpy by
+lpq.floattext, which leaves to Python only the values it cannot certify; a
+column of mostly repeated values is formatted once per distinct value.  A
+2^16-row table never goes through per-row numpy indexing or the json
+encoder.  The output is byte-identical to formatting every value with
+format(x, ".17g") and dumping the whole object with json.dumps(indent=1,
+sort_keys=True).  Every check that can fail a run comes before the first
+byte of its output, so a run that ends in an error line writes nothing to
+stdout and leaves an --out file as it was; sweep checks each n before it
+writes that n's file.
 
 Exit codes:
 
@@ -57,12 +65,14 @@ give, and argparse writes every usage and error message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -88,28 +98,35 @@ def _fmt(x: float) -> str:
 # %(field)d places, gives the text before a row's first cell (the head) and
 # the text after each cell (its suffix).  The last cell's suffix runs on
 # through the row separator into the next row's head, so the rows of a
-# table are exactly its cells with their suffixes, taken row by row.  Cells
-# are built suffix and all, for rows y = 0..n//2 only: every table is
-# mirror-symmetric (ProbabilityTable), so _write_table fills the rows above
-# from these by reversed slicing.  Float cells come from float_cells
-# ("%.17g" prints a Python float exactly as format(x, ".17g"), and "%r"
-# prints a finite one exactly as json.dumps does).  _column formats each
-# distinct value once and takes every row's cell with one _gather, except
-# where nearly every value is distinct: the probabilities at p coprime to
-# n.  A y cell
-# is two pieces made once per table and repeated by list repetition:
-# y // 1000, empty below 1000, then the last three digits and the suffix,
-# zero-padded from 1000 up.  _write_table interleaves the pieces by slice
-# assignment and joins the document once, trimming the run-on from the
-# last piece.  A JSON template lays out one element of a top-level "rows"
-# list the way json.dumps(indent=1, sort_keys=True) does (depth 2, keys
-# sorted), so _json_frame can splice the table into a dump of the other
-# fields.  A CSV row is a line, newline included, so CSV rows need no
-# separator; a CSV template's field names, in order, are its header.
+# table are exactly its cells with their suffixes, taken row by row.  A
+# column is a function from a range of rows y = 0..n//2 to their cells,
+# suffix and all: every table is mirror-symmetric (ProbabilityTable), so
+# _block fills the rows above n/2 from their mirror rows by reversed
+# slicing.  Float cells come from float_cells ("%.17g" prints a Python
+# float exactly as format(x, ".17g"), and "%r" prints a finite one exactly
+# as json.dumps does).  _column formats each distinct value once, and a
+# range's cells are one gather from those, except where nearly every value
+# is distinct, the probabilities at p coprime to n: there each range's
+# values are formatted as it is taken.  A y cell is two pieces: y // 1000,
+# empty below 1000, then the last three digits and the suffix, zero-padded
+# from 1000 up; each block slices both from tuples made once.  _write_table
+# takes the table _BLOCK_ROWS rows at a time: _block interleaves a block's
+# pieces by slice assignment, and each block is joined once and written at
+# once, the last trimmed of its run-on.  So the text held at any time is one
+# block's, whatever n.  The exception is a text stream with no byte buffer
+# beneath it (an io.StringIO, as contextlib.redirect_stdout callers pass):
+# it would copy everything it holds at each later write, so it gets the
+# whole table as one block.  A JSON template lays out one element of a
+# top-level "rows" list the way json.dumps(indent=1, sort_keys=True) does
+# (depth 2, keys sorted), so _json_frame can splice the table into a dump
+# of the other fields.  A CSV row is a line, newline included, so CSV rows
+# need no separator; a CSV template's field names, in order, are its header.
 _FIELD = re.compile(r"%\((\w+)\)[sd]")
 _ROW_SEP = {"csv": "", "json": ",\n"}
 _FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
 _ROWS_KEY = '\n "rows": []'  # the top-level key: only it sits one space in
+_BLOCK_ROWS = 1 << 13
+_Cells = Callable[[int, int], list[str]]  # a column: the cells of rows lo..hi-1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,44 +181,62 @@ def _distinct(values: np.ndarray, fmt: str, suffix: str) -> tuple[list[str], np.
     return float_cells(bits.view(np.float64), fmt, suffix).tolist(), inverse
 
 
-def _gather(cells: list[str], index: np.ndarray) -> list[str]:
-    """``cells[i]`` for every i in index."""
-    return np.array(cells, dtype=object)[index].tolist()
+def _indexed(cells: list[str], index: np.ndarray) -> _Cells:
+    """The column whose row y has the cell ``cells[index[y]]``."""
+    table = np.array(cells, dtype=object)
+    return lambda lo, hi: table[index[lo:hi]].tolist()
 
 
-def _column(values: np.ndarray, fmt: str, suffix: str, distinct: bool = True) -> list[str]:
-    """``fmt % x + suffix`` for every float64 x in values, each distinct
-    value formatted once unless ``distinct`` is false."""
+def _column(values: np.ndarray, fmt: str, suffix: str, distinct: bool = True) -> _Cells:
+    """The column of ``fmt % x + suffix`` for every float64 x in values:
+    each distinct value formatted once, or, where ``distinct`` is false,
+    the values of each range of rows formatted as it is taken."""
     if not distinct:
-        return float_cells(values, fmt, suffix).tolist()
-    return _gather(*_distinct(values, fmt, suffix))
+        return lambda lo, hi: float_cells(values[lo:hi], fmt, suffix).tolist()
+    return _indexed(*_distinct(values, fmt, suffix))
 
 
-def _names(names, suffix: str, codes: np.ndarray) -> list[str]:
-    """``names[code] + suffix`` for every code."""
-    return _gather([name + suffix for name in names], codes)
+def _names(names, suffix: str, codes: np.ndarray) -> _Cells:
+    """The column of ``names[code] + suffix`` for every code."""
+    return _indexed([name + suffix for name in names], codes)
 
 
-def _y_pieces(n: int, suffix: str) -> tuple[list[str], list[str]]:
-    """The two pieces of the y cells of rows 0..n-1 (bulk emission comment)."""
-    low = [f"{y}{suffix}" for y in range(min(n, 1000))]
-    blocks = (n - 1) // 1000  # full or partial thousands past the first
-    thousands = [""] * len(low)
-    for t in range(1, blocks + 1):
-        thousands += [str(t)] * 1000
-    digits = low + [f"{y:03d}{suffix}" for y in range(1000)] * blocks
-    del thousands[n:], digits[n:]
+@functools.cache
+def _y_digits(suffix: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Each y below 1000, and each three-digit group 000..999, followed by
+    suffix."""
+    low = tuple(f"{y}{suffix}" for y in range(1000))
+    return low, tuple(f"{y:03d}{suffix}" for y in range(1000))
+
+
+def _y_pieces(a: int, b: int, suffix: str) -> tuple[list[str], list[str]]:
+    """The two pieces of the y cells of rows a..b-1 (bulk emission comment)."""
+    low, groups = _y_digits(suffix)
+    thousands, digits = [], []
+    for t in range(a // 1000, (b + 999) // 1000):
+        lo, hi = max(a - 1000 * t, 0), min(b - 1000 * t, 1000)
+        thousands += [str(t) if t else ""] * (hi - lo)
+        digits += (groups if t else low)[lo:hi]
     return thousands, digits
 
 
-def _write_text(out: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _opened(out: str | None):
+    """The write method of stdout, or of the file ``out``, opened once.  An
+    OSError from opening, writing or closing the file is a ValidationError."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
+        yield sys.stdout.write
+        return
+    try:
+        with open(out, "w") as f:
+            yield f.write
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _write_text(out: str | None, text: str) -> None:
+    with _opened(out) as write:
+        write(text)
 
 
 def _write_json(out: str | None, obj) -> None:
@@ -222,30 +257,54 @@ def _csv_frame(header, trailer=()) -> tuple[str, str]:
     return f"# schema=1\n{','.join(header)}\n", "".join(f"{line}\n" for line in trailer)
 
 
-def _write_table(out: str | None, layout: _Layout, n: int, columns: dict[str, list[str]],
-                 frame: tuple[str, str]) -> None:
-    """Write the n-row table inside the frame's text before and after it.
-
-    ``columns`` holds by field, each cell followed by its suffix, the cells
-    of rows y = 0..n//2 of every field but y; row n - y repeats row y.
-    """
+def _block(layout: _Layout, n: int, columns: dict[str, _Cells], a: int, b: int) -> list[str]:
+    """The pieces of rows a..b-1 of the n-row table, row by row."""
     width = len(layout.fields) + 1  # a y cell is two pieces
-    h = n // 2 + 1
-    pieces = [""] * (width * n)
+
+    def half(y: int) -> int:  # row y repeats this row of y = 0..n//2
+        return min(y, n - y)
+
+    # half(y) rises to n//2 and falls after it, so the block reads rows lo..hi-1
+    lo, hi = min(half(a), half(b - 1)), half(min(max(n // 2, a), b - 1)) + 1
+    mid = min(max(a, n // 2 + 1), b)  # rows a..mid-1 read themselves, mid..b-1 their mirrors
+    pieces = [""] * (width * (b - a))
     i = 0
     for field in layout.fields:  # row-major, interleaved in C
         if field == "y":
-            pieces[i::width], pieces[i + 1 :: width] = _y_pieces(n, layout.suffix["y"])
+            pieces[i::width], pieces[i + 1 :: width] = _y_pieces(a, b, layout.suffix["y"])
             i += 1
         else:
-            half = columns[field]
-            pieces[i : h * width : width] = half
-            pieces[(n - 1) * width + i : (h - 1) * width + i : -width] = half[1 : n - h + 1]
+            cells = columns[field](lo, hi)
+            pieces[i : (mid - a) * width : width] = cells[a - lo : mid - lo]
+            # rows b-1 down to mid take rows n-b+1 up to n-mid
+            mirrors = cells[n - b + 1 - lo : n - mid + 1 - lo]
+            stop = (mid - a - 1) * width + i if mid > a else None
+            pieces[(b - a - 1) * width + i : stop : -width] = mirrors
         i += 1
+    return pieces
+
+
+def _write_table(out: str | None, layout: _Layout, n: int, columns: dict[str, _Cells],
+                 frame: tuple[str, str]) -> None:
+    """Write the n-row table inside the frame's text before and after it,
+    a block of rows at a time (bulk emission comment).
+
+    ``columns`` maps every field but y to its column: the cells of a range
+    of rows y = 0..n//2, each followed by its suffix; row n - y repeats row
+    y.
+    """
+    # A text stream with no bytes beneath it copies all it holds at each write.
+    rows = n if out is None and getattr(sys.stdout, "buffer", None) is None else _BLOCK_ROWS
     before, after = frame
-    pieces[0] = before + layout.head + pieces[0]
-    pieces[-1] = pieces[-1][: len(pieces[-1]) - layout.trim] + after
-    _write_text(out, "".join(pieces))
+    with _opened(out) as write:
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            pieces = _block(layout, n, columns, a, b)
+            if a == 0:
+                pieces[0] = before + layout.head + pieces[0]
+            if b == n:
+                pieces[-1] = pieces[-1][: len(pieces[-1]) - layout.trim] + after
+            write("".join(pieces))
 
 
 def _require(args, *keys) -> None:
@@ -321,7 +380,7 @@ def cmd_compare(args) -> int:
         cells, inverse = _distinct(ratio, "%.17g", suffix[field])
         index = np.full(h, len(cells))  # the excluded cell, after the distinct ratios
         index[kept] = inverse
-        columns[field] = _gather([*cells, "excluded" + suffix[field]], index)
+        columns[field] = _indexed([*cells, "excluded" + suffix[field]], index)
     verdicts = np.zeros(h, dtype=np.int8)
     verdicts[kept] = np.where(ok, 1, 2)
     columns["verdict"] = _names(_VERDICTS, suffix["verdict"], verdicts)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -30,6 +32,29 @@ def run(tmp_path, *argv):
 
 
 SPEC_FLAGS = ["--n", "16", "--m", "3", "--p", "4", "--s", "1"]
+KEPT = b"an --out file that a failing run leaves as it was\n"
+
+
+def check_out_kept(argv, code, err, tmp_path, capsys):
+    """main(argv) with --out to a file that exists exits with code and err,
+    writes nothing to stdout and leaves the file's bytes as they were: every
+    check comes before the first byte is written."""
+    out = tmp_path / "kept.out"
+    out.write_bytes(KEPT)
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert out.read_bytes() == KEPT
+
+
+def failing_run(argv, tmp_path, capsys) -> tuple[int, str]:
+    """main's exit code and stderr for argv, which writes nothing: not to
+    stdout, and not to an --out file that exists (check_out_kept)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    check_out_kept(argv, code, captured.err, tmp_path, capsys)
+    return code, captured.err
+
 
 # The full text of work-factor rows: column order, the int amplified cost
 # beside the float plain ones, and empty or null certified cells.
@@ -177,12 +202,9 @@ class TestSpectrum:
         assert main(["spectrum", "--n", "16", "--m", "3", "--p", "5", "--s", "0"]) == 2
         assert "p*p <= n" in capsys.readouterr().err
 
-    def test_negative_iterations_override_exit(self, capsys):
-        code = main(["spectrum", *SPEC_FLAGS, "--alg", "amplified", "--iterations-override", "-1"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: need iterations >= 0, got -1\n"
+    def test_negative_iterations_override_exit(self, tmp_path, capsys):
+        argv = ["spectrum", *SPEC_FLAGS, "--alg", "amplified", "--iterations-override", "-1"]
+        assert failing_run(argv, tmp_path, capsys) == (2, "error: need iterations >= 0, got -1\n")
 
 
 class TestCompare:
@@ -209,7 +231,7 @@ class TestCompare:
         assert code == 0
         assert json.loads(out.read_text())["summary"]["all_rows_within_bounds"] is True
 
-    def test_zero_probability_divisor_is_bound_violation(self, monkeypatch, capsys):
+    def test_zero_probability_divisor_is_bound_violation(self, monkeypatch, tmp_path, capsys):
         # a zero qft probability at a resonant or generic frequency leaves
         # the ratio undefined: exit 1 with one error line, not a traceback
         original = lpq.closedform.closed_form_table
@@ -221,10 +243,9 @@ class TestCompare:
             return table
 
         monkeypatch.setattr(lpq.closedform, "closed_form_table", zeroed)
-        assert main(["compare", *SPEC_FLAGS]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: qft probability 0 at a resonant or generic frequency\n"
+        assert failing_run(["compare", *SPEC_FLAGS], tmp_path, capsys) == (
+            1, "error: qft probability 0 at a resonant or generic frequency\n"
+        )
 
 
 class TestRecover:
@@ -269,11 +290,10 @@ class TestRecover:
         assert capsys.readouterr() == from_config
         assert "# accepted=3" in from_config.out
 
-    def test_missing_y_is_one_error_line(self, capsys):
-        assert main(["recover", "--n", "16"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: missing required option --y\n"
+    def test_missing_y_is_one_error_line(self, tmp_path, capsys):
+        assert failing_run(["recover", "--n", "16"], tmp_path, capsys) == (
+            2, "error: missing required option --y\n"
+        )
 
 
 class TestFindOffset:
@@ -296,17 +316,14 @@ class TestFindOffset:
         assert code == 4
 
     @pytest.mark.parametrize("method,period,seed", [("counting", 0, 1), ("decreasing", -4, 3)])
-    def test_period_below_one_is_validation_error(self, method, period, seed, capsys):
+    def test_period_below_one_is_validation_error(self, method, period, seed, tmp_path, capsys):
         # three probes at p = 0 all land on the measured member, which
         # used to "verify" it as the offset
-        code = main(
-            ["find-offset", "--n", "64", "--m", "3", "--p", "4", "--s", "1",
-             "--period", str(period), "--method", method, "--seed", str(seed)]
+        argv = ["find-offset", "--n", "64", "--m", "3", "--p", "4", "--s", "1",
+                "--period", str(period), "--method", method, "--seed", str(seed)]
+        assert failing_run(argv, tmp_path, capsys) == (
+            2, f"error: period candidate must be >= 1, got {period}\n"
         )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: period candidate must be >= 1, got {period}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_verification_failure_in_format(self, fmt, capsys):
@@ -406,38 +423,33 @@ class TestTrials:
         assert [r["bound_verdict"] for r in rows] == ["pass"] * 3
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_period_one_runs_fail_fast(self, fmt, capsys):
+    def test_period_one_runs_fail_fast(self, fmt, tmp_path, capsys):
         # no candidate period survives verification at p = 1, so no run can
         # succeed; Monte-Carlo says so before drawing anything
+        argv = ["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3", "--runs", "1",
+                "--format", fmt]
         start = time.perf_counter()
-        code = main(
-            ["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3",
-             "--runs", "1", "--format", fmt]
-        )
+        code = main(argv)
         assert time.perf_counter() - start < 1.0
         assert code == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        check_out_kept(argv, code, captured.err, tmp_path, capsys)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_negative_runs_exit(self, fmt, capsys):
-        code = main(["trials", *SPEC_FLAGS, "--runs", "-1", "--format", fmt])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: need runs >= 1, got -1\n"
+    def test_negative_runs_exit(self, fmt, tmp_path, capsys):
+        argv = ["trials", *SPEC_FLAGS, "--runs", "-1", "--format", fmt]
+        assert failing_run(argv, tmp_path, capsys) == (2, "error: need runs >= 1, got -1\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_zero_runs_exit(self, fmt, capsys):
+    def test_zero_runs_exit(self, fmt, tmp_path, capsys):
         # only an omitted --runs leaves the monte_carlo block out; 0 runs is
         # refused like -1
         assert main(["trials", *SPEC_FLAGS, "--format", fmt]) == 0
         assert "monte_carlo" not in capsys.readouterr().out
-        assert main(["trials", *SPEC_FLAGS, "--runs", "0", "--format", fmt]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: need runs >= 1, got 0\n"
+        argv = ["trials", *SPEC_FLAGS, "--runs", "0", "--format", fmt]
+        assert failing_run(argv, tmp_path, capsys) == (2, "error: need runs >= 1, got 0\n")
 
     @pytest.mark.parametrize(
         "instance,fmt", list(TRIALS_TEXT), ids=[f"{i}-{fmt}" for i, fmt in TRIALS_TEXT]
@@ -463,21 +475,17 @@ def test_negative_seed_is_validation_error(cmd, via, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"seed": -3}))
         argv = ["--config", str(config), *SEEDED[cmd]]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: need seed >= 0, got -3\n"
+    assert failing_run(argv, tmp_path, capsys) == (2, "error: need seed >= 0, got -3\n")
 
 
 @pytest.mark.parametrize("cmd", ["trials"])
-def test_success_set_overflow_is_validation_error(cmd, capsys):
+def test_success_set_overflow_is_validation_error(cmd, tmp_path, capsys):
     # 2n(p - 1) + p = 19 * 2**59 + 20 is past int64: one error line, not an
     # OverflowError
     argv = [cmd, "--n", str(2**58), "--m", "20", "--p", "20"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: success set needs products below 2**63 (n={2**58}, p=20)\n"
+    assert failing_run(argv, tmp_path, capsys) == (
+        2, f"error: success set needs products below 2**63 (n={2**58}, p=20)\n"
+    )
 
 
 @pytest.mark.parametrize("cmd", ["spectrum", "compare"])
@@ -491,11 +499,11 @@ def test_success_set_overflow_is_validation_error(cmd, capsys):
         (2**64, 2, r"a table needs n below 2\*\*63 \(n=18446744073709551616\)"),
     ],
 )
-def test_table_past_memory_is_one_error_line(cmd, n, code, message, capsys):
-    assert main([cmd, "--n", str(n), "--m", "2", "--p", "3"]) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(f"error: {message}\n", captured.err)
+def test_table_past_memory_is_one_error_line(cmd, n, code, message, tmp_path, capsys):
+    argv = [cmd, "--n", str(n), "--m", "2", "--p", "3"]
+    got, err = failing_run(argv, tmp_path, capsys)
+    assert got == code
+    assert re.fullmatch(f"error: {message}\n", err)
 
 
 @pytest.mark.parametrize("p", [2, 17, 2**65])
@@ -510,6 +518,9 @@ def test_compare_one_member_certifies_nothing(p, capsys):
     ]
 
 
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 @pytest.mark.parametrize(
     "argv,out,reason",
     [
@@ -518,12 +529,19 @@ def test_compare_one_member_certifies_nothing(p, capsys):
         (["recover", "--n", "64", "--y", "8"], "", "Is a directory"),
         # a file where sweep's directory should be
         (["sweep", "--m", "2", "--p", "2"], "file", "File exists"),
+        # a full device fails the writes and the close; 16411 rows are
+        # three blocks of 8192
+        pytest.param(["spectrum", "--n", "4096", "--m", "3", "--p", "7"], "/dev/full",
+                     "No space left on device", marks=NEEDS_DEV_FULL),
+        pytest.param(["compare", "--n", "16411", "--m", "3", "--p", "7"], "/dev/full",
+                     "No space left on device", marks=NEEDS_DEV_FULL),
     ],
-    ids=["spectrum-missing-dir", "trials-dir", "recover-dir", "sweep-file"],
+    ids=["spectrum-missing-dir", "trials-dir", "recover-dir", "sweep-file", "spectrum-full",
+         "compare-full-blocks"],
 )
 def test_unwritable_out_is_one_error_line(argv, out, reason, tmp_path, capsys):
     (tmp_path / "file").write_text("")
-    path = str(tmp_path / out)
+    path = str(tmp_path / out)  # an absolute out replaces tmp_path
     assert main([*argv, "--out", path]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
 
@@ -553,6 +571,8 @@ class TestHalfMarked:
         assert captured.out == ""
         message = "amplified: Pr(0) = 1, so no run measures a nonzero frequency"
         assert captured.err == f"error: {message}\n"
+        if cmd == "trials":  # sweep's --out is the directory above
+            check_out_kept([cmd, *argv], 4, captured.err, tmp_path, capsys)
 
 
 def _count_calls(monkeypatch, original, skip=()) -> list:
@@ -719,10 +739,8 @@ class TestConfig:
     def test_bad_value_is_validation_error(self, text, message, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(text)
-        assert main(["--config", str(config), "trials", *SPEC_FLAGS, "--runs", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message.format(path=config)}\n"
+        argv = ["--config", str(config), "trials", *SPEC_FLAGS, "--runs", "2"]
+        assert failing_run(argv, tmp_path, capsys) == (2, f"error: {message.format(path=config)}\n")
 
     def test_value_is_checked_even_when_a_flag_overrides_it(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -739,21 +757,19 @@ class TestConfig:
             path.write_text('{"n": 16')
         elif kind == "not utf-8":
             path.write_bytes(b'{"n": "\xff"}')
-        assert main(["--config", str(path), "trials", *SPEC_FLAGS]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot read config file {path}: ")
-        assert captured.err.count("\n") == 1
+        code, err = failing_run(["--config", str(path), "trials", *SPEC_FLAGS], tmp_path, capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
 
     def test_key_no_subcommand_takes_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({"sed": 5}))
         argv = ["--config", str(config), "trials", "--n", "256", "--m", "4", "--p", "4",
                 "--runs", "3"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: config file {config} has options no subcommand takes: sed\n"
+        assert failing_run(argv, tmp_path, capsys) == (
+            2, f"error: config file {config} has options no subcommand takes: sed\n"
+        )
 
     def test_one_file_serves_trials_and_find_offset(self, tmp_path, capsys):
         # runs is trials' option and method find-offset's: each ignores the other
@@ -872,37 +888,61 @@ def reference_compare(spec, fmt):
     return "\n".join(lines) + "\n"
 
 
-def cli_output(tmp_path, fmt, *argv):
-    out = tmp_path / f"out.{fmt}"
-    assert main([*map(str, argv), "--format", fmt, "--out", str(out)]) == 0
-    return out.read_text()
+SINKS = ("out", "stdout-file", "stringio")
+
+
+def straddling_rows(n: int) -> int:
+    """An odd number of rows per block, about n/6, that starts no block at
+    row n//2 + 1 and leaves the last block short: blocks straddle the first
+    mirror row and end partway at the last row."""
+    rows = max(n // 6, 1) | 1
+    while (n // 2 + 1) % rows == 0 or n % rows == 0:
+        rows += 2
+    return rows
+
+
+def cli_outputs(tmp_path, monkeypatch, fmt, *argv) -> dict[str, str]:
+    """The text main(argv) writes in fmt through each of SINKS: --out, stdout
+    on a file, and an io.StringIO, which takes the table as one block.  The
+    other two take blocks of straddling_rows(n) rows."""
+    argv = [*map(str, argv), "--format", fmt]
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", straddling_rows(int(argv[argv.index("--n") + 1])))
+    out, stdout, text = tmp_path / f"out.{fmt}", tmp_path / "stdout", io.StringIO()
+    assert main([*argv, "--out", str(out)]) == 0
+    with open(stdout, "w") as f, contextlib.redirect_stdout(f):
+        assert main(argv) == 0
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    return dict(zip(SINKS, (out.read_text(), stdout.read_text(), text.getvalue())))
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_INSTANCES))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 class TestBulkSerializer:
     @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
-    def test_spectrum_bytes(self, n, fmt, alg, tmp_path):
+    def test_spectrum_bytes(self, n, fmt, alg, tmp_path, monkeypatch):
         m, p, s = GOLDEN_INSTANCES[n]
-        got = cli_output(tmp_path, fmt, "spectrum", "--alg", alg,
-                         "--n", n, "--m", m, "--p", p, "--s", s)
-        assert got == reference_spectrum(build_oracle(n, m, p, s), alg, fmt)
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "spectrum", "--alg", alg,
+                          "--n", n, "--m", m, "--p", p, "--s", s)
+        assert got == dict.fromkeys(SINKS, reference_spectrum(build_oracle(n, m, p, s), alg, fmt))
 
-    def test_compare_bytes(self, n, fmt, tmp_path):
+    def test_compare_bytes(self, n, fmt, tmp_path, monkeypatch):
         m, p, s = GOLDEN_INSTANCES[n]
-        got = cli_output(tmp_path, fmt, "compare", "--n", n, "--m", m, "--p", p, "--s", s)
-        assert got == reference_compare(build_oracle(n, m, p, s), fmt)
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "compare",
+                          "--n", n, "--m", m, "--p", p, "--s", s)
+        assert got == dict.fromkeys(SINKS, reference_compare(build_oracle(n, m, p, s), fmt))
 
 
 class TestBulkSerializerAt2e16:
-    def test_spectrum_and_compare_bytes(self, tmp_path):
+    def test_spectrum_and_compare_bytes(self, tmp_path, monkeypatch):
         # odd p coprime to n: about n/2 distinct probabilities
         n, m, p, s = 1 << 16, 4, 255, 17
         flags = ["--n", n, "--m", m, "--p", p, "--s", s]
-        got = cli_output(tmp_path, "csv", "spectrum", *flags)
-        assert got == reference_spectrum(build_oracle(n, m, p, s), "amplified", "csv")
-        got = cli_output(tmp_path, "csv", "compare", *flags)
-        assert got == reference_compare(build_oracle(n, m, p, s), "csv")
+        got = cli_outputs(tmp_path, monkeypatch, "csv", "spectrum", *flags)
+        want = reference_spectrum(build_oracle(n, m, p, s), "amplified", "csv")
+        assert got == dict.fromkeys(SINKS, want)
+        got = cli_outputs(tmp_path, monkeypatch, "csv", "compare", *flags)
+        assert got == dict.fromkeys(SINKS, reference_compare(build_oracle(n, m, p, s), "csv"))
 
 
 # The edges of the bulk join, as (n, m, p, s, strict): a one-row and a
@@ -923,28 +963,73 @@ def edge_argv(n, m, p, s, strict):
 class TestBulkSerializerEdges:
     @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
     @pytest.mark.parametrize("instance", EDGE_INSTANCES, ids=lambda i: "-".join(map(str, i)))
-    def test_spectrum_bytes(self, instance, fmt, alg, tmp_path):
-        got = cli_output(tmp_path, fmt, "spectrum", "--alg", alg, *edge_argv(*instance))
+    def test_spectrum_bytes(self, instance, fmt, alg, tmp_path, monkeypatch):
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "spectrum", "--alg", alg,
+                          *edge_argv(*instance))
         n, m, p, s, strict = instance
-        assert got == reference_spectrum(build_oracle(n, m, p, s, strict=strict), alg, fmt)
+        want = reference_spectrum(build_oracle(n, m, p, s, strict=strict), alg, fmt)
+        assert got == dict.fromkeys(SINKS, want)
 
     @pytest.mark.parametrize(
         "instance", [i for i in EDGE_INSTANCES if 2 * i[1] <= i[0]],
         ids=lambda i: "-".join(map(str, i)),
     )
-    def test_compare_bytes(self, instance, fmt, tmp_path):
-        got = cli_output(tmp_path, fmt, "compare", *edge_argv(*instance))
+    def test_compare_bytes(self, instance, fmt, tmp_path, monkeypatch):
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "compare", *edge_argv(*instance))
         n, m, p, s, strict = instance
-        assert got == reference_compare(build_oracle(n, m, p, s, strict=strict), fmt)
+        want = reference_compare(build_oracle(n, m, p, s, strict=strict), fmt)
+        assert got == dict.fromkeys(SINKS, want)
 
     @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
     @pytest.mark.parametrize("iterations", [0, 3])
-    def test_spectrum_iterations_override_bytes(self, iterations, fmt, alg, tmp_path):
+    def test_spectrum_iterations_override_bytes(self, iterations, fmt, alg, tmp_path,
+                                                monkeypatch):
         n, (m, p, s) = 1000, GOLDEN_INSTANCES[1000]
-        got = cli_output(tmp_path, fmt, "spectrum", "--alg", alg, "--iterations-override",
-                         iterations, "--n", n, "--m", m, "--p", p, "--s", s)
-        spec = build_oracle(n, m, p, s)
-        assert got == reference_spectrum(spec, alg, fmt, iterations=iterations)
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "spectrum", "--alg", alg,
+                          "--iterations-override", iterations, "--n", n, "--m", m, "--p", p,
+                          "--s", s)
+        want = reference_spectrum(build_oracle(n, m, p, s), alg, fmt, iterations=iterations)
+        assert got == dict.fromkeys(SINKS, want)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("cmd", ["spectrum", "compare"])
+    def test_every_block_size_at_small_n(self, cmd, monkeypatch):
+        # every block start and end, the first row above n/2 among them,
+        # against the table as one block, which an io.StringIO takes
+        for n in range(2, 10):
+            argv = [cmd, "--n", str(n), "--m", "1", "--p", "3", "--no-strict", "--format", "json"]
+            whole = io.StringIO()
+            with contextlib.redirect_stdout(whole):
+                assert main(argv) == 0
+            for rows in range(1, n + 1):
+                monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+                blocks = io.TextIOWrapper(io.BytesIO(), write_through=True)
+                with contextlib.redirect_stdout(blocks):
+                    assert main(argv) == 0
+                assert blocks.buffer.getvalue().decode() == whole.getvalue(), (n, rows)
+
+    def test_a_stream_without_bytes_gets_one_write(self, monkeypatch):
+        # 64 rows in blocks of 13 are five writes to a stream with a byte
+        # buffer beneath it; an io.StringIO, which would copy all it holds
+        # at each later write, gets the table in one
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 13)
+        writes = []
+
+        class Text(io.StringIO):
+            def write(self, s):
+                writes.append("text")
+                return super().write(s)
+
+        class Bytes(io.TextIOWrapper):
+            def write(self, s):
+                writes.append("bytes")
+                return super().write(s)
+
+        for stream in (Text(), Bytes(io.BytesIO())):
+            with contextlib.redirect_stdout(stream):
+                assert main(["spectrum", "--n", "64", "--m", "4", "--p", "4", "--s", "3"]) == 0
+        assert writes == ["text"] + ["bytes"] * 5
 
 
 class RecordingNamespace(argparse.Namespace):

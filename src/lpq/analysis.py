@@ -166,14 +166,6 @@ class EmpiricalTrials:
     ci95: tuple[float, float]
     trial_counts: np.ndarray
 
-    def to_json_obj(self) -> dict:
-        return {
-            "runs": self.runs,
-            "mean": self.mean,
-            "variance": self.variance,
-            "ci95": list(self.ci95),
-        }
-
 
 def monte_carlo_trials(algorithm: Algorithm, spec: OracleSpec, runs: int, seed) -> EmpiricalTrials:
     """Run the sample -> recover -> verify loop to first success, ``runs`` times.

@@ -23,12 +23,13 @@ rows.  A table is formatted, joined and written in blocks of rows, each
 one str.join over its pieces, row by row, so the text held at once is one
 block's whatever n; --out is opened once and receives every block.  A
 text stream with no byte buffer beneath it, such as an io.StringIO, gets
-the whole table as one block and one write instead, since each later write
-would copy all it holds.  Float cells are formatted in numpy by
-lpq.floattext, which leaves to Python only the values it cannot certify; a
-column of mostly repeated values is formatted once per distinct value.  A
-2^16-row table never goes through per-row numpy indexing or the json
-encoder.  The output is byte-identical to formatting every value with
+the whole table as one block and one write instead: a sink that keeps the
+whole text in memory gains nothing from blocks, and one block reads each
+half row once, where blocks read every mirror row again.  Float cells are
+formatted in numpy by lpq.floattext, which leaves to Python only the
+values it cannot certify; a column of mostly repeated values is formatted
+once per distinct value.  A 2^16-row table never goes through per-row
+numpy indexing or the json encoder.  The output is byte-identical to formatting every value with
 format(x, ".17g") and dumping the whole object with json.dumps(indent=1,
 sort_keys=True).  Every check that can fail a run comes before the first
 byte of its output, so a run that ends in an error line writes nothing to
@@ -41,7 +42,8 @@ Exit codes:
     1  any other lpq error (a computed figure broke a proven bound), or
        too little memory for an n-entry table
     2  validation failure: a bad instance, option or argument, a table of
-       n >= 2**63 entries, or an --out that cannot be written
+       n >= 2**63 entries, or an output, stdout or --out, that cannot
+       be written
     3  no recovery candidate
     4  verification failed: the oracle probes rejected the candidate, or a
        seeded search gave up (for Monte-Carlo, when no candidate period
@@ -115,12 +117,14 @@ def _fmt(x: float) -> str:
 # once, the last trimmed of its run-on.  So the text held at any time is one
 # block's, whatever n.  The exception is a text stream with no byte buffer
 # beneath it (an io.StringIO, as contextlib.redirect_stdout callers pass):
-# it would copy everything it holds at each later write, so it gets the
-# whole table as one block.  A JSON template lays out one element of a
-# top-level "rows" list the way json.dumps(indent=1, sort_keys=True) does
-# (depth 2, keys sorted), so _json_frame can splice the table into a dump
-# of the other fields.  A CSV row is a line, newline included, so CSV rows
-# need no separator; a CSV template's field names, in order, are its header.
+# it keeps the whole text in memory, so blocks save it nothing, and it gets
+# the whole table as one block, which reads each half row once.  Blocks
+# read every mirror row again, and at p coprime to n format it again.  A
+# JSON template lays out one element of a top-level "rows" list the way
+# json.dumps(indent=1, sort_keys=True) does (depth 2, keys sorted), so
+# _json_frame can splice the table into a dump of the other fields.  A CSV
+# row is a line, newline included, so CSV rows need no separator; a CSV
+# template's field names, in order, are its header.
 _FIELD = re.compile(r"%\((\w+)\)[sd]")
 _ROW_SEP = {"csv": "", "json": ",\n"}
 _FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
@@ -222,16 +226,20 @@ def _y_pieces(a: int, b: int, suffix: str) -> tuple[list[str], list[str]]:
 
 @contextlib.contextmanager
 def _opened(out: str | None):
-    """The write method of stdout, or of the file ``out``, opened once.  An
-    OSError from opening, writing or closing the file is a ValidationError."""
-    if out is None:
-        yield sys.stdout.write
-        return
+    """The write method of the file ``out``, opened once, or of stdout as
+    it is at call time; the one way any output leaves the CLI.  An OSError
+    from opening, writing, flushing or closing either is a
+    ValidationError."""
     try:
-        with open(out, "w") as f:
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as f:
             yield f.write
+            f.flush()
     except OSError as exc:
-        raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
+        raise _unwritable(out or "stdout", exc) from None
+
+
+def _unwritable(target, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {target}: {exc.strerror}")
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -255,6 +263,19 @@ def _csv_frame(header, trailer=()) -> tuple[str, str]:
     """The text before and after the rows of a CSV table, which are lines:
     the schema line and the header before, the trailer lines after."""
     return f"# schema=1\n{','.join(header)}\n", "".join(f"{line}\n" for line in trailer)
+
+
+def _cell(value) -> str:
+    """A CSV cell: empty for None, _fmt of a float, else str."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(out: str | None, header, rows, trailer=()) -> None:
+    """Write a CSV table, one line of _cell texts per row."""
+    before, after = _csv_frame(header, trailer)
+    _write_text(out, before + "".join(",".join(map(_cell, row)) + "\n" for row in rows) + after)
 
 
 def _block(layout: _Layout, n: int, columns: dict[str, _Cells], a: int, b: int) -> list[str]:
@@ -293,7 +314,8 @@ def _write_table(out: str | None, layout: _Layout, n: int, columns: dict[str, _C
     of rows y = 0..n//2, each followed by its suffix; row n - y repeats row
     y.
     """
-    # A text stream with no bytes beneath it copies all it holds at each write.
+    # A text stream with no bytes beneath it holds the whole text anyway, and
+    # one block reads each half row once.
     rows = n if out is None and getattr(sys.stdout, "buffer", None) is None else _BLOCK_ROWS
     before, after = frame
     with _opened(out) as write:
@@ -419,15 +441,14 @@ def cmd_recover(args) -> int:
         result = recovery.recover_period(args.y, n, args.q_max)
     else:
         result = analysis.verified_recovery(OracleHandle(spec), args.y, args.q_max)
-    obj = result.to_json_obj()
-    obj["n"] = n
+    status = result.status.value
     if args.format == "json":
-        _write_json(args.out, obj)
+        convergents = [[c.d, c.q] for c in result.candidates]
+        _write_json(args.out, {"n": n, "y": result.y, "convergents": convergents,
+                               "accepted": result.accepted, "status": status})
     else:
-        trailer = [f"# accepted={result.accepted}", f"# status={result.status.value}"]
-        before, after = _csv_frame(["d", "q"], trailer)
-        rows = "".join(f"{c.d},{c.q}\n" for c in result.candidates)
-        _write_text(args.out, before + rows + after)
+        trailer = [f"# accepted={result.accepted}", f"# status={status}"]
+        _write_csv(args.out, ["d", "q"], result.candidates, trailer)
     if result.status is recovery.RecoveryStatus.NO_CANDIDATE:
         return EXIT_NO_CANDIDATE
     if result.status is recovery.RecoveryStatus.REJECTED:
@@ -455,9 +476,8 @@ def cmd_find_offset(args) -> int:
     if args.format == "json":
         _write_json(args.out, obj)
     else:
-        before, after = _csv_frame(["field", "value"])
-        rows = "".join(f"{k},{json.dumps(v)}\n" for k, v in sorted(obj.items()))
-        _write_text(args.out, before + rows + after)
+        rows = [(k, json.dumps(v)) for k, v in sorted(obj.items())]
+        _write_csv(args.out, ["field", "value"], rows)
     return code
 
 
@@ -469,17 +489,6 @@ def _workfactor_rows(spec) -> list[dict]:
     ]
 
 
-def _workfactor_csv(rows: list[dict], trailer: list[str] = ()) -> str:
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        return _fmt(value) if isinstance(value, float) else str(value)
-
-    header = list(rows[0])
-    before, after = _csv_frame(header, trailer)
-    return before + "".join(",".join(cell(r[k]) for k in header) + "\n" for r in rows) + after
-
-
 def cmd_trials(args) -> int:
     spec = _spec_from(args)
     alg = Algorithm(args.alg)
@@ -487,14 +496,15 @@ def cmd_trials(args) -> int:
     payload = {"schema": 1, "workfactor": rows}
     if args.runs is not None:
         stats = analysis.monte_carlo_trials(alg, spec, args.runs, args.seed)
-        payload["monte_carlo"] = {"algorithm": args.alg, **stats.to_json_obj()}
+        payload["monte_carlo"] = {"algorithm": args.alg, "runs": stats.runs, "mean": stats.mean,
+                                  "variance": stats.variance, "ci95": list(stats.ci95)}
     if args.format == "json":
         _write_json(args.out, payload)
     else:
         trailer = []
         if "monte_carlo" in payload:
             trailer = [f"# monte_carlo={json.dumps(payload['monte_carlo'], sort_keys=True)}"]
-        _write_text(args.out, _workfactor_csv(rows, trailer))
+        _write_csv(args.out, list(rows[0]), [r.values() for r in rows], trailer)
     return EXIT_OK
 
 
@@ -504,7 +514,7 @@ def cmd_sweep(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValidationError(f"cannot write {out_dir}: {exc.strerror}") from None
+        raise _unwritable(out_dir, exc) from None
     n = args.n_min
     band = []
     while n <= args.n_max:
@@ -514,12 +524,11 @@ def cmd_sweep(args) -> int:
         if args.format == "json":
             _write_json(str(path), {"schema": 1, "n": n, "workfactor": rows})
         else:
-            _write_text(str(path), _workfactor_csv(rows))
+            _write_csv(str(path), list(rows[0]), [r.values() for r in rows])
         qft_row = next(r for r in rows if r["algorithm"] == "qft")
         band.append((n, qft_row["ratio_vs_amplified"] / math.sqrt(n / args.m)))
         n *= 2
-    for n, value in band:
-        sys.stdout.write(f"n={n} ratio/sqrt(n/m)={_fmt(value)}\n")
+    _write_text(None, "".join(f"n={n} ratio/sqrt(n/m)={_fmt(value)}\n" for n, value in band))
     return EXIT_OK
 
 

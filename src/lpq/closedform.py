@@ -29,9 +29,11 @@ The amplified/baseline probability ratio is the same constant at every
 resonant and generic frequency, sandwiched (for 2m <= n) between
 
     upper = n^2 / (c*m*(n-m))        c = 4 for qft, 2 for qhs
-    lower = upper * (1 - 2m/n)^2
+    lower = (n-2m)^2 / (c*m*(n-m))
 
-with upper - lower exactly 4/c.  The upper bound is also the baseline's
+with upper - lower exactly 4/c.  Each bound is its int quotient rounded
+once, so the computed upper - lower is 4/c within a few ulps of upper,
+which grows with n/(c*m).  The upper bound is also the baseline's
 expected runs 1/(1 - Pr(0)), since 1 - Pr(0) = c*m*(n-m)/n^2 for both
 plain pipelines.  :func:`expected_runs` is the one implementation of
 1/(1 - Pr(0)) for every pipeline, and so of that bound.
@@ -148,7 +150,8 @@ class RatioBounds:
 
     @property
     def gap(self) -> float:
-        """upper - lower; identically 1 against qft and 2 against qhs."""
+        """upper - lower: 4/c, 1 against qft and 2 against qhs, within
+        a few ulps of upper (module docstring)."""
         return self.upper - self.lower
 
     def admits(self, ratio: np.ndarray) -> np.ndarray:
@@ -191,6 +194,5 @@ def ratio_bounds(n: int, m: int, baseline: Algorithm = Algorithm.QFT) -> RatioBo
         raise ValidationError(f"ratio bounds need 2*m <= n, got m={m}, n={n}")
     if baseline not in BOUND_DIVISOR:
         raise ValidationError("baseline must be qft or qhs")
-    upper = expected_runs(n, m, baseline)
-    lower = upper * (1 - 2 * m / n) ** 2
-    return RatioBounds(lower, upper, runs_lower_bound(n, m, baseline))
+    lower = (n - 2 * m) ** 2 / (BOUND_DIVISOR[baseline] * m * (n - m))
+    return RatioBounds(lower, expected_runs(n, m, baseline), runs_lower_bound(n, m, baseline))

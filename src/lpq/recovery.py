@@ -61,14 +61,6 @@ class RecoveryResult:
     accepted: int | None
     status: RecoveryStatus
 
-    def to_json_obj(self) -> dict:
-        return {
-            "y": self.y,
-            "convergents": [[c.d, c.q] for c in self.candidates],
-            "accepted": self.accepted,
-            "status": self.status.value,
-        }
-
 
 _Y_BLOCK = 4096
 

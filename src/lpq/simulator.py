@@ -77,8 +77,10 @@ def grover_schedule(n: int, m: int, iterations: int | None = None) -> GroverSche
     if 2 * m == n:
         # theta is pi/4 and k is 1; asin(sqrt(1/2)) lands one ulp above pi/4,
         # where pi/(4*theta) would round to 0.9999999999999999.  By Niven's
-        # theorem 1/2 is the only rational m/n at which pi/(4*theta) is an
-        # integer, so floor() is exact at every other instance.
+        # theorem 1/2 is the only rational m/n at which the true pi/(4*theta)
+        # is an integer.  That does not make the rounded quotient floor the
+        # same way elsewhere: next to a step of k it can be off by one past
+        # about 2^43 (ROADMAP item 15).
         theta = math.pi / 4
     else:
         theta = math.asin(math.sqrt(m / n))

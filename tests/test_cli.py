@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
@@ -546,6 +547,56 @@ def test_unwritable_out_is_one_error_line(argv, out, reason, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
 
 
+# Each subcommand's stdout writes: a table in blocks, a small document,
+# and sweep's band lines after its files.
+STDOUT_ARGV = {
+    "spectrum": ["spectrum", "--n", "4096", "--m", "3", "--p", "7"],
+    "compare": ["compare", "--n", "16411", "--m", "3", "--p", "7"],
+    "recover": ["recover", "--n", "64", "--y", "8"],
+    "find-offset": ["find-offset", *SPEC_FLAGS],
+    "trials": ["trials", *SPEC_FLAGS, "--runs", "5", "--format", "json"],
+    "sweep": ["sweep", "--m", "2", "--p", "2", "--n-max", "1024"],
+}
+NO_SPACE = "error: cannot write stdout: No space left on device\n"
+
+
+def run_lpq(argv, stdout, cwd) -> tuple[int, str]:
+    """``python -m lpq argv`` with the given stdout: its exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "lpq", *argv], env=env, cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+    return done.returncode, done.stderr
+
+
+@NEEDS_DEV_FULL
+@pytest.mark.parametrize("cmd", ["spectrum", "compare", "recover", "trials", "sweep"])
+def test_full_stdout_is_one_error_line(cmd, tmp_path):
+    with open("/dev/full", "w") as full:
+        assert run_lpq(STDOUT_ARGV[cmd], full, tmp_path) == (2, NO_SPACE)
+
+
+def test_closed_pipe_is_one_error_line(tmp_path):
+    # the reader closes before lpq starts; 2^16 rows would outlast the
+    # pipe's buffer even if it closed later, as in `lpq ... | head -1`
+    argv = ["spectrum", "--n", "65536", "--m", "3", "--p", "151", "--s", "100"]
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as pipe:
+        assert run_lpq(argv, pipe, tmp_path) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("cmd", sorted(STDOUT_ARGV))
+def test_stdout_write_error_is_one_error_line(cmd, tmp_path, monkeypatch, capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)  # sweep's files
+    with contextlib.redirect_stdout(Full()):
+        assert main(STDOUT_ARGV[cmd]) == 2
+    assert capsys.readouterr() == ("", NO_SPACE)
+
+
 class TestHalfMarked:
     @pytest.mark.parametrize("n,p", [(8, 1), (128, 1), (256, 2)])
     def test_one_round_at_2m_equal_n(self, n, p, tmp_path):
@@ -1011,8 +1062,8 @@ class TestBlocks:
 
     def test_a_stream_without_bytes_gets_one_write(self, monkeypatch):
         # 64 rows in blocks of 13 are five writes to a stream with a byte
-        # buffer beneath it; an io.StringIO, which would copy all it holds
-        # at each later write, gets the table in one
+        # buffer beneath it; an io.StringIO, which holds the whole text
+        # anyway, gets the table in one
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 13)
         writes = []
 

@@ -369,15 +369,12 @@ class TestRatioBounds:
 
     @pytest.mark.parametrize("baseline,c", [(Algorithm.QFT, 4), (Algorithm.QHS, 2)])
     def test_bounds_against_exact_fractions(self, baseline, c):
-        # upper and approx are each one rounding of an exact quotient.  lower
-        # = upper * (1 - 2m/n)**2 rounds 2m/n before the subtraction, which
-        # cancels as 2m nears n, so its relative error is held to what that
-        # rounding allows, (n/(n - 2m) + 2) eps: past m = 5n/12 that is
-        # more than RATIO_SLACK.  Every pair is a strict instance's, with
-        # p = 2.
-        eps = Fraction(np.finfo(float).eps)
+        # lower, upper and approx are each one rounding of an exact quotient,
+        # also where 2m nears n and lower cancels.  Every pair is a strict
+        # instance's, with p = 2.
         rng = np.random.default_rng(31)
-        pairs = [(5, 2), (1001, 500), (1001, 417)] + [
+        pairs = [(5, 2), (1001, 500), (1001, 417), (2**20 + 1, 2**19),
+                 (1086708537377, 543354268688)] + [
             (n, m)
             for n in map(int, rng.integers(4, 1 << 40, 100))
             for m in (1, int(rng.integers(1, n // 2 + 1)), n // 2 - 1, n // 2)
@@ -385,13 +382,10 @@ class TestRatioBounds:
         for n, m in pairs:
             bounds = ratio_bounds(n, m, baseline)
             assert bounds.upper == float(Fraction(n * n, c * m * (n - m))), (n, m)
+            assert bounds.lower == float(Fraction((n - 2 * m) ** 2, c * m * (n - m))), (n, m)
             assert bounds.approx == float(Fraction(n, c * m)), (n, m)
-            exact = Fraction((n - 2 * m) ** 2, c * m * (n - m))
-            if not exact:
-                assert bounds.lower == 0.0
-                continue
-            error = abs(Fraction(bounds.lower) - exact) / exact
-            assert error <= (Fraction(n, n - 2 * m) + 2) * eps, (n, m)
+            gap = abs(Fraction(bounds.gap) - Fraction(4, c))
+            assert gap <= Fraction(np.finfo(float).eps) * (bounds.upper + 1), (n, m)
 
 
 # (n, m, p, s, strict): even and odd n, with gcd(n, p) = 1 and > 1, and the

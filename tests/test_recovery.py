@@ -449,7 +449,7 @@ def test_verified_recovery_rejects_false_candidate():
     handle = OracleHandle(build_oracle(16, 3, 4, 1))
     result = verified_recovery(handle, 5)
     assert result.status is RecoveryStatus.REJECTED
-    assert result.to_json_obj()["status"] == "rejected"
+    assert result.status.value == "rejected"
     assert result.accepted is None
     good = verified_recovery(handle, 4)
     assert good.status is RecoveryStatus.RECOVERED and good.accepted == 4

@@ -256,3 +256,57 @@ def test_defaulted_rule_finds_unpassed(tmp_path):
         (tmp_path / name).write_text(text)
     sources = sorted(tmp_path.glob("*.py"))
     assert _defaulted_unpassed(sources, sources) == ["a.g(e)", "a.s(z)"]
+
+
+def _unguarded_output(path):
+    """Line numbers of output in ``path`` that bypasses the try of
+    ``_opened``, whose handler makes every OSError one error line: a call
+    of print or open, or any use of sys.stdout.write, anywhere else."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    guarded = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "_opened"
+        for stmt in func.body
+        if isinstance(stmt, ast.Try)
+        for inner in stmt.body
+        for node in ast.walk(inner)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in guarded
+        and (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("print", "open")
+            or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout.write"
+        )
+    )
+
+
+def test_cli_output_passes_through_opened():
+    # one output path: stdout and --out fail alike, with one error line
+    assert _unguarded_output(Path(lpq.__file__).parent / "cli.py") == []
+
+
+def test_output_rule_finds_bypasses(tmp_path):
+    # the open and the stdout inside _opened's try pass, as do a file's
+    # write method, stderr and input; the stdout write method _opened
+    # hands out past its try, print and a direct stdout write do not
+    module = tmp_path / "cli.py"
+    module.write_text(
+        "def _opened(out):\n"
+        "    if out is None:\n"
+        "        yield sys.stdout.write\n"
+        "        return\n"
+        "    try:\n"
+        "        with nullcontext(sys.stdout) if out is None else open(out) as f:\n"
+        "            yield f.write\n"
+        "    except OSError:\n"
+        "        print('error')\n"
+        "def cmd(args):\n"
+        "    sys.stdout.write('band')\n"
+        "    print('band')\n"
+        "    sys.stderr.write('error')\n"
+        "    Path(args.config).read_text()\n"
+    )
+    assert _unguarded_output(module) == [3, 9, 11, 12]

@@ -29,12 +29,12 @@ half row once, where blocks read every mirror row again.  Float cells are
 formatted in numpy by lpq.floattext, which leaves to Python only the
 values it cannot certify; a column of mostly repeated values is formatted
 once per distinct value.  A 2^16-row table never goes through per-row
-numpy indexing or the json encoder.  The output is byte-identical to formatting every value with
-format(x, ".17g") and dumping the whole object with json.dumps(indent=1,
-sort_keys=True).  Every check that can fail a run comes before the first
-byte of its output, so a run that ends in an error line writes nothing to
-stdout and leaves an --out file as it was; sweep checks each n before it
-writes that n's file.
+numpy indexing or the json encoder.  The output is byte-identical to
+formatting every value with format(x, ".17g") and dumping the whole
+object with json.dumps(indent=1, sort_keys=True).  Every check that can
+fail a run comes before the first byte of its output, so a run that ends
+in an error line writes nothing to stdout and leaves an --out file as it
+was; sweep checks each n before it writes that n's file.
 
 Exit codes:
 
@@ -72,6 +72,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -228,13 +229,19 @@ def _y_pieces(a: int, b: int, suffix: str) -> tuple[list[str], list[str]]:
 def _opened(out: str | None):
     """The write method of the file ``out``, opened once, or of stdout as
     it is at call time; the one way any output leaves the CLI.  An OSError
-    from opening, writing, flushing or closing either is a
-    ValidationError."""
+    from opening, writing, flushing or closing either is a ValidationError;
+    stdout's descriptor then points at os.devnull, so that the bytes its
+    buffer kept do not fail again in the flush at exit (exit code 120)."""
     try:
         with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as f:
             yield f.write
             f.flush()
     except OSError as exc:
+        if out is None:
+            with contextlib.suppress(AttributeError, OSError):  # a sink with no descriptor
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
         raise _unwritable(out or "stdout", exc) from None
 
 
@@ -314,8 +321,6 @@ def _write_table(out: str | None, layout: _Layout, n: int, columns: dict[str, _C
     of rows y = 0..n//2, each followed by its suffix; row n - y repeats row
     y.
     """
-    # A text stream with no bytes beneath it holds the whole text anyway, and
-    # one block reads each half row once.
     rows = n if out is None and getattr(sys.stdout, "buffer", None) is None else _BLOCK_ROWS
     before, after = frame
     with _opened(out) as write:
@@ -408,12 +413,7 @@ def cmd_compare(args) -> int:
     columns["verdict"] = _names(_VERDICTS, suffix["verdict"], verdicts)
     summary = {
         "bounds": {
-            alg.value: {
-                "lower": b.lower,
-                "upper": b.upper,
-                "approx": b.approx,
-                "gap": b.gap,
-            }
+            alg.value: {"lower": b.lower, "upper": b.upper, "approx": b.approx, "gap": b.gap}
             for alg, b in bounds.items()
         },
         "success_set": [int(y) for y in succ],
@@ -459,11 +459,8 @@ def cmd_recover(args) -> int:
 def cmd_find_offset(args) -> int:
     spec = _spec_from(args)
     handle = OracleHandle(spec)
-    search = (
-        offset.find_offset_counting
-        if args.method == "counting"
-        else offset.find_offset_decreasing
-    )
+    counting = args.method == "counting"
+    search = offset.find_offset_counting if counting else offset.find_offset_decreasing
     period = args.period if args.period is not None else spec.p
     try:
         result = search(handle, period, spec.m, args.seed)
@@ -498,14 +495,19 @@ def cmd_trials(args) -> int:
         stats = analysis.monte_carlo_trials(alg, spec, args.runs, args.seed)
         payload["monte_carlo"] = {"algorithm": args.alg, "runs": stats.runs, "mean": stats.mean,
                                   "variance": stats.variance, "ci95": list(stats.ci95)}
-    if args.format == "json":
-        _write_json(args.out, payload)
-    else:
-        trailer = []
-        if "monte_carlo" in payload:
-            trailer = [f"# monte_carlo={json.dumps(payload['monte_carlo'], sort_keys=True)}"]
-        _write_csv(args.out, list(rows[0]), [r.values() for r in rows], trailer)
+    _write_workfactor(args.out, args.format, payload)
     return EXIT_OK
+
+
+def _write_workfactor(out: str | None, fmt: str, payload: dict) -> None:
+    """Write the payload as JSON, or its work-factor rows as a CSV table
+    under a header of their keys, with a Monte-Carlo summary as a trailer."""
+    if fmt == "json":
+        _write_json(out, payload)
+        return
+    rows, mc = payload["workfactor"], payload.get("monte_carlo")
+    trailer = [] if mc is None else [f"# monte_carlo={json.dumps(mc, sort_keys=True)}"]
+    _write_csv(out, list(rows[0]), [r.values() for r in rows], trailer)
 
 
 def cmd_sweep(args) -> int:
@@ -521,10 +523,7 @@ def cmd_sweep(args) -> int:
         spec = build_oracle(n, args.m, args.p, args.s, strict=args.strict)
         rows = _workfactor_rows(spec)
         path = out_dir / f"workfactor_n{n}.{args.format}"
-        if args.format == "json":
-            _write_json(str(path), {"schema": 1, "n": n, "workfactor": rows})
-        else:
-            _write_csv(str(path), list(rows[0]), [r.values() for r in rows])
+        _write_workfactor(str(path), args.format, {"schema": 1, "n": n, "workfactor": rows})
         qft_row = next(r for r in rows if r["algorithm"] == "qft")
         band.append((n, qft_row["ratio_vs_amplified"] / math.sqrt(n / args.m)))
         n *= 2

@@ -561,8 +561,11 @@ NO_SPACE = "error: cannot write stdout: No space left on device\n"
 
 
 def run_lpq(argv, stdout, cwd) -> tuple[int, str]:
-    """``python -m lpq argv`` with the given stdout: its exit code and stderr."""
+    """``python -m lpq argv`` with the given stdout, block-buffered as by
+    default (PYTHONUNBUFFERED would hide bytes left in its buffer after a
+    failed write): its exit code and stderr."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
     done = subprocess.run([sys.executable, "-m", "lpq", *argv], env=env, cwd=cwd, stdout=stdout,
                           stderr=subprocess.PIPE, text=True)
     return done.returncode, done.stderr
@@ -575,10 +578,20 @@ def test_full_stdout_is_one_error_line(cmd, tmp_path):
         assert run_lpq(STDOUT_ARGV[cmd], full, tmp_path) == (2, NO_SPACE)
 
 
-def test_closed_pipe_is_one_error_line(tmp_path):
-    # the reader closes before lpq starts; 2^16 rows would outlast the
-    # pipe's buffer even if it closed later, as in `lpq ... | head -1`
-    argv = ["spectrum", "--n", "65536", "--m", "3", "--p", "151", "--s", "100"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2^16 rows would outlast the pipe's buffer even if the reader
+        # closed later, as in `lpq ... | head -1`
+        ["spectrum", "--n", "65536", "--m", "3", "--p", "151", "--s", "100"],
+        # a few lines, which stay in stdout's buffer until the flush fails
+        STDOUT_ARGV["recover"],
+        STDOUT_ARGV["sweep"],
+    ],
+    ids=["spectrum", "recover", "sweep"],
+)
+def test_closed_pipe_is_one_error_line(argv, tmp_path):
+    # the reader closes before lpq starts
     read, write = os.pipe()
     os.close(read)
     with os.fdopen(write, "w") as pipe:

@@ -28,9 +28,9 @@ of their 1 - Pr(0): the y = 0 idealization cancels from the ratio of two
 totals.
 
 Monte-Carlo draws in bulk.  Every candidate period is a q in
-2..isqrt(n), and all of them are verified at once: the three probes of
-(s, q) share the probe of s, so one probe of s and two batched queries,
-of s + q and of s + (m-1)*q over every q, decide them all.  A frequency
+2..isqrt(n), and one call of ``probes_accept`` verifies them all: the
+three probes of (s, q) share the probe of s, so one probe of s and two
+batches, of s + q and of s + (m-1)*q over every q, decide them.  A frequency
 whose candidate is q lies in the acceptance window of q (the y within
 n/(2q^2) of n*d/q for a d coprime to q), so ``accepted_denominators``
 runs only on the windows of the q that passed; that marks the frequencies
@@ -180,18 +180,11 @@ def monte_carlo_trials(algorithm: Algorithm, spec: OracleSpec, runs: int, seed) 
         raise ValidationError(f"need runs >= 1, got {runs}")
     table = closed_form_table(spec, Algorithm(algorithm))
     n = spec.n
-    # A trial succeeds exactly when its frequency's candidate, a q in
-    # 2..isqrt(n), passes the probes.  Every q is verified at once; a frequency
-    # whose candidate is q lies in the acceptance window of q, so the ladder
-    # runs only on the windows of the q that passed, and every frequency
-    # outside them fails.
+    # A trial succeeds exactly when its frequency's candidate q passes the
+    # probes, and only the windows of the q that pass hold such frequencies.
     handle = OracleHandle(spec)
     passed = np.zeros(math.isqrt(n) + 1, dtype=bool)
-    # the three probes of probes_accept, batched over q: f(s) is the
-    # same for every q
-    if handle(spec.s):
-        q = np.arange(2, passed.size, dtype=np.int64)
-        passed[2:] = handle.query_many(spec.s + q) & handle.query_many(spec.s + (spec.m - 1) * q)
+    passed[2:] = probes_accept(handle, spec.s, np.arange(2, passed.size, dtype=np.int64), spec.m)
     good = np.zeros(n, dtype=bool)
     for q in np.flatnonzero(passed).tolist():
         good[acceptance_window(n, q)] = True

@@ -69,6 +69,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -242,7 +243,7 @@ def _opened(out: str | None):
                 fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, fd)
                 os.close(null)
-        raise _unwritable(out or "stdout", exc) from None
+        raise _unwritable("stdout" if out is None else out, exc) from None
 
 
 def _unwritable(target, exc: OSError) -> ValidationError:
@@ -512,7 +513,7 @@ def _write_workfactor(out: str | None, fmt: str, payload: dict) -> None:
 
 def cmd_sweep(args) -> int:
     _require(args, "m", "p")
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out or ".")  # --out "" is the current directory too
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -591,6 +592,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _read_config(path: str) -> dict:
     try:
+        if not path:  # Path("") is the current directory, which is no file
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         config = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ValidationError(f"cannot read config file {path}: {exc}") from None
@@ -617,7 +620,7 @@ def _check_config_value(key: str, value) -> None:
 def _apply_config(args: argparse.Namespace, names) -> None:
     """Fill the options in ``names`` that no flag set from the config file,
     else from their defaults."""
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config) if args.config is not None else {}
     unknown = sorted(config.keys() - _OPTIONS.keys())
     if unknown:
         raise ValidationError(

@@ -42,4 +42,8 @@ class BoundViolated(LpqError):
 
 
 class NonTermination(LpqError):
-    """A seeded search exceeded its iteration guard."""
+    """A seeded search or run gave up or cannot succeed (CLI exit 4): no
+    member measured in 16 attempts, 16 off-image measurements in a row, a
+    walk past its round guard, no Monte-Carlo candidate passing
+    verification, no success within _MAX_TRIALS trials, or a pipeline
+    with Pr(0) = 1."""

@@ -3,10 +3,11 @@
 Three-probe verification: if p1 >= 1 and f(s1) = 1, f(s1 + p1) = 1 and
 f(s1 + (m-1)*p1) = 1 then (s1, p1) is the true pair — any smaller p1 misses
 the member next to s, any larger one (or any wrong s1) runs past the top of
-the marked set; p1 < 1 is rejected unqueried.  Probes outside 0..n-1
-evaluate to 0 rather than erroring, which makes the tests total.  For m = 1
-the pair test rejects every candidate (s + p1 is never marked when s is the
-only member), so the search procedures return the single member directly.
+the marked set; p1 < 1 is rejected unqueried.  ``probes_accept`` alone
+forms the three probes, by ``OracleHandle.probe``: outside 0..n-1 it reads
+0 rather than erroring, which makes the test total.  For m = 1 the pair
+test rejects every candidate (s + p1 is never marked when s is the only
+member), so the search procedures return the single member directly.
 
 Two seeded searches recover the offset from a measured member x1 = s + r*p.
 Both run in one frame: it rejects p < 1 before any query, measures x1 by
@@ -49,19 +50,13 @@ from .simulator import grover_schedule
 _MEASURE_RETRIES = 16
 
 
-def _probe(handle: OracleHandle, x: int) -> int:
-    # Labels outside the space cannot be marked; don't charge a query.
-    if 0 <= x <= handle.n - 1:
-        return handle(x)
-    return 0
-
-
-def probes_accept(handle: OracleHandle, s: int, p1: int, m: int) -> bool:
-    """Three probes decide whether (s, p1) is the true pair; p1 < 1 costs none."""
-    if p1 < 1:
+def probes_accept(handle: OracleHandle, s: int, p1, m: int):
+    """Three probes decide whether (s, p1) is the true pair: a bool for one
+    candidate, where p1 < 1 costs no query, or a bool array for an int64
+    array of candidates >= 1, which probes s once and the rest in batches."""
+    if np.ndim(p1) == 0 and p1 < 1:
         return False
-    probes = (_probe(handle, s), _probe(handle, s + p1), _probe(handle, s + (m - 1) * p1))
-    return all(b == 1 for b in probes)
+    return handle.probe(s) + handle.probe(s + p1) + handle.probe(s + (m - 1) * p1) == 3
 
 
 def amplified_measure_member(handle: OracleHandle, rng: np.random.Generator) -> int:
@@ -141,7 +136,7 @@ def _measure_starting_member(handle, rng):
 def _at_offset(handle: OracleHandle, x: int, p: int, m: int) -> bool:
     """Whether the member x is the offset, by one probe of x - p and, if
     that is unmarked, the pair test; VerificationFailed if it rejects."""
-    if _probe(handle, x - p):
+    if handle.probe(x - p):
         return False
     if probes_accept(handle, x, p, m):
         return True

@@ -6,12 +6,13 @@ behind a query counter so search procedures can report their cost.  Every
 handle wraps a validated :class:`OracleSpec`, so amplification can always
 read n, m, p and s off ``handle.spec``.  One query is one label in
 0..n-1 put to the handle, and the tally counts exactly those: one per
-``OracleHandle.__call__``, which raises on a label outside that range, and
-one per in-range label of ``OracleHandle.query_many``, which reads 0 for
-the others without charging them.  Both test membership by the same
-arithmetic: s <= x <= s + (m-1)*p, the last member, which the handle
-stores at construction, and (x - s) mod p = 0.  The tally has no lock,
-since nothing in lpq queries concurrently.
+``OracleHandle.__call__``, which raises on a label outside that range.
+``OracleHandle.probe``, the one lenient read, reads 0 there uncharged; it
+puts a single label through ``__call__`` and charges a batch one query
+per in-range label.  Both test membership by the same arithmetic:
+s <= x <= s + (m-1)*p, the last member, which the handle stores at
+construction, and (x - s) mod p = 0.  The tally has no lock, since nothing
+in lpq queries concurrently.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class OracleHandle:
 
     ``handle(x)`` returns 1 iff x is marked, and bumps ``query_count``:
     it tests x against the stored offset, last member and period.
-    ``query_many`` asks a batch of labels at once.
+    ``probe`` reads one label or a batch, 0 outside the label space.
     """
 
     def __init__(self, spec: OracleSpec):
@@ -83,10 +84,6 @@ class OracleHandle:
         self._count = 0
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def query_count(self) -> int:
         return self._count
 
@@ -96,11 +93,14 @@ class OracleHandle:
         self._count += 1
         return 1 if self._s <= x <= self._last and (x - self._s) % self._p == 0 else 0
 
-    def query_many(self, xs) -> np.ndarray:
-        """``handle(x)`` for each label x in the 1-D int64 sequence ``xs``, as
-        an int8 array; a label outside 0..n-1 reads 0 and is not charged.
-        The arithmetic is int64, so n must stay below 2**63."""
-        xs = np.asarray(xs, dtype=np.int64)
+    def probe(self, x):
+        """``handle(x)`` for one int label x, or 0 uncharged outside 0..n-1;
+        any other x is a batch, read as a 1-D int64 array, and gives an int8
+        array of those reads, with each in-range label charged.  The batch
+        arithmetic is int64, so n must stay below 2**63."""
+        if isinstance(x, (int, np.integer)):
+            return self(x) if 0 <= x < self._n else 0
+        xs = np.asarray(x, dtype=np.int64)
         inside = (xs >= 0) & (xs < self._n)
         self._count += int(np.count_nonzero(inside))
         # 0 <= s and last <= n - 1, so a marked label is in range; xs - s

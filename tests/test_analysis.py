@@ -63,6 +63,28 @@ def probes_accept_each(spec, q: np.ndarray) -> np.ndarray:
     return (q >= 1) & marked(spec.s + q) & marked(spec.s + (spec.m - 1) * q)
 
 
+# (n, m, p, s, strict) for the batched pair test: m = 1, s near the top,
+# so that s + (m-1)*q leaves 0..n-1 for large q, s = 0, and p*p > n
+PAIR_TEST_SPECS = [(64, 1, 5, 9, True), (1000, 12, 31, 658, True), (250, 50, 5, 0, True),
+                   (100, 3, 30, 10, False)]
+
+
+@pytest.mark.parametrize("instance", PAIR_TEST_SPECS, ids=lambda i: "-".join(map(str, i)))
+def test_pair_test_on_a_batch_equals_each_candidate(instance):
+    # probes_accept on the int64 array q = 1..n, as Monte-Carlo runs it,
+    # against the scalar call at each q and the membership arithmetic; it
+    # probes s once and charges each in-range label of both batches
+    spec = build_oracle(*instance)
+    q = np.arange(1, spec.n + 1, dtype=np.int64)
+    batched, scalar = OracleHandle(spec), OracleHandle(spec)
+    got = probes_accept(batched, spec.s, q, spec.m)
+    assert got.dtype == bool
+    assert got.tolist() == [probes_accept(scalar, spec.s, x, spec.m) for x in q.tolist()]
+    assert got.tolist() == probes_accept_each(spec, q).tolist()
+    labels = np.concatenate([spec.s + q, spec.s + (spec.m - 1) * q])
+    assert batched.query_count == 1 + np.count_nonzero((labels >= 0) & (labels < spec.n))
+
+
 def pipeline_success_probability(algorithm: Algorithm, spec) -> float:
     """Exact per-run success probability of the full decision procedure.
 

@@ -536,13 +536,16 @@ NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no 
                      "No space left on device", marks=NEEDS_DEV_FULL),
         pytest.param(["compare", "--n", "16411", "--m", "3", "--p", "7"], "/dev/full",
                      "No space left on device", marks=NEEDS_DEV_FULL),
+        # an empty path is a path, not stdout (out None: the path is "")
+        (["spectrum", "--n", "16", "--m", "3", "--p", "4"], None, "No such file or directory"),
+        (["recover", "--n", "16", "--y", "5"], None, "No such file or directory"),
     ],
     ids=["spectrum-missing-dir", "trials-dir", "recover-dir", "sweep-file", "spectrum-full",
-         "compare-full-blocks"],
+         "compare-full-blocks", "spectrum-empty", "recover-empty"],
 )
 def test_unwritable_out_is_one_error_line(argv, out, reason, tmp_path, capsys):
     (tmp_path / "file").write_text("")
-    path = str(tmp_path / out)  # an absolute out replaces tmp_path
+    path = "" if out is None else str(tmp_path / out)  # an absolute out replaces tmp_path
     assert main([*argv, "--out", path]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
 
@@ -812,7 +815,8 @@ class TestConfig:
         assert main(["--config", str(config), "trials", *SPEC_FLAGS]) == 2
         assert capsys.readouterr().err == "error: config option n must be an integer, got 16.5\n"
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "malformed", "not utf-8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "malformed", "not utf-8", "empty",
+                                      "empty ="])
     def test_unreadable_file_is_validation_error(self, kind, tmp_path, capsys):
         path = tmp_path / "run.json"
         if kind == "directory":
@@ -821,10 +825,15 @@ class TestConfig:
             path.write_text('{"n": 16')
         elif kind == "not utf-8":
             path.write_bytes(b'{"n": "\xff"}')
-        code, err = failing_run(["--config", str(path), "trials", *SPEC_FLAGS], tmp_path, capsys)
+        elif kind.startswith("empty"):  # a path, not a flag left unset, nor "."
+            path = ""
+        flags = [f"--config={path}"] if kind == "empty =" else ["--config", str(path)]
+        code, err = failing_run([*flags, "trials", *SPEC_FLAGS], tmp_path, capsys)
         assert code == 2
         assert err.startswith(f"error: cannot read config file {path}: ")
         assert err.count("\n") == 1
+        if not path:
+            assert err.endswith(": ''\n")
 
     def test_key_no_subcommand_takes_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "typo.json"

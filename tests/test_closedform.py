@@ -20,6 +20,7 @@ from lpq import (
     simulated_table,
     workfactor_comparison,
 )
+from lpq.closedform import RATIO_SLACK
 from lpq.spectrum import (
     CASE_NAMES,
     CODE_GENERIC,
@@ -470,19 +471,26 @@ def anchor_instances(seed: int, count: int):
     return out
 
 
+def anchor_ys(n: int, p: int) -> list[int]:
+    """The sampled frequencies of an anchor instance: y = 0, 6 uniform y,
+    and a resonance where p shares a factor with n."""
+    rng = random.Random(n)
+    ys = [0, *(rng.randrange(n) for _ in range(6))]
+    g = math.gcd(n, p)
+    if g > 1:
+        ys.append(n // g * rng.randint(1, g - 1))
+    return ys
+
+
 def test_closed_form_within_eps_of_the_anchor():
-    # 150 instances, y = 0, a resonance where p shares a factor with n, and
-    # 6 uniform y each, for all three pipelines: about 0.4 s.  At y = 0 the
-    # amplified value is cos^2(2k theta) with 2k theta within 2 theta of
-    # pi/2: the angle's rounding, an eps or so of pi/2, leaves cos a few eps
-    # off in absolute terms only, so that value is held to eps*sqrt(Pr).
+    # 150 instances, the anchor_ys of each, for all three pipelines: about
+    # 0.4 s.  At y = 0 the amplified value is cos^2(2k theta) with 2k theta
+    # within 2 theta of pi/2: the angle's rounding, an eps or so of pi/2,
+    # leaves cos a few eps off in absolute terms only, so that value is held
+    # to eps*sqrt(Pr).
     with mpmath.workdps(50):
         for n, m, p in anchor_instances(24, 150):
-            rng = random.Random(n)
-            ys = [0, *(rng.randrange(n) for _ in range(6))]
-            g = math.gcd(n, p)
-            if g > 1:
-                ys.append(n // g * rng.randint(1, g - 1))
+            ys = anchor_ys(n, p)
             spec = build_oracle(n, m, p, 0, strict=False)
             for alg in Algorithm:
                 for y, got in zip(ys, closed_form_at(spec, alg, ys)):
@@ -493,3 +501,24 @@ def test_closed_form_within_eps_of_the_anchor():
                         assert abs(got - ref) <= ANCHOR_EPS * EPS * mpmath.sqrt(ref), (n, m, p)
                     else:
                         assert abs(got - ref) <= ANCHOR_EPS * EPS * ref, (n, m, p, y, alg)
+
+
+def test_ratios_within_slack_of_the_anchor():
+    # The amp/qft and amp/qhs ratio at every resonant and generic sampled y,
+    # computed from closed_form_at as compare computes it, within RATIO_SLACK
+    # relative of the anchor's ratio: the slack RatioBounds.admits grants
+    # each bound, so no valid row is refused for the ratio's own rounding.
+    # The worst is 3.25 eps, at (n, m, p) = (460893646, 2, 13), y = 350478131,
+    # over 900 instances (samplers seeded 24, 1, 2, 3, 5 and 6: 11,468
+    # ratios, every one admitted).  About 0.5 s.
+    with mpmath.workdps(50):
+        for n, m, p in anchor_instances(24, 150):
+            ys = [y for y in anchor_ys(n, p) if y and anchor_pr(n, m, p, y, Algorithm.QFT)]
+            spec = build_oracle(n, m, p, 0, strict=False)
+            amplified = closed_form_at(spec, Algorithm.AMPLIFIED, ys)
+            for den in (Algorithm.QFT, Algorithm.QHS):
+                ratios = amplified / closed_form_at(spec, den, ys)
+                assert ratio_bounds(n, m, den).admits(ratios).all(), (n, m, p, den)
+                for y, got in zip(ys, ratios):
+                    ref = anchor_pr(n, m, p, y, Algorithm.AMPLIFIED) / anchor_pr(n, m, p, y, den)
+                    assert abs(got - ref) <= RATIO_SLACK * ref, (n, m, p, y, den)

@@ -15,7 +15,6 @@ from lpq import (
     PeriodTooLarge,
     build_oracle,
 )
-from lpq.offset import _probe
 from reference import members
 
 
@@ -129,6 +128,8 @@ def test_json_round_trip():
 
 
 class TestQueryMany:
+    """``OracleHandle.probe`` on a batch of labels."""
+
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 40])
     def test_equals_probe_on_every_label(self, n):
         # every valid instance at this n, every label in -3..n+2, as one batch
@@ -138,24 +139,24 @@ class TestQueryMany:
                 for s in range(0, n - (m - 1) * p):
                     spec = build_oracle(n, m, p, s, strict=False)
                     batched, scalar = OracleHandle(spec), OracleHandle(spec)
-                    got = batched.query_many(labels)
+                    got = batched.probe(labels)
                     assert got.dtype == np.int8
-                    assert got.tolist() == [_probe(scalar, x) for x in labels]
+                    assert got.tolist() == [scalar.probe(x) for x in labels]
                     assert batched.query_count == scalar.query_count == n
 
     def test_charges_exactly_the_in_range_labels(self):
         handle = OracleHandle(build_oracle(16, 3, 4, 1))
-        handle.query_many([5, 5, -1, 16, 0, 15, 1 << 40])
+        handle.probe([5, 5, -1, 16, 0, 15, 1 << 40])
         assert handle.query_count == 4  # repeats are charged; out-of-range labels are not
         handle(9)
         assert handle.query_count == 5
-        handle.query_many(np.arange(-16, 32, dtype=np.int64))
+        handle.probe(np.arange(-16, 32, dtype=np.int64))
         assert handle.query_count == 21
 
     def test_empty(self):
         handle = OracleHandle(build_oracle(16, 3, 4, 1))
         for xs in ([], np.empty(0, dtype=np.int64)):
-            got = handle.query_many(xs)
+            got = handle.probe(xs)
             assert got.dtype == np.int8 and got.shape == (0,)
         assert handle.query_count == 0
 
@@ -166,6 +167,6 @@ class TestQueryMany:
         top = members(spec)[-1]
         labels = [top, top - (1 << 20), top - 1, top + 1, n - 1, n, n + 1, 1 << 62, -(1 << 62),
                   (1 << 63) - 1, -(1 << 63), spec.s, spec.s - (1 << 20)]
-        got = handle.query_many(np.array(labels, dtype=np.int64))
+        got = handle.probe(np.array(labels, dtype=np.int64))
         assert got.tolist() == [int(x in members(spec)) for x in labels]
         assert handle.query_count == sum(0 <= x < n for x in labels)

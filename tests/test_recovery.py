@@ -470,6 +470,9 @@ def test_recovery_on_aperiodic_set_is_graceful():
             self.query_count += 1
             return int(x in (3, 11, 24, 50))
 
+        def probe(self, x):  # the lenient read: 0 and no charge outside 0..n-1
+            return self(x) if 0 <= x < self.n else 0
+
     handle = SubsetOracle()
     proposals = 0
     for y in range(64):

@@ -310,3 +310,60 @@ def test_output_rule_finds_bypasses(tmp_path):
         "    Path(args.config).read_text()\n"
     )
     assert _unguarded_output(module) == [3, 9, 11, 12]
+
+
+LENIENT_READS = ("probe", "query_many")  # the oracle's lenient read, and its former name
+
+
+def _lenient_reads(sources):
+    """Where a module other than offset.py reads the oracle's lenient read,
+    called or not, as ``module.function`` (the innermost function around
+    it) or ``module`` outside any function.  Only the pair test in
+    offset.py forms probes, so it cannot be inlined again."""
+    found = set()
+    for path in sources:
+        if path.name == "offset.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # ast.walk is breadth first, so an inner function overwrites
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found.update(
+            f"{path.stem}.{owner[id(node)]}" if id(node) in owner else path.stem
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in LENIENT_READS
+        )
+    return sorted(found)
+
+
+def test_only_the_pair_test_reads_the_oracle_leniently():
+    # one pair test: Monte-Carlo verifies its candidates through
+    # offset.probes_accept, not through probes of its own
+    assert _lenient_reads(SOURCES) == []
+
+
+def test_lenient_read_rule_finds_reads(tmp_path):
+    # offset.py may probe; elsewhere a call, a nested function's call, a
+    # bound method passed on and a module-level call are found, and a
+    # method definition, a plain oracle call and a store are not
+    package = {
+        "offset.py": "def pair(h, s):\n    return h.probe(s) + h.probe([s])\n",
+        "oracle.py": "class H:\n    def probe(self, x):\n        return self(x)\n",
+        "analysis.py": (
+            "def mc(h, q):\n"
+            "    h(0)\n"
+            "    h.probe = None\n"
+            "    return h.query_many(q)\n"
+            "def outer(h):\n"
+            "    def inner(x):\n"
+            "        return h.probe(x)\n"
+            "    return list(map(h.probe, [1]))\n"
+            "H().probe(3)\n"
+        ),
+    }
+    for name, text in package.items():
+        (tmp_path / name).write_text(text)
+    found = _lenient_reads(sorted(tmp_path.glob("*.py")))
+    assert found == ["analysis", "analysis.inner", "analysis.mc", "analysis.outer"]

@@ -33,7 +33,6 @@ from .offset import (
     amplified_measure_member,
     find_offset_counting,
     find_offset_decreasing,
-    g_ladder,
     probes_accept,
 )
 from .oracle import OracleHandle, OracleSpec, build_oracle

@@ -243,10 +243,11 @@ def _opened(out: str | None):
                 fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, fd)
                 os.close(null)
-        raise _unwritable("stdout" if out is None else out, exc) from None
+        raise _unwritable(out, exc) from None
 
 
-def _unwritable(target, exc: OSError) -> ValidationError:
+def _unwritable(path, exc: OSError) -> ValidationError:
+    target = "stdout" if path is None else repr(str(path))  # quoted: "" shows as ''
     return ValidationError(f"cannot write {target}: {exc.strerror}")
 
 
@@ -596,9 +597,9 @@ def _read_config(path: str) -> dict:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         config = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
-        raise ValidationError(f"cannot read config file {path}: {exc}") from None
+        raise ValidationError(f"cannot read config file {path!r}: {exc}") from None
     if not isinstance(config, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
+        raise ValidationError(f"config file {path!r} must hold a JSON object")
     return config
 
 
@@ -624,7 +625,7 @@ def _apply_config(args: argparse.Namespace, names) -> None:
     unknown = sorted(config.keys() - _OPTIONS.keys())
     if unknown:
         raise ValidationError(
-            f"config file {args.config} has options no subcommand takes: {', '.join(unknown)}"
+            f"config file {args.config!r} has options no subcommand takes: {', '.join(unknown)}"
         )
     for key, option in _OPTIONS.items():
         if key in names:

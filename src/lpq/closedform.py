@@ -70,6 +70,14 @@ def _folded_sines(residues: np.ndarray, n: int) -> np.ndarray:
     return np.sin(x, out=x)
 
 
+def _amplified_zero(n: int, m: int, schedule) -> float:
+    """Pr(0) = cos^2(2k theta) after the schedule's k rounds; at 2m = n,
+    where theta = pi/4, exactly cos^2(k pi/2): 0 at odd k, 1 at even k."""
+    if 2 * m == n:
+        return float(schedule.k % 2 == 0)
+    return math.cos(2 * schedule.k * schedule.theta) ** 2
+
+
 def closed_form_at(
     spec: OracleSpec, algorithm: Algorithm, ys, iterations: int | None = None
 ) -> np.ndarray:
@@ -89,7 +97,7 @@ def closed_form_at(
     if algorithm is Algorithm.AMPLIFIED:
         schedule = grover_schedule(n, m, iterations)
         line = math.tan(schedule.theta) ** 2 * math.sin(2 * schedule.k * schedule.theta) ** 2
-        zero, resonant, factor = math.cos(2 * schedule.k * schedule.theta) ** 2, line, line / m**2
+        zero, resonant, factor = _amplified_zero(n, m, schedule), line, line / m**2
     elif algorithm is Algorithm.QFT:
         zero, resonant, factor = (1 - 2 * m / n) ** 2, 4.0 * m**2 / n**2, 4.0 / n**2
     else:
@@ -173,8 +181,7 @@ def expected_runs(n: int, m: int, algorithm: Algorithm) -> float | None:
     bits.
     """
     if algorithm is Algorithm.AMPLIFIED:
-        schedule = grover_schedule(n, m)
-        hits = 1.0 - math.cos(2 * schedule.k * schedule.theta) ** 2
+        hits = 1.0 - _amplified_zero(n, m, grover_schedule(n, m))
         return 1.0 / hits if hits else None
     return n * n / (BOUND_DIVISOR[algorithm] * m * (n - m)) if m < n else None
 

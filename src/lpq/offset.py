@@ -12,11 +12,11 @@ member), so the search procedures return the single member directly.
 Two seeded searches recover the offset from a measured member x1 = s + r*p.
 Both run in one frame: it rejects p < 1 before any query, measures x1 by
 amplification, each attempt checked by one charged probe, returns x1 at
-once for m = 1, and charges every query the search made to
-``oracle_queries``.  At each member x a descent reaches, one probe of
-x - p decides: marked means x is above the offset; unmarked means x is
-the offset if the pair test accepts (x, p), and otherwise that p is wrong
-(VerificationFailed).
+once for m = 1, descends only from an x1 above the offset, and charges
+every query the search made to ``oracle_queries``.  At x1 and at each
+member x a descent reaches, one probe of x - p decides: marked means x is
+above the offset; unmarked means x is the offset if the pair test accepts
+(x, p), and otherwise that p is wrong (VerificationFailed).
 
 * counting: an idealized counter reports how many, R, of the t probe
   points g(x) = max(0, x1 - (x+1)*p) are marked: the exact count with
@@ -30,9 +30,6 @@ the offset if the pair test accepts (x, p), and otherwise that p is wrong
 * decreasing: amplify the t-point register on the marked g-image, measure
   a member strictly below the current one, and repeat; the walk halves the
   remaining multiplier on average, so it ends at s after O(log2 m) rounds.
-
-The ladder (``g_ladder``) is built only after x - p probed marked, so
-every rung lies in 0..x - p and costs one plain oracle call, as charged.
 """
 
 from __future__ import annotations
@@ -91,19 +88,6 @@ def _unmarked_label(spec: OracleSpec, i: int) -> int:
     return spec.s + (spec.m - 1) * spec.p + 1 + (i - gaps)
 
 
-def g_ladder(x1: int, p: int, t: int) -> list[int]:
-    """The probe ladder [g(0), ..., g(t-1)], g(x) = max(0, x1 - (x+1)*p).
-
-    Needs p >= 1.  The positive rungs step down by p; the rest are 0.
-    """
-    rungs = list(range(x1 - p, max(x1 - (t + 1) * p, 0), -p))
-    return rungs + [0] * (t - len(rungs))
-
-
-def _pow2_at_least(m: int) -> int:
-    return 1 << max(0, (m - 1).bit_length())
-
-
 def _idealized_count(true_count: int, t: int, rng: np.random.Generator) -> int:
     """The count an idealized counter reports: exact with probability 2/3."""
     if rng.random() < 2.0 / 3.0:
@@ -144,27 +128,35 @@ def _at_offset(handle: OracleHandle, x: int, p: int, m: int) -> bool:
 
 
 def _search(method: str, descend, handle: OracleHandle, p: int, m: int, seed):
-    """The frame both searches share (module docstring);
-    ``descend(handle, p, m, rng, result)`` moves ``result`` from the
-    starting member down to the offset."""
+    """The frame both searches share (module docstring); ``descend(handle,
+    p, m, t, rng, result)`` moves ``result`` from a member above the offset
+    down to it by t-point ladders, t the least power of two >= m."""
     if p < 1:
         raise ValidationError(f"period candidate must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     queries_before = handle.query_count
     x1 = _measure_starting_member(handle, rng)
     result = OffsetSearchResult(method, x1, history=[x1])
-    if m > 1:  # at m = 1, x1 is the only member, hence the offset: no pair to test
-        descend(handle, p, m, rng, result)
+    if m > 1 and not _at_offset(handle, x1, p, m):
+        descend(handle, p, m, 1 << (m - 1).bit_length(), rng, result)
     result.oracle_queries = handle.query_count - queries_before
     return result
 
 
-def _count_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchResult) -> None:
+def _marked_image(handle: OracleHandle, x: int, p: int, t: int) -> list[int]:
+    """The marked points, in ladder order, of the t-point probe ladder
+    g(i) = max(0, x - (i+1)*p) below x: the rungs x - p, x - 2p, ..., then
+    label 0.  Each point is queried once, in ladder order, and only after
+    x - p probed marked, so every rung lies in 0..x - p and costs one
+    plain oracle call, as charged."""
+    ladder = list(range(x - p, max(x - (t + 1) * p, 0), -p))
+    ladder += [0] * (t - len(ladder))
+    return list(compress(ladder, map(handle, ladder)))
+
+
+def _count_down(handle: OracleHandle, p: int, m: int, t: int, rng, result: OffsetSearchResult):
     x1 = result.offset
-    if _at_offset(handle, x1, p, m):
-        return
-    t = _pow2_at_least(m)
-    reported = _idealized_count(sum(map(handle, g_ladder(x1, p, t))), t, rng)
+    reported = _idealized_count(len(_marked_image(handle, x1, p, t)), t, rng)
     candidate = max(x1 - reported * p, 0)
     result.counting_cost = math.sqrt((reported + 1) * (t - reported + 1))
     result.iterations = 1
@@ -176,28 +168,28 @@ def _count_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchR
     result.history.append(candidate)
 
 
-def _walk_down(handle: OracleHandle, p: int, m: int, rng, result: OffsetSearchResult) -> None:
+def _walk_down(handle: OracleHandle, p: int, m: int, t: int, rng, result: OffsetSearchResult):
     max_rounds = 64 * math.ceil(math.log2(m) + 1)
-    t = _pow2_at_least(m)
     x = result.offset
-    while not _at_offset(handle, x, p, m):
+    while True:  # x is a member above the offset
         if result.iterations >= max_rounds:
             raise NonTermination(f"offset walk exceeded {max_rounds} rounds")
-        # Mark the probe ladder below x and amplify over the t-point register.
-        ladder = g_ladder(x, p, t)
-        marked = list(map(handle, ladder))
-        good = sum(marked)  # >= 1: the top rung x - p probed marked
+        # Amplify the t-point register on the marked image and measure it.
+        image = _marked_image(handle, x, p, t)
+        good = len(image)  # >= 1: the top rung x - p probed marked
         schedule = grover_schedule(t, good)
         for _ in range(_MEASURE_RETRIES):
             if rng.random() < good * schedule.a_k**2:
                 break  # landed on the marked image; else retry the round
         else:
             raise NonTermination(f"{_MEASURE_RETRIES} off-image measurements in a row")
-        x = list(compress(ladder, marked))[int(rng.integers(good))]
+        x = image[int(rng.integers(good))]
         handle(x)  # membership confirmation probe
         result.history.append(x)
         result.iterations += 1
-    result.offset = x
+        if _at_offset(handle, x, p, m):
+            result.offset = x
+            return
 
 
 def find_offset_counting(handle: OracleHandle, p: int, m: int, seed) -> OffsetSearchResult:

@@ -547,7 +547,7 @@ def test_unwritable_out_is_one_error_line(argv, out, reason, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     path = "" if out is None else str(tmp_path / out)  # an absolute out replaces tmp_path
     assert main([*argv, "--out", path]) == 2
-    assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
+    assert capsys.readouterr() == ("", f"error: cannot write {path!r}: {reason}\n")
 
 
 # Each subcommand's stdout writes: a table in blocks, a small document,
@@ -807,7 +807,8 @@ class TestConfig:
         config = tmp_path / "run.json"
         config.write_text(text)
         argv = ["--config", str(config), "trials", *SPEC_FLAGS, "--runs", "2"]
-        assert failing_run(argv, tmp_path, capsys) == (2, f"error: {message.format(path=config)}\n")
+        message = message.format(path=repr(str(config)))  # a path is quoted
+        assert failing_run(argv, tmp_path, capsys) == (2, f"error: {message}\n")
 
     def test_value_is_checked_even_when_a_flag_overrides_it(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -830,7 +831,7 @@ class TestConfig:
         flags = [f"--config={path}"] if kind == "empty =" else ["--config", str(path)]
         code, err = failing_run([*flags, "trials", *SPEC_FLAGS], tmp_path, capsys)
         assert code == 2
-        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
         assert err.count("\n") == 1
         if not path:
             assert err.endswith(": ''\n")
@@ -841,7 +842,7 @@ class TestConfig:
         argv = ["--config", str(config), "trials", "--n", "256", "--m", "4", "--p", "4",
                 "--runs", "3"]
         assert failing_run(argv, tmp_path, capsys) == (
-            2, f"error: config file {config} has options no subcommand takes: sed\n"
+            2, f"error: config file {str(config)!r} has options no subcommand takes: sed\n"
         )
 
     def test_one_file_serves_trials_and_find_offset(self, tmp_path, capsys):

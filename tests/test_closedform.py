@@ -52,6 +52,8 @@ def case_constants(n: int, m: int, algorithm: Algorithm) -> tuple[float, float, 
     if algorithm is Algorithm.AMPLIFIED:
         sched = grover_schedule(n, m)
         zero = math.cos(2 * sched.k * sched.theta) ** 2
+        if 2 * m == n:  # theta = pi/4: cos^2(k pi/2) is exactly 0 or 1
+            zero = float(round(math.cos(sched.k * math.pi / 2) ** 2))
         resonant = math.tan(sched.theta) ** 2 * math.sin(2 * sched.k * sched.theta) ** 2
         return zero, resonant, resonant / m**2
     if algorithm is Algorithm.QFT:
@@ -438,11 +440,18 @@ def anchor_pr(n: int, m: int, p: int, y: int, algorithm: Algorithm) -> mpmath.mp
     if r and not rm:
         return mpmath.mpf(0)  # null
     if algorithm is Algorithm.AMPLIFIED:
-        theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / n))
-        k = int(mpmath.floor(mpmath.pi / (4 * theta)))
+        if 2 * m == n:
+            # theta = pi/4 and k = 1, as grover_schedule sets them: the
+            # floor of pi/(4 theta) lands within 1e-50 of 1, on either side
+            theta, k = mpmath.pi / 4, 1
+            zero = mpmath.cospi(mpmath.mpf(k) / 2) ** 2  # exactly 0
+        else:
+            theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / n))
+            k = int(mpmath.floor(mpmath.pi / (4 * theta)))
+            zero = mpmath.cos(2 * k * theta) ** 2
         assert k == grover_schedule(n, m).k
         resonant = mpmath.tan(theta) ** 2 * mpmath.sin(2 * k * theta) ** 2
-        zero, factor = mpmath.cos(2 * k * theta) ** 2, resonant / m**2
+        factor = resonant / m**2
     elif algorithm is Algorithm.QFT:
         zero = (1 - mpmath.mpf(2 * m) / n) ** 2
         resonant, factor = mpmath.mpf(4 * m * m) / n**2, mpmath.mpf(4) / n**2
@@ -471,6 +480,13 @@ def anchor_instances(seed: int, count: int):
     return out
 
 
+# Instances at 2m = n, where theta = pi/4 and k = 1, so the amplified y = 0
+# value cos^2(pi/2) is exactly 0; p is 1 or 2, since (m - 1) p < n.
+ANCHOR_HALF = [(16, 8, 1), (16, 8, 2), (1000, 500, 2), (4096, 2048, 1), (4096, 2048, 2),
+               (99_999_998, 49_999_999, 2), ((1 << 31) - 2, (1 << 30) - 1, 1),
+               (1 << 31, 1 << 30, 2)]
+
+
 def anchor_ys(n: int, p: int) -> list[int]:
     """The sampled frequencies of an anchor instance: y = 0, 6 uniform y,
     and a resonance where p shares a factor with n."""
@@ -483,13 +499,14 @@ def anchor_ys(n: int, p: int) -> list[int]:
 
 
 def test_closed_form_within_eps_of_the_anchor():
-    # 150 instances, the anchor_ys of each, for all three pipelines: about
-    # 0.4 s.  At y = 0 the amplified value is cos^2(2k theta) with 2k theta
-    # within 2 theta of pi/2: the angle's rounding, an eps or so of pi/2,
-    # leaves cos a few eps off in absolute terms only, so that value is held
-    # to eps*sqrt(Pr).
+    # 150 instances and ANCHOR_HALF, the anchor_ys of each, for all three
+    # pipelines: about 0.4 s.  At y = 0 the amplified value is
+    # cos^2(2k theta) with 2k theta within 2 theta of pi/2: the angle's
+    # rounding, an eps or so of pi/2, leaves cos a few eps off in absolute
+    # terms only, so that value is held to eps*sqrt(Pr).  At 2m = n it is
+    # exactly 0, and so is the computed value.
     with mpmath.workdps(50):
-        for n, m, p in anchor_instances(24, 150):
+        for n, m, p in anchor_instances(24, 150) + ANCHOR_HALF:
             ys = anchor_ys(n, p)
             spec = build_oracle(n, m, p, 0, strict=False)
             for alg in Algorithm:
@@ -501,6 +518,18 @@ def test_closed_form_within_eps_of_the_anchor():
                         assert abs(got - ref) <= ANCHOR_EPS * EPS * mpmath.sqrt(ref), (n, m, p)
                     else:
                         assert abs(got - ref) <= ANCHOR_EPS * EPS * ref, (n, m, p, y, alg)
+
+
+@pytest.mark.parametrize("n,m,p", ANCHOR_HALF[:4])
+def test_amplified_zero_at_half_is_exact(n, m, p):
+    # at 2m = n every round count gives cos^2(k pi/2), 1 at even k and 0 at
+    # odd k, as the simulation does; the expected runs 1/(1 - 0) are 1.0
+    spec = build_oracle(n, m, p, 0, strict=False)
+    amplified = [closed_form_at(spec, Algorithm.AMPLIFIED, [0], k)[0] for k in range(6)]
+    assert amplified == [1.0, 0.0] * 3
+    assert simulated_table(spec, Algorithm.AMPLIFIED).pr[0] == 0.0
+    runs = {r.algorithm: r.expected_runs for r in workfactor_comparison(spec)}
+    assert runs[Algorithm.AMPLIFIED] == 1.0
 
 
 def test_ratios_within_slack_of_the_anchor():

@@ -15,13 +15,12 @@ from lpq import (
     build_oracle,
     find_offset_counting,
     find_offset_decreasing,
-    g_ladder,
     grover_schedule,
     probes_accept,
 )
-from lpq.offset import _idealized_count, _unmarked_label
+from lpq.offset import _idealized_count, _marked_image, _unmarked_label
 from lpq.oracle import OracleSpec
-from reference import members
+from reference import g_ladder, members
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -186,6 +185,41 @@ class TestGFunction:
             zero_tails += expected[-1] == 0
             below_period += x1 < p
         assert zero_tails > 100 and below_period > 10
+
+
+class TestMarkedImage:
+    """``_marked_image(handle, x, p1, t)`` against the ladder reference:
+    the marked points of ``g_ladder(x, p1, t)`` in ladder order, read by
+    one query per point, in ladder order, from every member x."""
+
+    @pytest.mark.parametrize(
+        "n,m,p,s,p1",
+        [
+            (64, 5, 4, 0, 4),  # s = 0: the padding label 0 is marked
+            (64, 5, 4, 3, 4),  # s > 0
+            (256, 40, 6, 7, 6),  # starts with up to 39 members below, past t
+            (64, 5, 4, 3, 3),  # wrong periods: too small, too large, a multiple
+            (64, 5, 4, 3, 5),
+            (64, 9, 4, 0, 8),
+        ],
+    )
+    def test_matches_the_ladder(self, n, m, p, s, p1):
+        spec = build_oracle(n, m, p, s)
+        h = OracleHandle(spec)
+        marked = set(members(spec))
+        queried = []
+
+        def recording(x):
+            queried.append(x)
+            return h(x)
+
+        for x in members(spec):
+            for t in (2, 4, 8, 16):
+                ladder = g_ladder(x, p1, t)
+                before, queried[:] = h.query_count, []
+                assert _marked_image(recording, x, p1, t) == [r for r in ladder if r in marked]
+                assert queried == ladder
+                assert h.query_count - before == t
 
 
 def _lying_counter_seed():

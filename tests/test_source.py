@@ -1,13 +1,16 @@
 """Rules on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import lpq
 import lpq.errors
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(lpq.__file__).parent.glob("*.py"))
-BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_sources_found():
@@ -317,13 +320,21 @@ LENIENT_READS = ("probe", "query_many")  # the oracle's lenient read, and its fo
 
 def _lenient_reads(sources):
     """Where a module other than offset.py reads the oracle's lenient read,
-    called or not, as ``module.function`` (the innermost function around
-    it) or ``module`` outside any function.  Only the pair test in
-    offset.py forms probes, so it cannot be inlined again."""
+    called or not (see ``_places``).  Only the pair test in offset.py
+    forms probes, so it cannot be inlined again."""
+    return _places(
+        [path for path in sources if path.name != "offset.py"],
+        lambda node: isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in LENIENT_READS,
+    )
+
+
+def _places(sources, hit):
+    """Each node of ``sources`` where ``hit(node)`` holds, as
+    ``module.function``, the innermost function around it, or ``module``
+    outside any function."""
     found = set()
     for path in sources:
-        if path.name == "offset.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = {}  # ast.walk is breadth first, so an inner function overwrites
         for func in ast.walk(tree):
@@ -332,8 +343,7 @@ def _lenient_reads(sources):
         found.update(
             f"{path.stem}.{owner[id(node)]}" if id(node) in owner else path.stem
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and node.attr in LENIENT_READS
+            if hit(node)
         )
     return sorted(found)
 
@@ -367,3 +377,75 @@ def test_lenient_read_rule_finds_reads(tmp_path):
         (tmp_path / name).write_text(text)
     found = _lenient_reads(sorted(tmp_path.glob("*.py")))
     assert found == ["analysis", "analysis.inner", "analysis.mc", "analysis.outer"]
+
+
+def _oracle_maps(sources):
+    """Where a call ``map(handle, ...)`` maps the oracle handle, the name
+    ``handle``, over points, as ``module.function`` (see ``_places``)."""
+    return _places(
+        sources,
+        lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+        and bool(node.args) and getattr(node.args[0], "id", None) == "handle",
+    )
+
+
+def test_one_scan_of_the_marked_image():
+    # the offset search reads the ladder's marked image in one place, so the
+    # scan that samples the quantum step can be replaced in one place
+    assert _oracle_maps(SOURCES) == ["offset._marked_image"]
+
+
+def test_oracle_map_rule_finds_scans(tmp_path):
+    # map(handle, ...) in a function, in a nested function, inside another
+    # call and at module level is found; a map of another function or of a
+    # method of the handle, a plain call of the handle and a map passed as
+    # a name are not
+    module = tmp_path / "offset.py"
+    module.write_text(
+        "def count(handle, ladder):\n"
+        "    return sum(map(handle, ladder))\n"
+        "def walk(handle, ladder):\n"
+        "    def inner():\n"
+        "        return list(map(handle, ladder))\n"
+        "    return inner\n"
+        "def other(handle, f, ladder):\n"
+        "    handle(ladder[0])\n"
+        "    apply(map, handle)\n"
+        "    return map(f, ladder), map(handle.probe, ladder)\n"
+        "marked = list(map(handle, [0]))\n"
+    )
+    assert _oracle_maps([module]) == ["offset", "offset.count", "offset.inner"]
+
+
+def _declared_floor() -> tuple[int, int]:
+    """The lowest Python that pyproject.toml declares, read with a regex,
+    since tomllib is new in 3.11."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def _unparsed(paths, version):
+    """The files that do not parse in the grammar of Python ``version``,
+    as ``name:line: message``."""
+    found = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=version)
+        except SyntaxError as exc:
+            found.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    return found
+
+
+def test_every_file_parses_at_the_declared_floor():
+    # the grammar only: nothing here runs on the floor's interpreter
+    assert _unparsed(SOURCES + TESTS + BENCH, _declared_floor()) == []
+
+
+def test_floor_rule_rejects_newer_syntax(tmp_path):
+    # except* is 3.11 grammar
+    module = tmp_path / "a.py"
+    module.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert _unparsed([module], (3, 11)) == []
+    [found] = _unparsed([module], (3, 10))
+    assert found.startswith("a.py:") and "Exception groups" in found

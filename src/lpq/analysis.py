@@ -34,16 +34,24 @@ batches, of s + q and of s + (m-1)*q over every q, decide them.  A frequency
 whose candidate is q lies in the acceptance window of q (the y within
 n/(2q^2) of n*d/q for a d coprime to q), so ``accepted_denominators``
 runs only on the windows of the q that passed; that marks the frequencies
-where a trial succeeds, and no other can.  Uniforms then come from one
+where a trial succeeds, and no other can; they are kept as a sorted
+array, never as an n-entry mask.  Uniforms then come from one
 ``default_rng(seed)`` stream in batches.  Each is judged a success or a
-failure exactly as ``searchsorted(cdf, u, side="right")`` on the
-closed-form CDF followed by that mark would judge it, but from the CDF
-edges of the marked frequencies only: a table of 2^12 buckets of [0, 1)
-decides every uniform whose bucket holds no edge, and the rest are
-searched among the edges.  The stream is cut after each success into
-per-run trial counts.  Since ``Generator.random(k)`` yields the same
-doubles as k single draws, the counts equal those of a loop drawing one
-frequency per trial.
+failure exactly as ``searchsorted(cdf, u, side="right")`` on the running
+sum of the closed-form table followed by that mark would judge it, but
+from the CDF edges of the marked runs only, about 2*phi(p) of them.  Each
+edge is computed in closed form at O(m) cost, with a certified slack
+(:func:`lpq.closedform.closed_form_edges`) around it.  A uniform outside
+every such interval is decided, as no running-sum edge can lie on its
+other side: a table of 2^12 buckets of [0, 1) decides every uniform whose
+bucket holds no interval end, and the rest are searched among the ends.
+Only a uniform inside an interval needs the exact edges: then, once per
+call, the whole table and its running sum are built and decide it.  At
+n = 2^14 the slack is at most 1.5e-11, and none of the 3.7M uniforms of
+the bench's Monte-Carlo ops at seven seeds fell inside an interval.
+The stream is cut after each success into per-run trial counts.
+Since ``Generator.random(k)`` yields the same doubles as k single draws,
+the counts equal those of a loop drawing one frequency per trial.
 """
 
 from __future__ import annotations
@@ -53,7 +61,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import closed_form_at, closed_form_table, expected_runs, runs_lower_bound
+from .closedform import (
+    closed_form_at,
+    closed_form_edges,
+    closed_form_table,
+    expected_runs,
+    pipeline_constants,
+    runs_lower_bound,
+    spectral_kernel,
+)
 from .errors import BoundViolated, InvalidProbability, NonTermination, ValidationError
 from .offset import probes_accept
 from .oracle import OracleHandle, OracleSpec
@@ -118,8 +134,9 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
     and each ratio_vs_amplified is a total over the amplified total.  A
     pipeline with Pr(0) = 1 never measures a nonzero frequency and raises
     NonTermination: the amplified one past 2m = n, where k = 0, and every
-    one at m = n.  Each pipeline's closed form is evaluated once, at the
-    success set, for the certified probability.
+    one at m = n.  The kernel R(y) is evaluated once, at the success set,
+    and each pipeline's constants scale it into that pipeline's closed
+    form, for the certified probability.
     """
     n, m = spec.n, spec.m
     amplified_cost = grover_schedule(n, m).k + 1
@@ -131,9 +148,10 @@ def workfactor_comparison(spec: OracleSpec) -> list[WorkfactorReport]:
         succ, too_large = success_set(spec), None
     except ValidationError as exc:
         succ, too_large = np.empty(0, dtype=np.int64), exc
+    kernel = spectral_kernel(spec, succ)
     reports = []
     for algorithm in Algorithm:  # amplified first: the others divide by its total
-        pr = closed_form_at(spec, algorithm, succ)
+        pr = kernel.probabilities(pipeline_constants(spec, algorithm, None), np.empty(succ.size))
         runs = expected_runs(n, m, algorithm)
         if runs is None:
             raise NonTermination(
@@ -178,44 +196,63 @@ def monte_carlo_trials(algorithm: Algorithm, spec: OracleSpec, runs: int, seed) 
     """
     if runs < 1:
         raise ValidationError(f"need runs >= 1, got {runs}")
-    table = closed_form_table(spec, Algorithm(algorithm))
+    algorithm = Algorithm(algorithm)
     n = spec.n
     # A trial succeeds exactly when its frequency's candidate q passes the
     # probes, and only the windows of the q that pass hold such frequencies.
     handle = OracleHandle(spec)
     passed = np.zeros(math.isqrt(n) + 1, dtype=bool)
     passed[2:] = probes_accept(handle, spec.s, np.arange(2, passed.size, dtype=np.int64), spec.m)
-    good = np.zeros(n, dtype=bool)
-    for q in np.flatnonzero(passed).tolist():
-        good[acceptance_window(n, q)] = True
-    ys = np.flatnonzero(good)
-    good[ys] = passed[accepted_denominators(n, ys)]
-    p_good = float(table.pr[good].sum())
+    windows = [acceptance_window(n, q) for q in np.flatnonzero(passed).tolist()]
+    ys = np.concatenate([np.empty(0, dtype=np.int64), *windows])
+    if len(windows) > 1:  # windows may overlap; np.unique's first call imports numpy.ma
+        ys = np.sort(ys)
+        ys = ys[np.diff(ys, prepend=-1) != 0]
+    good = ys[passed[accepted_denominators(n, ys)]]  # ascending
+    # the values of table.pr[good], in the same order, so the same sum
+    p_good = float(closed_form_at(spec, algorithm, good).sum())
     if p_good == 0.0:
         raise NonTermination(
             "no candidate period passes verification at a frequency of nonzero "
             "probability, so no run can succeed"
         )
-    cdf = np.cumsum(table.pr)
-    cdf[-1] = max(cdf[-1], 1.0)
-    # A uniform u lands on y = searchsorted(cdf, u, side="right"), the
-    # number of CDF entries <= u.  Call f a flip where good[f] differs from
-    # good[f - 1] (good[-1] = False); good[y] is the parity of the flips
-    # f <= y.  As the CDF is monotone, f <= y iff the left CDF edge of f,
+    # A uniform u lands on y = searchsorted(cdf, u, side="right") for the
+    # running sum cdf of the closed-form table, the number of its entries
+    # <= u.  Call f a flip where y = f is good and y = f - 1 is not, or the
+    # reverse: the first good y of each run of consecutive ones, and the y
+    # past its last.  A good y is one an odd number of flips f <= y lead
+    # to, and as the running sum is monotone, f <= y iff the edge of f,
     # cdf[f - 1] (0 at f = 0), is <= u.  So a trial succeeds iff an odd
-    # number of flip edges are <= u, which _odd_flips decides from a
-    # bucket table over those few edges instead of all n CDF entries.
-    flips = np.flatnonzero(np.diff(good, prepend=False, append=False))
-    edges = np.where(flips > 0, cdf[flips - 1], 0.0)
-    del cdf
-    codes = _bucket_codes(edges)
+    # number of flip edges are <= u.  Each edge lies within slack(f) of its
+    # closed-form E(f) (lpq.closedform), so those intervals decide every
+    # uniform outside them (_odd_flips), and the exact edges, built at most
+    # once a call, decide the few inside.
+    gap = np.flatnonzero(np.diff(good) != 1)  # a run ends at each, and the next starts past it
+    flips = np.empty(2 * gap.size + 2, dtype=np.int64)
+    flips[0], flips[-1] = good[0], good[-1] + 1
+    flips[1:-1:2] = good[gap] + 1
+    flips[2:-1:2] = good[gap + 1]
+    edges, slack = closed_form_edges(spec, algorithm, flips)
+    lo, hi = edges - slack, edges + slack
+    if flips[-1] == n:  # the edge max(cdf[-1], 1), past every uniform
+        lo[-1] = hi[-1] = 1.0
+    # Each edge lies in its interval and the edges rise with f, so the
+    # interval ends may rise with f too, which lets them be searched.
+    lo, hi = np.maximum.accumulate(lo), np.minimum.accumulate(hi[::-1])[::-1]
+    codes = _bucket_codes(lo, hi)
+    exact = None  # the edges from the running sum, once a uniform needs them
     rng = np.random.default_rng(seed)
     counts = np.empty(runs, dtype=np.int64)
     done = pending = 0  # finished runs; trials of the current run so far
     while done < runs:
         # a quarter more draws than the remaining runs need on average
         batch = math.ceil(min(_MC_BATCH_CAP, 1.25 * (runs - done) / p_good))
-        hit = _odd_flips(edges, codes, rng.random(batch))
+        u = rng.random(batch)
+        hit, unsure = _odd_flips(lo, hi, codes, u)
+        if unsure.size:
+            if exact is None:
+                exact = _exact_edges(spec, algorithm, flips)
+            hit[unsure] = np.searchsorted(exact, u[unsure], side="right") & 1
         # 1-based positions of the successes this batch needs
         ends = np.flatnonzero(hit)[: runs - done] + 1
         if ends.size:
@@ -236,34 +273,52 @@ def monte_carlo_trials(algorithm: Algorithm, spec: OracleSpec, runs: int, seed) 
     return EmpiricalTrials(runs, mean, variance, (mean - half, mean + half), counts)
 
 
-def _bucket_codes(edges: np.ndarray) -> np.ndarray:
-    """Per bucket [b/B, (b+1)/B) of [0, 1), B = _BUCKETS: the parity of
-    ``searchsorted(edges, b/B, side="left")``, the edges below b/B, or 2
-    when an edge lies inside the bucket.
+def _exact_edges(spec: OracleSpec, algorithm: Algorithm, flips: np.ndarray) -> np.ndarray:
+    """The edge cdf[f - 1] of each flip f, from the running sum of the
+    whole closed-form table, with cdf[-1] raised to 1."""
+    cdf = np.cumsum(closed_form_table(spec, algorithm).pr)
+    cdf[-1] = max(cdf[-1], 1.0)
+    return np.where(flips > 0, cdf[flips - 1], 0.0)
 
-    For u in a bucket with no edge inside, the edges <= u are exactly the
-    edges < b/B, so the parity is the bucket's; only a bucket holding an
-    edge needs a search.  An edge e lies in bucket floor(e*B), which is
-    exact, and below b/B iff that bucket is below b; edges past 1 share
-    bucket B, which no uniform reaches.
+
+def _bucket_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per bucket [b/B, (b+1)/B) of [0, 1), B = _BUCKETS, for intervals
+    [lo, hi) around rising edges, with lo and hi rising too: 2 if an
+    interval end lies inside the bucket; else, for every u in it, 2 if u
+    lies inside an interval, and otherwise the parity of the edges <= u.
+
+    Among the ends <= u, more ends lo than ends hi means u lies inside an
+    interval; otherwise the edges <= u are those of the ends lo <= u.  So
+    the code changes only at an end: it is taken after each end, in
+    ascending order, and holds up to the bucket of the next.  An end x
+    lies in bucket floor(x*B), which is exact; ends below 0 share bucket
+    0, and ends past 1 bucket B, which no uniform reaches.
     """
-    inside = np.bincount(
-        np.minimum((edges * _BUCKETS).astype(np.intp), _BUCKETS), minlength=_BUCKETS + 1
-    )
-    below = np.cumsum(inside) - inside
-    codes = (below[:-1] & 1).astype(np.int8)
-    codes[inside[:-1] > 0] = 2
+    ends = np.concatenate((lo, hi))
+    order = np.argsort(ends, kind="stable")
+    at = np.minimum(np.maximum(ends[order] * _BUCKETS, 0), _BUCKETS).astype(np.intp)
+    lows = np.cumsum(order < lo.size)  # the ends lo among the first j + 1
+    state = np.zeros(at.size + 1, dtype=np.int8)  # before any end: no edge
+    state[1:] = np.where(2 * lows > np.arange(1, at.size + 1), 2, lows & 1)
+    runs = np.empty(at.size + 2, dtype=np.intp)  # where each state starts
+    runs[0], runs[-1] = 0, _BUCKETS
+    np.minimum(at + 1, _BUCKETS, out=runs[1:-1])
+    codes = np.repeat(state, np.diff(runs))
+    codes[at[at < _BUCKETS]] = 2
     return codes
 
 
-def _odd_flips(edges: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(edges, u, side="right") & 1`` for uniforms u in [0, 1),
-    read from the bucket codes of :func:`_bucket_codes` wherever they
-    decide it, and searched for only where the bucket holds an edge."""
+def _odd_flips(lo: np.ndarray, hi: np.ndarray, codes: np.ndarray, u: np.ndarray):
+    """``searchsorted(edges, u, side="right") & 1`` for uniforms u in [0, 1)
+    outside every interval [lo, hi) of :func:`_bucket_codes`, read from its
+    codes wherever they decide it and searched for among the interval ends
+    where the bucket holds one; and the indices of the uniforms inside an
+    interval, which no edge inside it decides."""
     hit = codes[(u * _BUCKETS).astype(np.intp)]
     slow = np.flatnonzero(hit == 2)
-    hit[slow] = np.searchsorted(edges, u[slow], side="right") & 1
-    return hit
+    ends_lo = np.searchsorted(lo, u[slow], side="right")
+    hit[slow] = ends_lo & 1
+    return hit, slow[ends_lo > np.searchsorted(hi, u[slow], side="right")]
 
 
 def verified_recovery(handle: OracleHandle, y: int, q_max: int | None = None):

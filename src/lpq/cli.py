@@ -596,7 +596,9 @@ def _read_config(path: str) -> dict:
         if not path:  # Path("") is the current directory, which is no file
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         config = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+    except OSError as exc:  # the path is quoted once, before the reason
+        raise ValidationError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # bad UTF-8 or bad JSON
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from None
     if not isinstance(config, dict):
         raise ValidationError(f"config file {path!r} must hold a JSON object")

@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import lpq.analysis
+import lpq.closedform
 from lpq.analysis import _BUCKETS, _bucket_codes, _odd_flips
 from lpq import (
     BoundViolated,
@@ -25,7 +27,7 @@ from lpq import (
     verified_recovery,
     workfactor_comparison,
 )
-from lpq.closedform import closed_form_table
+from lpq.closedform import SpectralKernel, closed_form_table
 from lpq.offset import probes_accept
 from lpq.recovery import accepted_denominators
 from lpq.simulator import _amplified_register
@@ -106,14 +108,15 @@ def success_probability(algorithm: Algorithm, spec) -> float:
 def patch_success_mass(monkeypatch, mass, only=None):
     """Make the work-factor rows read a success-set mass of ``mass``, for
     pipeline ``only`` or for every one."""
-    real = lpq.analysis.closed_form_at
+    real = SpectralKernel.probabilities
 
-    def patched(spec, algorithm, ys):
-        if only not in (None, algorithm):
-            return real(spec, algorithm, ys)
-        return np.full(len(ys), mass / len(ys))
+    def patched(kernel, constants, out):
+        if only not in (None, constants.algorithm):
+            return real(kernel, constants, out)
+        out[:] = mass / out.size
+        return out
 
-    monkeypatch.setattr(lpq.analysis, "closed_form_at", patched)
+    monkeypatch.setattr(SpectralKernel, "probabilities", patched)
 
 
 class TestGeometricStats:
@@ -485,6 +488,15 @@ class TestMonteCarloDifferential:
                 assert isinstance(got, str) and got.endswith(expected), (spec, alg, got)
         assert min(outcomes.values()) >= 20, outcomes
 
+    def test_exact_edges_give_the_same_counts(self, monkeypatch):
+        # a slack past [0, 1] puts every uniform inside an interval, so the
+        # running sum of the whole table decides each one, once per call
+        monkeypatch.setattr(lpq.closedform, "_EDGE_SLACK", 2.0**100)
+        built, real = [], lpq.analysis._exact_edges
+        monkeypatch.setattr(lpq.analysis, "_exact_edges", lambda *a: built.append(a) or real(*a))
+        self.test_trial_counts_equal_direct_search(monkeypatch)
+        assert len(built) >= 200
+
     @pytest.mark.parametrize("runs", [0, -1])
     def test_rejects_runs_below_one(self, runs):
         with pytest.raises(ValidationError, match=f"runs >= 1, got {runs}"):
@@ -492,11 +504,14 @@ class TestMonteCarloDifferential:
 
 
 class TestBucketLookup:
+    # At zero slack every interval is its edge, so no uniform is undecided
     def check(self, edges, u):
         edges = np.sort(np.asarray(edges, dtype=float))
         u = np.asarray(u, dtype=float)
         expected = np.searchsorted(edges, u, side="right") & 1
-        assert _odd_flips(edges, _bucket_codes(edges), u).tolist() == expected.tolist()
+        hit, unsure = _odd_flips(edges, edges, _bucket_codes(edges, edges), u)
+        assert unsure.size == 0
+        assert hit.tolist() == expected.tolist()
 
     def test_edges_and_uniforms_on_bucket_bounds(self):
         # an edge on b/B sits inside bucket b, and a uniform on b/B is
@@ -516,8 +531,28 @@ class TestBucketLookup:
             self.check(edges, u)
             self.check(np.repeat(edges, 2), u)
 
+    def test_intervals_decide_outside_and_defer_inside(self):
+        # with a slack around each edge, a uniform outside every interval
+        # [lo, hi) is decided as the edges decide it, and exactly the
+        # uniforms inside one are left undecided
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 5, 160, 3000):
+            edges = np.sort(rng.random(size))
+            slack = rng.choice([0.0, 1e-12, 2.0**-13, 2.0**-9, 0.02], size)
+            lo = np.maximum.accumulate(edges - slack)
+            hi = np.minimum.accumulate((edges + slack)[::-1])[::-1]
+            u = np.concatenate([rng.random(20_000), edges, lo, hi])
+            u = u[(0 <= u) & (u < 1)]
+            hit, unsure = _odd_flips(lo, hi, _bucket_codes(lo, hi), u)
+            below = np.searchsorted(lo, u, side="right") - 1  # the last interval with lo <= u
+            inside = (below >= 0) & (u < hi[below])  # hi rises, so that one reaches farthest
+            assert unsure.tolist() == np.flatnonzero(inside).tolist()
+            expected = np.searchsorted(edges, u, side="right") & 1
+            assert hit[~inside].tolist() == expected[~inside].tolist()
+
     def test_codes(self):
-        codes = _bucket_codes(np.array([0.0, 0.5, 0.5 + 2**-40, 1.0]))
+        edges = np.array([0.0, 0.5, 0.5 + 2**-40, 1.0])
+        codes = _bucket_codes(edges, edges)
         b = _BUCKETS // 2
         assert codes[0] == 2 and codes[b] == 2
         assert set(codes[1:b].tolist()) == {1} and set(codes[b + 1 :].tolist()) == {1}
@@ -561,3 +596,21 @@ class TestGeneralUnitaryRatio:
         amped = u @ _amplified_register(spec)
         ratio = amped[zero_rows] / plain[zero_rows]
         assert np.abs(ratio - general_unitary_ratio(n, m)).max() < 1e-8
+
+def test_fast_path_builds_no_table_at_2e22(monkeypatch):
+    # At n = 2^22 and p = 2039 < sqrt(n) = 2048, the sampler reads about
+    # 4,000 closed-form edges and never the 32 MiB table: its peak stays
+    # below n bytes.
+    def refuse(*args):
+        raise AssertionError("closed_form_table built on the fast path")
+
+    monkeypatch.setattr(lpq.analysis, "closed_form_table", refuse)
+    spec = build_oracle(1 << 22, 4, 2039, 5)
+    tracemalloc.start()
+    try:
+        stats = monte_carlo_trials(Algorithm.AMPLIFIED, spec, runs=50, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.trial_counts.size == 50
+    assert peak < 1 << 22

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import math
@@ -358,6 +359,39 @@ class TestFindOffset:
         assert obj["offset"] == 7 and obj["iterations"] == 0
 
 
+# SHA-256 of the JSON and the CSV output of each trials op, at n = 2^14, of
+# the bench's mc-2e14 cycle at seed 7: (alg, runs, seed, m, p, s) -> digests.
+MC_SEED7_DIGESTS = {
+    ("qft", 1, 1862494042, 4, 123, 2471): (
+        "f1fbd2e1aa0132e7a344672af0cf2eab7ee42365addf01b70679b2b056e7779c",
+        "4ea9eb822ea94ac89002306ce1379c0b12fe41cc9f4ea700e3d8f92152c83ac0"),
+    ("qhs", 1, 1796035739, 4, 123, 2471): (
+        "52c88e135ea2682d01b391a5ca1a4e3942910df88de51438e3d8359334a0f4f2",
+        "b7361ff110f0e1ca2c5aee3c530b45c15a25c2bfbf232d989a2f5eb3bf8c1485"),
+    ("amplified", 525, 300026767, 4, 123, 2471): (
+        "e5f2dfc1f135c61848b457ec687b26733d947dfc89e7d93122cfab8375076385",
+        "65a6be877c6132b79125063c1071ab5ddcf673c0a83ac92dd80db68d4d5ff26f"),
+    ("qft", 1, 1033639716, 5, 85, 791): (
+        "b3686ca386d678e10a1e8a7e32ecd9fbf2da8b38c1f96381f820a762b20486ce",
+        "01b473ef7be2647ff0e3464ac66d73e68b665250fe1986e1d79f28c5c2256bee"),
+    ("qhs", 1, 389609433, 5, 85, 791): (
+        "26ac92d646dfddbf9004d729f4db36f574edaf8560c31f8245cb46de4d824042",
+        "7108aa98d8c310cabeef170ebf4449f0473bb508074cd3cc1f50e972f04fff27"),
+    ("amplified", 1066, 1823296038, 5, 85, 791): (
+        "c3c9b3c2b989d9c5c2af6074c14934766845957ecc329c3f9ec5c98dd23fd391",
+        "673ae59419fbbc703b69d8a247823d8fd2e6463bf9d06abc1c578643ee635b5c"),
+    ("qft", 1, 253877686, 3, 6, 1408): (
+        "d137a92f51f7c5d04dd16a4256f4e5a57a6f4ec86854d9699caa47e5bc7e66a3",
+        "8d6f602e3f724e2d7e3db0db3bec2c4597b1b520922184db66f7e2893c81c495"),
+    ("qhs", 1, 531725347, 3, 6, 1408): (
+        "fa5a546a0ede7ac8e35aade34cf70f05d3bc74cd17afe83fd5c282fdee358847",
+        "a790716a19f96c24a9893d451fc00b44f48c945f065396be0cd3ce95ba37b892"),
+    ("amplified", 384, 958804057, 3, 6, 1408): (
+        "2fd5c70a3c2714b1e2941d1646f992985a9c8ebfd9c528e86035827fe80989d7",
+        "16eb78f5f4a36102f41359ba6ad2cca518a1144ccb835bb23f47d4ea34e45251"),
+}
+
+
 class TestTrials:
     def test_workfactor_rows(self, tmp_path):
         out = tmp_path / "trials.json"
@@ -459,6 +493,18 @@ class TestTrials:
         flags = [f"--{k}={v}" for k, v in zip("nmps", instance)]
         assert main(["trials", *flags, "--format", fmt]) == 0
         assert capsys.readouterr().out == TRIALS_TEXT[instance, fmt]
+
+    @pytest.mark.parametrize("op", list(MC_SEED7_DIGESTS), ids=lambda op: "-".join(map(str, op)))
+    def test_monte_carlo_bytes_pinned(self, op, capsys):
+        # every digit of the work-factor rows and the Monte-Carlo summary:
+        # a bit that moves in the closed form or a trial count that moves
+        # in the sampler changes a digest
+        alg, runs, seed, m, p, s = op
+        argv = ["trials", "--alg", alg, "--runs", runs, "--seed", seed, "--n", 1 << 14,
+                "--m", m, "--p", p, "--s", s]
+        for fmt, digest in zip(("json", "csv"), MC_SEED7_DIGESTS[op]):
+            assert main([str(a) for a in argv] + ["--format", fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 SEEDED = {
@@ -663,30 +709,39 @@ def _count_closed_form_tables(monkeypatch) -> list:
     return _count_calls(monkeypatch, lpq.closedform.closed_form_table)
 
 
-def _count_closed_form_evaluations(monkeypatch) -> list:
-    # the table's own block evaluations (in lpq.closedform) count as the table
-    return _count_calls(monkeypatch, lpq.closedform.closed_form_at, skip={"lpq.closedform"})
+def _count_closed_form_evaluations(monkeypatch) -> tuple[list, list]:
+    # the evaluations inside lpq.closedform count as the caller's: a table's
+    # blocks as the table, closed_form_at's kernel as closed_form_at
+    return (
+        _count_calls(monkeypatch, lpq.closedform.closed_form_at, skip={"lpq.closedform"}),
+        _count_calls(monkeypatch, lpq.closedform.spectral_kernel, skip={"lpq.closedform"}),
+    )
 
 
 class TestClosedFormTablesPerInstance:
     # The work-factor rows read at most phi(p) + 1 closed-form values per
-    # pipeline; only Monte-Carlo needs a whole table.
+    # pipeline, and Monte-Carlo reads its edges in closed form; a whole
+    # table is built only for the exact edges, where a uniform lands within
+    # the slack of an edge.
     def test_trials_builds_only_the_monte_carlo_table(self, monkeypatch, capsys):
         calls = _count_closed_form_tables(monkeypatch)
         argv = ["trials", "--n", "4096", "--m", "4", "--p", "16", "--s", "3"]
         assert main(argv) == 0
+        assert main([*argv, "--runs", "3", "--alg", "qhs"]) == 0
         assert calls == []
+        # a slack that covers [0, 1] leaves every uniform to the exact edges
+        monkeypatch.setattr(lpq.closedform, "_EDGE_SLACK", 2.0**100)
         assert main([*argv, "--runs", "3", "--alg", "qhs"]) == 0
         assert [args[1] for args in calls] == [Algorithm.QHS]
 
     def test_trials_p1_builds_only_the_monte_carlo_table(self, monkeypatch, capsys):
-        # p = 1 certifies nothing, so only --runs needs a table
+        # p = 1 certifies nothing, and no run can succeed, which Monte-Carlo
+        # finds before it needs any edge
         calls = _count_closed_form_tables(monkeypatch)
         assert main(["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3"]) == 0
-        assert calls == []
         argv = ["trials", "--n", "256", "--m", "4", "--p", "1", "--s", "3", "--runs", "1"]
         assert main(argv) == 4
-        assert len(calls) == 1
+        assert calls == []
 
     def test_sweep_builds_none(self, monkeypatch, tmp_path, capsys):
         calls = _count_closed_form_tables(monkeypatch)
@@ -697,28 +752,30 @@ class TestClosedFormTablesPerInstance:
         assert code == 0
         assert calls == []
 
-    # One success set per instance, and one closed-form evaluation per
-    # pipeline, at the success set, for the certified probability.
+    # One success set per instance, one kernel evaluation at it for the
+    # three pipelines' certified probabilities, and one closed-form
+    # evaluation of Monte-Carlo's pipeline at its verified frequencies.
     @pytest.mark.parametrize("p,runs", [(16, None), (16, 40), (97, 40), (1, None)])
     def test_three_evaluations_one_success_set(self, p, runs, monkeypatch, capsys):
-        evaluations = _count_closed_form_evaluations(monkeypatch)
+        evaluations, kernels = _count_closed_form_evaluations(monkeypatch)
         success_sets = _count_calls(monkeypatch, lpq.recovery.success_set)
         tables = _count_closed_form_tables(monkeypatch)
         argv = ["trials", "--n", "16384", "--m", "4", "--p", str(p), "--s", "3", "--alg", "qft"]
         if runs is not None:
             argv += ["--runs", str(runs)]
         assert main(argv) == 0
-        assert [args[1] for args in evaluations] == list(Algorithm)
+        assert len(kernels) == 1
+        assert [args[1] for args in evaluations] == [Algorithm.QFT] * (runs is not None)
         assert len(success_sets) == 1
-        assert len(tables) == (runs is not None)
+        assert tables == []
 
     def test_sweep_per_doubling(self, monkeypatch, tmp_path, capsys):
-        evaluations = _count_closed_form_evaluations(monkeypatch)
+        evaluations, kernels = _count_closed_form_evaluations(monkeypatch)
         success_sets = _count_calls(monkeypatch, lpq.recovery.success_set)
         argv = ["sweep", "--m", "4", "--p", "4", "--s", "1", "--n-min", "256", "--n-max", "1024",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert (len(evaluations), len(success_sets)) == (9, 3)
+        assert (len(evaluations), len(kernels), len(success_sets)) == (0, 3, 3)
 
 
 class TestSweep:
@@ -833,8 +890,12 @@ class TestConfig:
         assert code == 2
         assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
         assert err.count("\n") == 1
-        if not path:
-            assert err.endswith(": ''\n")
+        # an OSError gives its reason alone, so the path is quoted once
+        reason = {"directory": "Is a directory", "malformed": None, "not utf-8": None}.get(
+            kind, "No such file or directory"
+        )
+        if reason is not None:
+            assert err == f"error: cannot read config file {str(path)!r}: {reason}\n"
 
     def test_key_no_subcommand_takes_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "typo.json"

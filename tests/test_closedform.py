@@ -20,7 +20,7 @@ from lpq import (
     simulated_table,
     workfactor_comparison,
 )
-from lpq.closedform import RATIO_SLACK
+from lpq.closedform import RATIO_SLACK, closed_form_edges, pipeline_constants, spectral_kernel
 from lpq.spectrum import (
     CASE_NAMES,
     CODE_GENERIC,
@@ -551,3 +551,73 @@ def test_ratios_within_slack_of_the_anchor():
                 for y, got in zip(ys, ratios):
                     ref = anchor_pr(n, m, p, y, Algorithm.AMPLIFIED) / anchor_pr(n, m, p, y, den)
                     assert abs(got - ref) <= RATIO_SLACK * ref, (n, m, p, y, den)
+
+
+def running_sum_edges(spec, alg) -> np.ndarray:
+    """cdf[f - 1] for f in 0..n, 0 at f = 0: the running sum of the whole
+    table, the edges Monte-Carlo's sampler reads."""
+    return np.concatenate([[0.0], np.cumsum(closed_form_table(spec, alg).pr)])
+
+
+def edge_error_within_bound(spec, alg, fs, exact):
+    """Each closed-form edge at fs within slack/8 of the exact edge: within
+    the module docstring's bound itself, not just within the slack."""
+    edges, slack = closed_form_edges(spec, alg, fs)
+    error = np.abs(edges - exact)
+    assert np.all(error <= slack / 8), (spec, alg, int(fs[np.argmax(error - slack / 8)]))
+    assert edges[fs == 0].tolist() == slack[fs == 0].tolist() == [0.0] * int(np.sum(fs == 0))
+
+
+class TestClosedFormEdges:
+    def test_every_edge_within_the_bound(self):
+        # every f, at 60 seeded instances with n <= 4096, non-strict ones
+        # (p up to n, 2m > n) and m up to 60 among them
+        rng = np.random.default_rng(32)
+        strict = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 4097))
+            p = int(rng.integers(1, (math.isqrt(n) if rng.random() < 0.6 else n) + 1))
+            m = int(rng.integers(1, min(60, (n - 1) // p + 1) + 1))
+            spec = build_oracle(n, m, p, int(rng.integers(0, n - (m - 1) * p)), strict=False)
+            strict += p * p <= n and 2 * m <= n
+            for alg in Algorithm:
+                edge_error_within_bound(spec, alg, np.arange(n + 1), running_sum_edges(spec, alg))
+        assert 10 <= strict <= 50
+
+    @pytest.mark.parametrize(
+        "n,m,p", [(1 << 16, 64, 251), (1 << 18, 7, 3), (3 << 19, 60, 1000), (1 << 22, 4, 2039)]
+    )
+    def test_sampled_edges_within_the_bound(self, n, m, p):
+        spec = build_oracle(n, m, p, 1)
+        fs = np.unique(np.r_[0, 1, n - 1, n, np.random.default_rng(n).integers(0, n + 1, 2000)])
+        for alg in Algorithm:
+            edge_error_within_bound(spec, alg, fs, running_sum_edges(spec, alg)[fs])
+
+    @pytest.mark.parametrize(
+        "n,m,p", [(1 << 40, 5, 3), ((1 << 40) + 3, 5, (1 << 20) + 7), (1 << 59, 2, 7)]
+    )
+    def test_edges_past_int64_products(self, n, m, p):
+        # a*(2f - 1) passes 2**63 from n = 2**31 on, so the arguments are
+        # reduced in Python ints; the first 2**14 edges are a running sum
+        # of closed_form_at, which equals the table there
+        spec = build_oracle(n, m, p, 0, strict=False)
+        fs = np.r_[0:64, 1 << 14]
+        for alg in Algorithm:
+            head = closed_form_at(spec, alg, np.arange(1 << 14))
+            exact = np.concatenate([[0.0], np.cumsum(head)])
+            edge_error_within_bound(spec, alg, fs, exact[fs])
+
+
+@pytest.mark.parametrize(
+    "n,m,p", [(4096, 5, 60), (1 << 17, 7, 3), (1000, 60, 16), (4096, 1, 4096)]
+)
+def test_one_kernel_scales_into_each_pipeline(n, m, p):
+    # the kernel evaluated once and scaled by each pipeline's constants is
+    # closed_form_at bit for bit, over more than one block of frequencies
+    spec = build_oracle(n, m, p, 0, strict=False)
+    ys = np.random.default_rng(n).integers(0, n, 70_000)
+    ys[:3] = 0, n // math.gcd(n, p) % n, n // math.gcd(n, m * p) % n  # zero, resonant, null
+    kernel = spectral_kernel(spec, ys)
+    for alg in Algorithm:
+        got = kernel.probabilities(pipeline_constants(spec, alg, None), np.empty(ys.size))
+        assert got.tobytes() == closed_form_at(spec, alg, ys).tobytes()

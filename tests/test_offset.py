@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from lpq import (
 )
 from lpq.offset import _idealized_count, _marked_image, _unmarked_label
 from lpq.oracle import OracleSpec
-from reference import g_ladder, members
+from reference import counting_failure_rate, g_ladder, members, walk_rounds_mean
 
 SPEC163 = build_oracle(16, 3, 4, 1)
 
@@ -515,6 +516,45 @@ def test_mean_rounds_scale_with_log_m():
         assert result.offset == 5
         rounds.append(result.iterations)
     assert np.mean(rounds) <= 4 * math.log2(32)
+
+
+# The offset searches' exact expectations (reference.py), each held to its
+# seeded mean within 4 standard errors, at s > 0 and at s = 0.  A walk at
+# m = 512 makes about 3,000 oracle queries, so it runs on fewer seeds.
+EXPECTATION_CASES = [
+    (m, s, seeds)
+    for m, seeds in [(2, 600), (3, 600), (4, 600), (64, 400), (512, 300)]
+    for s in (5, 0)
+]
+
+
+@pytest.mark.parametrize("m,s,seeds", EXPECTATION_CASES)
+def test_walk_mean_rounds_is_exact(m, s, seeds):
+    spec = build_oracle(4096, m, 7, s)
+    rounds = [
+        find_offset_decreasing(OracleHandle(spec), 7, m, seed).iterations for seed in range(seeds)
+    ]
+    error = 4 * np.std(rounds, ddof=1) / math.sqrt(seeds)
+    assert abs(np.mean(rounds) - float(walk_rounds_mean(m, s))) <= error
+
+
+@pytest.mark.parametrize("m,s,seeds", EXPECTATION_CASES)
+def test_counting_failure_rate_is_exact(m, s, seeds):
+    spec = build_oracle(4096, m, 7, s)
+    failures = 0
+    for seed in range(seeds):
+        try:
+            assert find_offset_counting(OracleHandle(spec), 7, m, seed).offset == s
+        except VerificationFailed:
+            failures += 1
+    rate = counting_failure_rate(m, s)  # 0 at s = 0, where no run may fail
+    assert abs(failures / seeds - rate) <= 4 * math.sqrt(rate * (1 - rate) / seeds)
+
+
+def test_walk_expectation_is_the_harmonic_number():
+    # at s > 0 the recurrence over r gives H_m - 1 exactly
+    for m in (1, 2, 3, 4, 64, 512):
+        assert walk_rounds_mean(m, 5) == sum(Fraction(1, k) for k in range(2, m + 1))
 
 
 # Full find-offset transcripts, held fixed: (method, n, m, p, s, seed,

@@ -449,3 +449,61 @@ def test_floor_rule_rejects_newer_syntax(tmp_path):
     assert _unparsed([module], (3, 11)) == []
     [found] = _unparsed([module], (3, 10))
     assert found.startswith("a.py:") and "Exception groups" in found
+
+
+# The only readers of a whole closed-form table: the two commands that
+# print one, and Monte-Carlo's exact edges, built only where a uniform
+# lands within the slack of a closed-form edge.
+TABLE_READERS = {"cli.cmd_spectrum", "cli.cmd_compare", "analysis._exact_edges"}
+
+
+def _table_readers(sources):
+    """Where ``closed_form_table`` is read, called or not, as
+    ``module.function`` (see ``_places``); its def and its imports are
+    not reads."""
+    return _places(
+        sources,
+        lambda node: (isinstance(node, ast.Name) and node.id == "closed_form_table")
+        or (isinstance(node, ast.Attribute) and node.attr == "closed_form_table"),
+    )
+
+
+def test_only_the_printed_tables_and_the_exact_edges_build_a_table():
+    # Monte-Carlo reads its edges in closed form, so an n-entry table is
+    # built by a command that prints one, or by the sampler's fallback
+    assert set(_table_readers(SOURCES)) - TABLE_READERS == set()
+
+
+def test_table_reader_rule_finds_readers(tmp_path):
+    # a call, a call through the module, a nested function's call and a
+    # function passed on are found; the allowed readers, the import, a
+    # string and another name are not
+    package = {
+        "closedform.py": "def closed_form_table(spec, alg):\n    return spec\n",
+        "__init__.py": (
+            "from .closedform import closed_form_table\n__all__ = ['closed_form_table']\n"
+        ),
+        "analysis.py": (
+            "from .closedform import closed_form_table\n"
+            "def monte_carlo_trials(spec, alg):\n"
+            "    cdf = closed_form_table(spec, alg).pr.cumsum()\n"
+            "def _exact_edges(spec, alg):\n"
+            "    return closed_form_table(spec, alg)\n"
+            "def outer(spec):\n"
+            "    def inner(alg):\n"
+            "        return closedform.closed_form_table(spec, alg)\n"
+            "    return list(map(closed_form_table, [spec]))\n"
+            "def other(spec):\n"
+            "    return 'closed_form_table', closed_form_at(spec)\n"
+        ),
+        "cli.py": (
+            "def cmd_spectrum(args):\n"
+            "    return closedform.closed_form_table(args, 1)\n"
+            "def cmd_compare(args):\n"
+            "    return {a: closedform.closed_form_table(args, a) for a in args}\n"
+        ),
+    }
+    for name, text in package.items():
+        (tmp_path / name).write_text(text)
+    found = set(_table_readers(sorted(tmp_path.glob("*.py")))) - TABLE_READERS
+    assert found == {"analysis.inner", "analysis.monte_carlo_trials", "analysis.outer"}

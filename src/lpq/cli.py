@@ -25,16 +25,22 @@ block's whatever n; --out is opened once and receives every block.  A
 text stream with no byte buffer beneath it, such as an io.StringIO, gets
 the whole table as one block and one write instead: a sink that keeps the
 whole text in memory gains nothing from blocks, and one block reads each
-half row once, where blocks read every mirror row again.  Float cells are
-formatted in numpy by lpq.floattext, which leaves to Python only the
-values it cannot certify; a column of mostly repeated values is formatted
-once per distinct value.  A 2^16-row table never goes through per-row
-numpy indexing or the json encoder.  The output is byte-identical to
-formatting every value with format(x, ".17g") and dumping the whole
-object with json.dumps(indent=1, sort_keys=True).  Every check that can
-fail a run comes before the first byte of its output, so a run that ends
-in an error line writes nothing to stdout and leaves an --out file as it
-was; sweep checks each n before it writes that n's file.
+half row once, where blocks read every mirror row again.  No n-entry
+closed-form table is built: one spectral kernel, scaled for each pipeline
+a table prints, gives the closed form of the rows of a block, or, where p
+shares a factor with n, of the few frequencies every row repeats, once.
+Float cells are formatted in numpy by lpq.floattext, which leaves to
+Python only the values it cannot certify; a column of mostly repeated
+values is formatted once per distinct value.  A 2^16-row table never goes
+through per-row numpy indexing or the json encoder.  The output is
+byte-identical to formatting every value with format(x, ".17g") and
+dumping the whole object with json.dumps(indent=1, sort_keys=True).
+Every check that can fail a run comes before the first byte of its
+output, so a run that ends in an error line writes nothing to stdout and
+leaves an --out file as it was; sweep checks each n before it writes that
+n's file.  For a table, a first pass over its rows in blocks checks every
+closed-form value as make_table checks a table and finds what heads the
+table, keeping only the distinct values of the deviation or ratio columns.
 
 Exit codes:
 
@@ -85,7 +91,15 @@ from . import analysis, closedform, offset, recovery, simulator
 from .errors import BoundViolated, LpqError, NonTermination, ValidationError, VerificationFailed
 from .floattext import float_cells
 from .oracle import OracleHandle, build_oracle
-from .spectrum import CASE_NAMES, CODE_GENERIC, CODE_RESONANT, Algorithm
+from .spectrum import (
+    CASE_NAMES,
+    CODE_GENERIC,
+    CODE_RESONANT,
+    Algorithm,
+    case_codes,
+    check_entries,
+    check_total,
+)
 
 EXIT_OK = 0
 EXIT_LPQ_ERROR = 1
@@ -103,26 +117,32 @@ def _fmt(x: float) -> str:
 # the text after each cell (its suffix).  The last cell's suffix runs on
 # through the row separator into the next row's head, so the rows of a
 # table are exactly its cells with their suffixes, taken row by row.  A
-# column is a function from a range of rows y = 0..n//2 to their cells,
-# suffix and all: every table is mirror-symmetric (ProbabilityTable), so
-# _block fills the rows above n/2 from their mirror rows by reversed
-# slicing.  Float cells come from float_cells ("%.17g" prints a Python
-# float exactly as format(x, ".17g"), and "%r" prints a finite one exactly
-# as json.dumps does).  _column formats each distinct value once, and a
-# range's cells are one gather from those, except where nearly every value
-# is distinct, the probabilities at p coprime to n: there each range's
-# values are formatted as it is taken.  A y cell is two pieces: y // 1000,
-# empty below 1000, then the last three digits and the suffix, zero-padded
-# from 1000 up; each block slices both from tuples made once.  _write_table
+# table is a function from a range of rows y = 0..n//2 to each field's
+# cells, suffix and all: every table is mirror-symmetric (ProbabilityTable),
+# so _block fills the rows above n/2 from their mirror rows by reversed
+# slicing.  Its closed-form values come from _ClosedForm, which folds each
+# row onto the frequency whose value it repeats.  Float cells come from
+# float_cells ("%.17g" prints a Python float exactly as format(x, ".17g"),
+# and "%r" prints a finite one exactly as json.dumps does), a list of str.
+# _Distinct formats each distinct value of a column once, and a range's
+# cells are one gather from those, except where nearly every value is
+# distinct, the probabilities at p coprime to n: there each range's values
+# are formatted as it is taken.  A y cell is two pieces: y // 1000, empty
+# below 1000, then the last three digits and the suffix, zero-padded from
+# 1000 up; each block slices both from tuples made once.  _write_table
 # takes the table _BLOCK_ROWS rows at a time: _block interleaves a block's
 # pieces by slice assignment, and each block is joined once and written at
 # once, the last trimmed of its run-on.  So the text held at any time is one
-# block's, whatever n.  The exception is a text stream with no byte buffer
-# beneath it (an io.StringIO, as contextlib.redirect_stdout callers pass):
-# it keeps the whole text in memory, so blocks save it nothing, and it gets
-# the whole table as one block, which reads each half row once.  Blocks
-# read every mirror row again, and at p coprime to n format it again.  A
-# JSON template lays out one element of a top-level "rows" list the way
+# block's, whatever n.  At n = 2^16, 4,096 rows a block wrote sixteen
+# spectrum and compare tables to a file in 0.43 s, against 0.47 s with
+# 2,048 or 8,192 rows; at 2^22, 4,096 and 8,192 rows tied within the
+# host's noise, and the smaller block holds half the text.  The exception
+# is a text stream with no byte buffer beneath it (an io.StringIO, as
+# contextlib.redirect_stdout callers pass): it keeps the whole text in
+# memory, so blocks save it nothing, and it gets the whole table as one
+# block, which reads each half row once.  Blocks read every mirror row
+# again, and at p coprime to n evaluate and format it again.  A JSON
+# template lays out one element of a top-level "rows" list the way
 # json.dumps(indent=1, sort_keys=True) does (depth 2, keys sorted), so
 # _json_frame can splice the table into a dump of the other fields.  A CSV
 # row is a line, newline included, so CSV rows need no separator; a CSV
@@ -131,8 +151,9 @@ _FIELD = re.compile(r"%\((\w+)\)[sd]")
 _ROW_SEP = {"csv": "", "json": ",\n"}
 _FLOAT_FORMAT = {"csv": "%.17g", "json": "%r"}
 _ROWS_KEY = '\n "rows": []'  # the top-level key: only it sits one space in
-_BLOCK_ROWS = 1 << 13
-_Cells = Callable[[int, int], list[str]]  # a column: the cells of rows lo..hi-1
+_BLOCK_ROWS = 1 << 12
+# a table: the cells of rows lo..hi-1, by field
+_Cells = Callable[[int, int], dict[str, list[str]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,37 +195,110 @@ _COMPARE_ROW = _layouts(
 _VERDICTS = ("excluded", "pass", "FAIL")  # compare's verdict codes 0, 1, 2
 
 
-def _distinct(values: np.ndarray, fmt: str, suffix: str) -> tuple[list[str], np.ndarray]:
-    """``fmt % x + suffix`` for each distinct float64 x in values, and the
-    index of every value's cell among them.
+class _Distinct:
+    """The column cells ``fmt % x + suffix`` of a set of float64 values,
+    each distinct bit pattern formatted once by float_cells, followed by
+    the ``extra`` cells.  ``at`` gives the cells of the values the set was
+    built from, and ``index`` where the cell of any value from among them
+    is in ``cells``."""
 
-    Each distinct bit pattern is formatted once, by float_cells: a table's
-    probabilities depend on p*y mod n, and its deviations are mostly 0 or
-    a few ulps, so a column usually holds far fewer distinct values than
-    rows.
+    def __init__(self, values: np.ndarray, fmt: str, suffix: str, extra: tuple[str, ...]):
+        self.bits, self.inverse = np.unique(values.view(np.int64), return_inverse=True)
+        cells = float_cells(self.bits.view(np.float64), fmt, suffix)
+        self.cells = np.array([*cells, *extra], dtype=object)
+
+    def at(self, rows) -> list[str]:
+        """The cells of the values at ``rows`` (an index or a slice) of
+        the values the set was built from."""
+        return self.cells[self.inverse[rows]].tolist()
+
+    def index(self, values: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.bits, values.view(np.int64))
+
+
+def _distinct_bits(values: np.ndarray) -> np.ndarray:
+    """The distinct bit patterns among float64 values, sorted.  np.unique
+    does this too, but without return_inverse it imports numpy.ma, whose
+    memory then shows in a run's peak."""
+    bits = np.sort(values.view(np.int64))
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    return bits[first]
+
+
+def _names(names, suffix: str) -> Callable[[np.ndarray], list[str]]:
+    """The cells ``names[code] + suffix`` of a range of rows' codes."""
+    table = np.array([name + suffix for name in names], dtype=object)
+    return lambda codes: table[codes].tolist()
+
+
+class _ClosedForm:
+    """The closed form of some pipelines at rows y = 0..n//2 of an n-row
+    table, from one spectral kernel scaled by each pipeline's constants.
+
+    Row y takes the value at its fold point.  With P = n/gcd(n, p), these
+    are y = 0..P//2 and, where P < n, y = P: y = 0 folds to y = 0, a
+    resonant row (P divides y, y > 0) to y = P, and any other to y mod P
+    or P - (y mod P), whichever is at most P//2.  Where P = n every row is
+    its own fold point.  closed_form_at reads y only through p*y mod n,
+    folded to min(r, n - r), so each value is the closed-form table's bit
+    for bit.  The kernel is evaluated once at every fold point, and
+    ``points`` holds each pipeline's values there, where P < n or where
+    ``whole`` asks for it; otherwise ``points`` is None, and each range of
+    rows is evaluated as it is asked for.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return float_cells(bits.view(np.float64), fmt, suffix).tolist(), inverse
 
+    def __init__(self, spec, algorithms, iterations: int | None, whole: bool):
+        n = spec.n
+        self.spec, self.period = spec, n // math.gcd(n, spec.p)
+        self.constants = [closedform.pipeline_constants(spec, a, iterations) for a in algorithms]
+        self.points = None
+        if self.period < n:
+            self.points = self._evaluate(np.append(np.arange(self.period // 2 + 1), self.period))
+        elif whole:
+            self.points = self._evaluate(np.arange(n // 2 + 1))
 
-def _indexed(cells: list[str], index: np.ndarray) -> _Cells:
-    """The column whose row y has the cell ``cells[index[y]]``."""
-    table = np.array(cells, dtype=object)
-    return lambda lo, hi: table[index[lo:hi]].tolist()
+    def _evaluate(self, ys: np.ndarray) -> list[np.ndarray]:
+        kernel = closedform.spectral_kernel(self.spec, ys)
+        outs = [np.empty(ys.size) for _ in self.constants[1:]] + [kernel.ratio]
+        return [kernel.probabilities(c, out) for c, out in zip(self.constants, outs)]
 
+    def fold(self, lo: int, hi: int) -> np.ndarray:
+        """The fold of each row lo..hi-1, in 0..n//2, as its index among the
+        points y = 0..P//2 and y = P; where P = n, the row itself."""
+        ys = np.arange(lo, hi)
+        if self.period == self.spec.n:
+            return ys
+        r = ys % self.period
+        fold = np.minimum(r, self.period - r)
+        fold[(r == 0) & (ys != 0)] = self.period // 2 + 1  # y = P, kept apart from y = 0
+        return fold
 
-def _column(values: np.ndarray, fmt: str, suffix: str, distinct: bool = True) -> _Cells:
-    """The column of ``fmt % x + suffix`` for every float64 x in values:
-    each distinct value formatted once, or, where ``distinct`` is false,
-    the values of each range of rows formatted as it is taken."""
-    if not distinct:
-        return lambda lo, hi: float_cells(values[lo:hi], fmt, suffix).tolist()
-    return _indexed(*_distinct(values, fmt, suffix))
+    def at(self, points: np.ndarray) -> list[np.ndarray]:
+        """Each pipeline's values at the given points, as fold gives them."""
+        if self.points is None:
+            return self._evaluate(points)
+        return [values[points] for values in self.points]
 
-
-def _names(names, suffix: str, codes: np.ndarray) -> _Cells:
-    """The column of ``names[code] + suffix`` for every code."""
-    return _indexed([name + suffix for name in names], codes)
+    def checked(self):
+        """Rows 0..n//2 in blocks, as (lo, hi, their values), each block
+        checked as make_table checks a table before it is yielded: every
+        value finite and non-negative.  After the last block, each
+        pipeline's sum over the n rows of the table, where row y stands
+        for rows y and n - y, must lie within NORMALIZATION_TOL of 1."""
+        n = self.spec.n
+        totals = [0.0] * len(self.constants)
+        for lo in range(0, n // 2 + 1, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n // 2 + 1)
+            values = self.at(self.fold(lo, hi))
+            ys = np.arange(lo, hi)
+            weights = 2.0 - (ys == 0) - (2 * ys == n)
+            for k, pr in enumerate(values):
+                check_entries(pr)
+                totals[k] += float(pr @ weights)
+            yield lo, hi, values
+        for total in totals:
+            check_total(total)
 
 
 @functools.cache
@@ -287,7 +381,7 @@ def _write_csv(out: str | None, header, rows, trailer=()) -> None:
     _write_text(out, before + "".join(",".join(map(_cell, row)) + "\n" for row in rows) + after)
 
 
-def _block(layout: _Layout, n: int, columns: dict[str, _Cells], a: int, b: int) -> list[str]:
+def _block(layout: _Layout, n: int, cells: _Cells, a: int, b: int) -> list[str]:
     """The pieces of rows a..b-1 of the n-row table, row by row."""
     width = len(layout.fields) + 1  # a y cell is two pieces
 
@@ -297,6 +391,7 @@ def _block(layout: _Layout, n: int, columns: dict[str, _Cells], a: int, b: int) 
     # half(y) rises to n//2 and falls after it, so the block reads rows lo..hi-1
     lo, hi = min(half(a), half(b - 1)), half(min(max(n // 2, a), b - 1)) + 1
     mid = min(max(a, n // 2 + 1), b)  # rows a..mid-1 read themselves, mid..b-1 their mirrors
+    columns = cells(lo, hi)
     pieces = [""] * (width * (b - a))
     i = 0
     for field in layout.fields:  # row-major, interleaved in C
@@ -304,31 +399,30 @@ def _block(layout: _Layout, n: int, columns: dict[str, _Cells], a: int, b: int) 
             pieces[i::width], pieces[i + 1 :: width] = _y_pieces(a, b, layout.suffix["y"])
             i += 1
         else:
-            cells = columns[field](lo, hi)
-            pieces[i : (mid - a) * width : width] = cells[a - lo : mid - lo]
+            column = columns[field]
+            pieces[i : (mid - a) * width : width] = column[a - lo : mid - lo]
             # rows b-1 down to mid take rows n-b+1 up to n-mid
-            mirrors = cells[n - b + 1 - lo : n - mid + 1 - lo]
+            mirrors = column[n - b + 1 - lo : n - mid + 1 - lo]
             stop = (mid - a - 1) * width + i if mid > a else None
             pieces[(b - a - 1) * width + i : stop : -width] = mirrors
         i += 1
     return pieces
 
 
-def _write_table(out: str | None, layout: _Layout, n: int, columns: dict[str, _Cells],
+def _write_table(out: str | None, layout: _Layout, n: int, cells: _Cells,
                  frame: tuple[str, str]) -> None:
     """Write the n-row table inside the frame's text before and after it,
     a block of rows at a time (bulk emission comment).
 
-    ``columns`` maps every field but y to its column: the cells of a range
-    of rows y = 0..n//2, each followed by its suffix; row n - y repeats row
-    y.
+    ``cells`` gives the cells of a range of rows y = 0..n//2 for every
+    field but y, each followed by its suffix; row n - y repeats row y.
     """
     rows = n if out is None and getattr(sys.stdout, "buffer", None) is None else _BLOCK_ROWS
     before, after = frame
     with _opened(out) as write:
         for a in range(0, n, rows):
             b = min(a + rows, n)
-            pieces = _block(layout, n, columns, a, b)
+            pieces = _block(layout, n, cells, a, b)
             if a == 0:
                 pieces[0] = before + layout.head + pieces[0]
             if b == n:
@@ -350,69 +444,119 @@ def _spec_from(args):
 def cmd_spectrum(args) -> int:
     spec = _spec_from(args)
     alg = Algorithm(args.alg)
-    closed = closedform.closed_form_table(spec, alg, iterations=args.iterations_override)
-    simulated = simulator.simulated_table(spec, alg, iterations=args.iterations_override)
-    h = spec.n // 2 + 1  # the rows _write_table takes
-    dev = np.abs(closed.pr[:h] - simulated.pr[:h])
+    codes = case_codes(spec.n, spec.m, spec.p)  # the first n-entry array: a too-large n fails here
+    simulated = simulator.simulated_table(spec, alg, iterations=args.iterations_override).pr
+    # The closed form at every fold point, once: half the simulated
+    # column's size, held after the simulation's larger arrays are freed.
+    closed = _ClosedForm(spec, [alg], args.iterations_override, whole=True)
+    # The largest deviation heads the table, so every row's comes first:
+    # each block's distinct deviations, and each row's index among them,
+    # then among the distinct deviations of all rows.
+    deviation, blocks, largest = np.empty(spec.n // 2 + 1, dtype=np.int32), [], 0.0
+    for lo, hi, (pr,) in closed.checked():
+        dev = np.abs(pr - simulated[lo:hi])
+        largest = max(largest, float(dev.max()))
+        bits, deviation[lo:hi] = np.unique(dev.view(np.int64), return_inverse=True)
+        blocks.append((lo, hi, bits))
     layout = _SPECTRUM_ROW[args.format]
     suffix, fmt = layout.suffix, _FLOAT_FORMAT[args.format]
+    case = _names(CASE_NAMES, suffix["case"])
     # At p coprime to n, no two of the rows share p*y mod n up to sign, and
     # nearly all their probabilities differ: a search for the distinct
     # ones would cost more than it saves.
-    distinct = math.gcd(spec.p, spec.n) > 1
-    columns = {
-        "case": _names(CASE_NAMES, suffix["case"], closed.codes[:h]),
-        "pr_closedform": _column(closed.pr[:h], fmt, suffix["pr_closedform"], distinct),
-        "pr_simulated": _column(simulated.pr[:h], fmt, suffix["pr_simulated"], distinct),
-        "abs_deviation": _column(dev, fmt, suffix["abs_deviation"]),
-    }
+    periodic = closed.period < spec.n
+    if periodic:
+        closed_column = _Distinct(closed.points[0], fmt, suffix["pr_closedform"], ())
+        simulated_column = _Distinct(simulated[: spec.n // 2 + 1], fmt, suffix["pr_simulated"], ())
+    bits = np.concatenate([bits for _, _, bits in blocks])
+    deviation_column = _Distinct(bits.view(np.float64), fmt, suffix["abs_deviation"], ())
+    for lo, hi, bits in blocks:
+        deviation[lo:hi] = deviation_column.index(bits.view(np.float64))[deviation[lo:hi]]
+
+    def cells(lo: int, hi: int) -> dict[str, list[str]]:
+        fold = closed.fold(lo, hi)
+        if periodic:
+            pr_cells, sim_cells = closed_column.at(fold), simulated_column.at(slice(lo, hi))
+        else:
+            pr_cells = float_cells(closed.at(fold)[0], fmt, suffix["pr_closedform"])
+            sim_cells = float_cells(simulated[lo:hi], fmt, suffix["pr_simulated"])
+        return {
+            "case": case(codes[lo:hi]),
+            "pr_closedform": pr_cells,
+            "pr_simulated": sim_cells,
+            "abs_deviation": deviation_column.cells[deviation[lo:hi]].tolist(),
+        }
+
     if args.format == "json":
         frame = _json_frame(
             {
                 "schema": 1,
                 "instance": {"n": spec.n, "m": spec.m, "p": spec.p, "s": spec.s},
                 "algorithm": alg.value,
-                "max_abs_deviation": float(dev.max()),
+                "max_abs_deviation": largest,
             }
         )
     else:
-        frame = _csv_frame(layout.fields, [f"# max_abs_deviation={_fmt(dev.max())}"])
-    _write_table(args.out, layout, spec.n, columns, frame)
+        frame = _csv_frame(layout.fields, [f"# max_abs_deviation={_fmt(largest)}"])
+    _write_table(args.out, layout, spec.n, cells, frame)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     spec = _spec_from(args)
-    tables = {alg: closedform.closed_form_table(spec, alg) for alg in Algorithm}
+    codes = case_codes(spec.n, spec.m, spec.p)  # the first n-entry array: a too-large n fails here
+    closed = _ClosedForm(spec, list(Algorithm), None, whole=False)  # amplified first
     bounds = {
         alg: closedform.ratio_bounds(spec.n, spec.m, alg) for alg in (Algorithm.QFT, Algorithm.QHS)
     }
     succ = recovery.success_set(spec)
-    sums = {alg: float(tables[alg].pr[succ].sum()) for alg in Algorithm}
+    sums = {alg: float(closedform.closed_form_at(spec, alg, succ).sum()) for alg in Algorithm}
+
+    def ratios(lo: int, hi: int, values) -> tuple[np.ndarray, dict]:
+        """Which of rows lo..hi-1 have ratios, and each baseline's ratios
+        there.  Zero and null frequencies are excluded; every other one
+        gets the two ratios and a verdict."""
+        kept = (codes[lo:hi] == CODE_RESONANT) | (codes[lo:hi] == CODE_GENERIC)
+        amp, *dens = (pr[kept] for pr in values)
+        for alg, den in zip(bounds, dens):
+            if not den.all():
+                raise BoundViolated(
+                    f"{alg.value} probability 0 at a resonant or generic frequency"
+                )
+        return kept, {alg: amp / den for alg, den in zip(bounds, dens)}
+
+    # Whether every row is within the bounds heads the table, so every
+    # row's ratios come first; only their distinct values are kept.
+    ok, found = True, {alg: [] for alg in bounds}
+    for lo, hi, values in closed.checked():
+        for alg, ratio in ratios(lo, hi, values)[1].items():
+            ok = ok and bool(bounds[alg].admits(ratio).all())
+            found[alg].append(_distinct_bits(ratio))
     layout = _COMPARE_ROW[args.format]
     suffix = layout.suffix
-    # Zero and null frequencies are excluded; every other one gets the two
-    # ratios and a verdict.  Rows y = 0..n//2 hold every value of the table.
-    h = spec.n // 2 + 1
-    codes = tables[Algorithm.QFT].codes[:h]
-    kept = (codes == CODE_RESONANT) | (codes == CODE_GENERIC)
-    amp = tables[Algorithm.AMPLIFIED].pr[:h][kept]
-    columns = {"case": _names(CASE_NAMES, suffix["case"], codes)}
-    ok = np.ones(amp.size, dtype=bool)
-    for alg, b in bounds.items():
-        den = tables[alg].pr[:h][kept]
-        if not den.all():
-            raise BoundViolated(f"{alg.value} probability 0 at a resonant or generic frequency")
-        ratio = amp / den
-        ok &= b.admits(ratio)
-        field = f"ratio_vs_{alg.value}"
-        cells, inverse = _distinct(ratio, "%.17g", suffix[field])
-        index = np.full(h, len(cells))  # the excluded cell, after the distinct ratios
-        index[kept] = inverse
-        columns[field] = _indexed([*cells, "excluded" + suffix[field]], index)
-    verdicts = np.zeros(h, dtype=np.int8)
-    verdicts[kept] = np.where(ok, 1, 2)
-    columns["verdict"] = _names(_VERDICTS, suffix["verdict"], verdicts)
+    case, verdict = _names(CASE_NAMES, suffix["case"]), _names(_VERDICTS, suffix["verdict"])
+    columns = {
+        alg: _Distinct(np.concatenate(found[alg]).view(np.float64), "%.17g",
+                       suffix[f"ratio_vs_{alg.value}"],
+                       ("excluded" + suffix[f"ratio_vs_{alg.value}"],))
+        for alg in bounds
+    }
+
+    def cells(lo: int, hi: int) -> dict[str, list[str]]:
+        kept, got = ratios(lo, hi, closed.at(closed.fold(lo, hi)))
+        row = {"case": case(codes[lo:hi])}
+        passed = np.ones(np.count_nonzero(kept), dtype=bool)
+        for alg, ratio in got.items():
+            column = columns[alg]
+            index = np.full(hi - lo, column.bits.size)  # the excluded cell
+            index[kept] = column.index(ratio)
+            row[f"ratio_vs_{alg.value}"] = column.cells[index].tolist()
+            passed &= bounds[alg].admits(ratio)
+        verdicts = np.zeros(hi - lo, dtype=np.int8)
+        verdicts[kept] = np.where(passed, 1, 2)
+        row["verdict"] = verdict(verdicts)
+        return row
+
     summary = {
         "bounds": {
             alg.value: {"lower": b.lower, "upper": b.upper, "approx": b.approx, "gap": b.gap}
@@ -424,14 +568,14 @@ def cmd_compare(args) -> int:
             alg.value: (sums[Algorithm.AMPLIFIED] / sums[alg] if sums[alg] else None)
             for alg in (Algorithm.QFT, Algorithm.QHS)
         },
-        "all_rows_within_bounds": bool(ok.all()),
+        "all_rows_within_bounds": ok,
     }
     if args.format == "json":
         frame = _json_frame({"schema": 1, "summary": summary})
     else:
         trailer = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
         frame = _csv_frame(layout.fields, trailer)
-    _write_table(args.out, layout, spec.n, columns, frame)
+    _write_table(args.out, layout, spec.n, cells, frame)
     return EXIT_OK
 
 

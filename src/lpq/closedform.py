@@ -216,22 +216,17 @@ def spectral_kernel(spec: OracleSpec, ys) -> SpectralKernel:
     return SpectralKernel(ratio, np.concatenate(special), np.concatenate(case))
 
 
-def closed_form_at(
-    spec: OracleSpec, algorithm: Algorithm, ys, iterations: int | None = None
-) -> np.ndarray:
+def closed_form_at(spec: OracleSpec, algorithm: Algorithm, ys) -> np.ndarray:
     """Closed-form probability of measuring each frequency in ``ys``.
 
-    ``ys`` is a 1-D sequence of frequencies in 0..n-1; ``iterations``
-    overrides the amplified pipeline's round count.  The pipeline's
+    ``ys`` is a 1-D sequence of frequencies in 0..n-1.  The pipeline's
     constants scale the kernel R(y) in place.
     """
     kernel = spectral_kernel(spec, ys)
-    return kernel.probabilities(pipeline_constants(spec, algorithm, iterations), kernel.ratio)
+    return kernel.probabilities(pipeline_constants(spec, algorithm, None), kernel.ratio)
 
 
-def closed_form_table(
-    spec: OracleSpec, algorithm: Algorithm, iterations: int | None = None
-) -> ProbabilityTable:
+def closed_form_table(spec: OracleSpec, algorithm: Algorithm) -> ProbabilityTable:
     """Whole-spectrum closed-form table for one pipeline, from one period
     or one half of the spectrum (module docstring)."""
     n = spec.n
@@ -244,7 +239,7 @@ def closed_form_table(
     h = min(period, n // 2) + 1
     for start in range(0, h, _Y_BLOCK):
         ys = np.arange(start, min(start + _Y_BLOCK, h))
-        pr[start : start + ys.size] = closed_form_at(spec, algorithm, ys, iterations)
+        pr[start : start + ys.size] = closed_form_at(spec, algorithm, ys)
     if period < n:  # y = 0, then y = 1..period over and over
         pr[h : n - period + 1].reshape(-1, period)[:] = pr[1:h]
         pr[n - period + 1 :] = pr[1:period]

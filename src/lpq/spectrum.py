@@ -71,23 +71,33 @@ class ProbabilityTable:
     codes: np.ndarray
 
 
-def make_table(pr: np.ndarray, codes: np.ndarray) -> ProbabilityTable:
-    """Zero the null frequencies, enforce normalization, and build the table.
-
-    Takes ownership of ``pr``, a fresh float64 array: its null entries are
-    zeroed in place and it becomes the table's ``pr``, with no copy.
-    Every probability here is a square or a sum of squares, so any negative
-    or non-finite entry is a defect, not rounding.
-    """
+def check_entries(pr: np.ndarray) -> None:
+    """ValidationError unless every probability in ``pr`` is finite and
+    non-negative: each is a square or a sum of squares, so any negative or
+    non-finite one is a defect, not rounding."""
     finite = np.isfinite(pr)
     if not finite.all():
         raise ValidationError(f"non-finite probability {pr[~finite][0]} in table")
     if pr.min() < 0:
         raise ValidationError(f"negative probability {pr.min()} in table")
+
+
+def check_total(total: float) -> None:
+    """ValidationError unless a table's probabilities sum to ``total``
+    within NORMALIZATION_TOL of 1."""
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError(f"table sums to {total}, not 1")
+
+
+def make_table(pr: np.ndarray, codes: np.ndarray) -> ProbabilityTable:
+    """Zero the null frequencies, enforce normalization, and build the table.
+
+    Takes ownership of ``pr``, a fresh float64 array: its null entries are
+    zeroed in place and it becomes the table's ``pr``, with no copy.
+    """
+    check_entries(pr)
     # The rounding dust a simulation leaves on null frequencies becomes the
     # exact zero the classification proves; nothing else is touched.
     pr[codes == CODE_NULL] = 0.0
-    total = pr.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(f"table sums to {total}, not 1")
+    check_total(pr.sum())
     return ProbabilityTable(pr, codes)

@@ -11,6 +11,7 @@ import string
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,10 @@ import lpq.closedform
 import lpq.recovery
 from lpq import build_oracle, cli
 from lpq.cli import main
-from lpq.closedform import closed_form_table, ratio_bounds
+from lpq.closedform import closed_form_table, pipeline_constants, ratio_bounds, spectral_kernel
 from lpq.recovery import success_set
 from lpq.simulator import simulated_table
-from lpq.spectrum import CASE_NAMES, CODE_GENERIC, Algorithm
+from lpq.spectrum import CASE_NAMES, Algorithm, ProbabilityTable, case_codes
 
 
 def run(tmp_path, *argv):
@@ -236,18 +237,39 @@ class TestCompare:
     def test_zero_probability_divisor_is_bound_violation(self, monkeypatch, tmp_path, capsys):
         # a zero qft probability at a resonant or generic frequency leaves
         # the ratio undefined: exit 1 with one error line, not a traceback
-        original = lpq.closedform.closed_form_table
+        original = lpq.closedform.pipeline_constants
 
-        def zeroed(spec, alg, *args, **kwargs):
-            table = original(spec, alg, *args, **kwargs)
-            if Algorithm(alg) is Algorithm.QFT:
-                table.pr[table.codes == CODE_GENERIC] = 0.0
-            return table
+        def zeroed(spec, alg, *args):
+            constants = original(spec, alg, *args)
+            return constants._replace(factor=0.0) if Algorithm(alg) is Algorithm.QFT else constants
 
-        monkeypatch.setattr(lpq.closedform, "closed_form_table", zeroed)
+        monkeypatch.setattr(lpq.closedform, "pipeline_constants", zeroed)
         assert failing_run(["compare", *SPEC_FLAGS], tmp_path, capsys) == (
             1, "error: qft probability 0 at a resonant or generic frequency\n"
         )
+
+
+# Every closed-form value a table prints is checked as make_table checks a
+# table, before the first byte: a pipeline factor scaled by nan, -1 or 2
+# makes non-finite, negative or unnormalized probabilities.
+@pytest.mark.parametrize("cmd", ["spectrum", "compare"])
+@pytest.mark.parametrize("scale,message", [
+    (math.nan, r"non-finite probability nan in table"),
+    (-1.0, r"negative probability -\S+ in table"),
+    (2.0, r"table sums to 1\.\d+, not 1"),
+])
+def test_closed_form_checked_before_the_first_byte(cmd, scale, message, monkeypatch, tmp_path,
+                                                   capsys):
+    original = lpq.closedform.pipeline_constants
+
+    def scaled(spec, alg, *args):
+        constants = original(spec, alg, *args)
+        return constants._replace(factor=constants.factor * scale)
+
+    monkeypatch.setattr(lpq.closedform, "pipeline_constants", scaled)
+    code, err = failing_run([cmd, "--n", "4096", "--m", "4", "--p", "63", "--s", "3"], tmp_path,
+                            capsys)
+    assert code == 2 and re.fullmatch(f"error: {message}\n", err), err
 
 
 class TestRecover:
@@ -777,6 +799,52 @@ class TestClosedFormTablesPerInstance:
         assert main(argv) == 0
         assert (len(evaluations), len(kernels), len(success_sets)) == (0, 3, 3)
 
+    # spectrum and compare build no table either.  Where p shares a factor
+    # with n, one kernel at y = 0..P//2 and y = P serves every row and all
+    # three pipelines.  Where p is coprime to n, spectrum evaluates rows
+    # 0..n//2 once, and compare one block of them at a time, for each pass:
+    # 3 blocks of 1,024 in the checks before the first byte, then one per
+    # block written, 4 of 1,024 rows.  compare's success-set sums are three
+    # evaluations at the success set.
+    @pytest.mark.parametrize("cmd,p,points", [
+        ("spectrum", 16, [130]), ("compare", 16, [130]),
+        ("spectrum", 63, [2049]), ("compare", 63, [1024, 1024, 1] + [1024] * 4),
+    ])
+    def test_tables_one_kernel_per_block(self, cmd, p, points, monkeypatch, tmp_path, capsys):
+        # every binding, lpq.closedform's too: cli calls through the module
+        kernels = _count_calls(monkeypatch, lpq.closedform.spectral_kernel)
+        evaluations = _count_calls(monkeypatch, lpq.closedform.closed_form_at)
+        tables = _count_closed_form_tables(monkeypatch)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+        argv = [cmd, "--n", "4096", "--m", "4", "--p", str(p), "--s", "3"]
+        assert main([*argv, "--out", str(tmp_path / "table")]) == 0
+        # closed_form_at passes its frequencies on to the kernel
+        rows = [args[1] for args in kernels if all(args[1] is not e[2] for e in evaluations)]
+        assert [len(ys) for ys in rows] == points
+        assert [args[1] for args in evaluations] == [*Algorithm] * (cmd == "compare")
+        succ = success_set(build_oracle(4096, 4, p, 3)).tolist()
+        assert all(list(args[2]) == succ for args in evaluations)
+        assert tables == []
+
+
+# The traced peak of a command written to a file at n = 2^18: a few
+# block-sized temporaries and the n-entry case codes, and for spectrum the
+# simulation's n-sized arrays.  When they built n-entry closed-form tables,
+# compare peaked at 17.1 MiB and spectrum at 13.1-13.6 MiB.
+@pytest.mark.parametrize("cmd,p,mib", [("compare", 127, 4), ("compare", 100, 4),
+                                       ("spectrum", 127, 10), ("spectrum", 128, 10)])
+def test_traced_peak_at_2e18(cmd, p, mib, tmp_path):
+    argv = [cmd, "--m", "5", "--p", str(p), "--s", "11", "--format", "json",
+            "--out", str(tmp_path / "table")]
+    assert main([*argv, "--n", str(1 << 14)]) == 0  # imports and caches first
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--n", str(1 << 18)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
+
 
 class TestSweep:
     def test_one_file_per_n(self, tmp_path, capsys):
@@ -953,7 +1021,12 @@ RATIO_SLACK = 8 * sys.float_info.epsilon
 
 
 def reference_spectrum(spec, alg, fmt, iterations=None):
-    closed = closed_form_table(spec, alg, iterations=iterations)
+    if iterations is None:
+        closed = closed_form_table(spec, alg)
+    else:  # the table takes no round count: the every-y closed form with its constants
+        kernel = spectral_kernel(spec, np.arange(spec.n))
+        pr = kernel.probabilities(pipeline_constants(spec, alg, iterations), kernel.ratio)
+        closed = ProbabilityTable(pr, case_codes(spec.n, spec.m, spec.p))
     simulated = simulated_table(spec, alg, iterations=iterations)
     dev = np.abs(closed.pr - simulated.pr)
     if fmt == "json":
@@ -1125,6 +1198,59 @@ class TestBulkSerializerEdges:
                           "--s", s)
         want = reference_spectrum(build_oracle(n, m, p, s), alg, fmt, iterations=iterations)
         assert got == dict.fromkeys(SINKS, want)
+
+
+# (n, m, p, s): p sharing 2, 4, 8 and 128 with n, p coprime to n, odd n
+# with p sharing 7 with it and coprime to it, and 2m = n.  Where p shares a
+# factor with n, the CLI evaluates the closed form once at y = 0..P//2 and
+# y = P, P = n/gcd(n, p), and every row takes the value at its fold.
+FOLD_INSTANCES = [(4096, 5, 6, 7), (4096, 5, 12, 1), (4096, 5, 40, 3), (16384, 5, 128, 11),
+                  (4096, 5, 63, 2), (1001, 5, 14, 7), (1001, 5, 10, 7), (64, 32, 2, 0)]
+
+
+def table_rows(text: str, fmt: str) -> list[list[str]]:
+    """The rows of a spectrum or compare table as cells, in the CSV column
+    order: y, case, then the first value column."""
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+        if isinstance(rows[0], dict):  # spectrum
+            return [[str(r["y"]), r["case"], repr(r["pr_closedform"])] for r in rows]
+        return rows
+    return [line.split(",") for line in text.splitlines()[2:] if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("instance", FOLD_INSTANCES, ids=lambda i: "-".join(map(str, i)))
+class TestFoldedRows:
+    def test_spectrum_bytes(self, instance, fmt, tmp_path, monkeypatch):
+        n, m, p, s = instance
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "spectrum", "--n", n, "--m", m, "--p", p,
+                          "--s", s)
+        spec = build_oracle(n, m, p, s)
+        assert got == dict.fromkeys(SINKS, reference_spectrum(spec, "amplified", fmt))
+        # y = P and 2P are resonant, each with the resonant constant, and
+        # y = 0 alone is the zero frequency
+        pr = closed_form_table(spec, Algorithm.AMPLIFIED).pr
+        resonant = pipeline_constants(spec, Algorithm.AMPLIFIED, None).resonant
+        rows = table_rows(got["out"], fmt)
+        period = n // math.gcd(n, p)
+        assert rows[0][:2] == ["0", "zero"]
+        for y in range(period, n, period)[:2]:
+            assert rows[y][:2] == [str(y), "resonant"]
+            assert float(rows[y][2]) == pr[y] == resonant != pr[0]
+
+    def test_compare_bytes(self, instance, fmt, tmp_path, monkeypatch):
+        n, m, p, s = instance
+        got = cli_outputs(tmp_path, monkeypatch, fmt, "compare", "--n", n, "--m", m, "--p", p,
+                          "--s", s)
+        assert got == dict.fromkeys(SINKS, reference_compare(build_oracle(n, m, p, s), fmt))
+        # y = 0 is excluded, and y = P and 2P are resonant rows with ratios
+        rows = table_rows(got["out"], fmt)
+        period = n // math.gcd(n, p)
+        assert rows[0] == ["0", "zero", "excluded", "excluded", "excluded"]
+        for y in range(period, n, period)[:2]:
+            assert rows[y][:2] == [str(y), "resonant"] and rows[y][4] == "pass"
+            assert "excluded" not in rows[y][2:]
 
 
 class TestBlocks:

@@ -28,10 +28,19 @@ from lpq.spectrum import (
     CODE_RESONANT,
     CODE_ZERO,
     Algorithm,
+    ProbabilityTable,
     case_codes,
 )
 
 SPEC163 = build_oracle(16, 3, 4, 1)
+
+
+def closed_form_rounds(spec, algorithm, ys, iterations):
+    """The closed form at ``ys`` after ``iterations`` amplification rounds:
+    the kernel scaled by the constants of that round count, as the CLI's
+    spectrum --iterations-override evaluates it."""
+    kernel = spectral_kernel(spec, ys)
+    return kernel.probabilities(pipeline_constants(spec, algorithm, iterations), kernel.ratio)
 
 
 def classify(y: int, spec) -> str:
@@ -264,12 +273,13 @@ class TestTables:
         assert closed_form_at(SPEC163, Algorithm.QFT, []).size == 0
 
     def test_iterations_override(self):
-        # no round leaves the uniform state, whose spectrum is a delta at 0
-        table = closed_form_table(SPEC163, Algorithm.AMPLIFIED, iterations=0)
-        assert table.pr.tolist() == [1.0] + [0.0] * 15
-        table = closed_form_table(SPEC163, Algorithm.AMPLIFIED, iterations=3)
-        every = closed_form_at(SPEC163, Algorithm.AMPLIFIED, np.arange(16), iterations=3)
-        assert table.pr.tobytes() == every.tobytes()
+        # no round leaves the uniform state, whose spectrum is a delta at 0;
+        # three rounds leave cos^2(6 theta) at y = 0, still normalized
+        every = closed_form_rounds(SPEC163, Algorithm.AMPLIFIED, np.arange(16), 0)
+        assert every.tolist() == [1.0] + [0.0] * 15
+        every = closed_form_rounds(SPEC163, Algorithm.AMPLIFIED, np.arange(16), 3)
+        assert every[0] == math.cos(6 * grover_schedule(16, 3).theta) ** 2
+        assert every.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [127, 700])  # mirror and period tile
     def test_traced_peak_at_2e20(self, p):
@@ -402,11 +412,20 @@ MIRROR_INSTANCES = [(64, 4, 4, 3, True), (1000, 5, 31, 7, True), (1001, 5, 10, 7
 @pytest.mark.parametrize("iterations", [None, 0, 3])
 @pytest.mark.parametrize("build", [closed_form_table, simulated_table])
 def test_tables_are_mirror_symmetric(instance, iterations, build):
-    # the CLI formats rows y = 0..n//2 and repeats them above (ProbabilityTable)
+    # the CLI formats rows y = 0..n//2 and repeats them above (ProbabilityTable);
+    # the table takes no round count: with one, its rows are the every-y
+    # closed form (test_table_is_all_y_evaluation), scaled by that count's
+    # constants
     n, m, p, s, strict = instance
     spec = build_oracle(n, m, p, s, strict=strict)
     for alg in Algorithm:
-        table = build(spec, alg, iterations=iterations)
+        if iterations is None:
+            table = build(spec, alg)
+        elif build is closed_form_table:
+            pr = closed_form_rounds(spec, alg, np.arange(n), iterations)
+            table = ProbabilityTable(pr, case_codes(n, m, p))
+        else:
+            table = build(spec, alg, iterations=iterations)
         assert table.pr[1:].tobytes() == table.pr[:0:-1].tobytes()
         assert table.codes[1:].tolist() == table.codes[:0:-1].tolist()
 
@@ -525,7 +544,7 @@ def test_amplified_zero_at_half_is_exact(n, m, p):
     # at 2m = n every round count gives cos^2(k pi/2), 1 at even k and 0 at
     # odd k, as the simulation does; the expected runs 1/(1 - 0) are 1.0
     spec = build_oracle(n, m, p, 0, strict=False)
-    amplified = [closed_form_at(spec, Algorithm.AMPLIFIED, [0], k)[0] for k in range(6)]
+    amplified = [closed_form_rounds(spec, Algorithm.AMPLIFIED, [0], k)[0] for k in range(6)]
     assert amplified == [1.0, 0.0] * 3
     assert simulated_table(spec, Algorithm.AMPLIFIED).pr[0] == 0.0
     runs = {r.algorithm: r.expected_runs for r in workfactor_comparison(spec)}

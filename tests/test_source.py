@@ -451,10 +451,10 @@ def test_floor_rule_rejects_newer_syntax(tmp_path):
     assert found.startswith("a.py:") and "Exception groups" in found
 
 
-# The only readers of a whole closed-form table: the two commands that
-# print one, and Monte-Carlo's exact edges, built only where a uniform
-# lands within the slack of a closed-form edge.
-TABLE_READERS = {"cli.cmd_spectrum", "cli.cmd_compare", "analysis._exact_edges"}
+# The only reader of a whole closed-form table: Monte-Carlo's exact edges,
+# built only where a uniform lands within the slack of a closed-form edge.
+# The commands that print a table evaluate its rows a block at a time.
+TABLE_READERS = {"analysis._exact_edges"}
 
 
 def _table_readers(sources):
@@ -469,15 +469,15 @@ def _table_readers(sources):
 
 
 def test_only_the_printed_tables_and_the_exact_edges_build_a_table():
-    # Monte-Carlo reads its edges in closed form, so an n-entry table is
-    # built by a command that prints one, or by the sampler's fallback
+    # Monte-Carlo reads its edges in closed form, and the printed tables
+    # their rows, so an n-entry table is built only by the sampler's fallback
     assert set(_table_readers(SOURCES)) - TABLE_READERS == set()
 
 
 def test_table_reader_rule_finds_readers(tmp_path):
     # a call, a call through the module, a nested function's call and a
-    # function passed on are found; the allowed readers, the import, a
-    # string and another name are not
+    # function passed on are found, the printing commands' among them; the
+    # allowed reader, the import, a string and another name are not
     package = {
         "closedform.py": "def closed_form_table(spec, alg):\n    return spec\n",
         "__init__.py": (
@@ -506,4 +506,5 @@ def test_table_reader_rule_finds_readers(tmp_path):
     for name, text in package.items():
         (tmp_path / name).write_text(text)
     found = set(_table_readers(sorted(tmp_path.glob("*.py")))) - TABLE_READERS
-    assert found == {"analysis.inner", "analysis.monte_carlo_trials", "analysis.outer"}
+    assert found == {"analysis.inner", "analysis.monte_carlo_trials", "analysis.outer",
+                     "cli.cmd_compare", "cli.cmd_spectrum"}
